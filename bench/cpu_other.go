@@ -1,0 +1,18 @@
+//go:build !linux
+
+package main
+
+import (
+	"math"
+	"syscall"
+)
+
+// cpuSeconds is the process's user+system CPU time so far.
+func cpuSeconds() float64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return math.NaN()
+	}
+	tv := func(t syscall.Timeval) float64 { return float64(t.Sec) + float64(t.Usec)/1e6 }
+	return tv(ru.Utime) + tv(ru.Stime)
+}
