@@ -25,6 +25,8 @@ fuzz:
 	$(GO) test ./internal/transport/ -fuzz FuzzDecodeFrame -fuzztime 30s
 	$(GO) test ./internal/transport/ -fuzz FuzzLedgerSyncFrame -fuzztime 30s
 	$(GO) test ./internal/transport/ -fuzz FuzzPrefixAnnounceFrame -fuzztime 30s
+	$(GO) test ./internal/transport/ -fuzz FuzzMemberSyncFrame -fuzztime 30s
+	$(GO) test ./internal/transport/ -fuzz FuzzMergeInfoFrame -fuzztime 30s
 
 cover:
 	$(GO) test -cover ./...

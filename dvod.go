@@ -768,7 +768,9 @@ func (s *Service) heartbeatLoop() {
 // StopServer takes one video server offline: its listener closes, its
 // heartbeats stop, and (with failover enabled) the routing immediately
 // stops considering it — the dynamic-adjustment behaviour the paper claims
-// for "server configuration changes".
+// for "server configuration changes". Peers are not told: the idle
+// connections they pool to this server die with it, and each is discarded
+// (and its fetch redialed, then failed over) the next time it is used.
 func (s *Service) StopServer(node NodeID) error {
 	s.mu.Lock()
 	srv, ok := s.servers[node]
@@ -1094,6 +1096,12 @@ func (s *Service) Close() error {
 	}
 	if s.poller != nil {
 		s.poller.Stop()
+	}
+	// Idle peer connections first, fleet-wide: each one parks a handler on
+	// the server it points at, and no server should wait on a handler that a
+	// not-yet-closed neighbour's pool still holds open.
+	for _, srv := range s.servers {
+		srv.ClosePeerConns()
 	}
 	var firstErr error
 	for _, srv := range s.servers {

@@ -3,6 +3,7 @@ package client_test
 import (
 	"errors"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -77,14 +78,18 @@ func redirectCluster(t *testing.T) (*transport.AddrBook, map[topology.NodeID]*ro
 	return book, directors
 }
 
-// routeHolder is a Director whose decision function can be swapped mid-test.
-type routeHolder struct{ fn routeFunc }
+// routeHolder is a Director whose decision function can be swapped mid-test,
+// while the server's handler goroutines read it.
+type routeHolder struct{ fn atomic.Pointer[routeFunc] }
+
+func (h *routeHolder) set(fn routeFunc) { h.fn.Store(&fn) }
 
 func (h *routeHolder) Route(title string, hops int) (topology.NodeID, string, bool) {
-	if h.fn == nil {
+	fn := h.fn.Load()
+	if fn == nil {
 		return "", "", false
 	}
-	return h.fn(title, hops)
+	return (*fn)(title, hops)
 }
 
 func redirectTo(book *transport.AddrBook, target topology.NodeID) routeFunc {
@@ -102,7 +107,7 @@ func redirectTo(book *transport.AddrBook, target topology.NodeID) routeFunc {
 // stats record the bounce.
 func TestClientFollowsRedirectTransparently(t *testing.T) {
 	book, directors := redirectCluster(t)
-	directors[grnet.Patra].fn = redirectTo(book, grnet.Xanthi)
+	directors[grnet.Patra].set(redirectTo(book, grnet.Xanthi))
 
 	p, err := client.NewPlayer(grnet.Patra, book)
 	if err != nil {
@@ -125,8 +130,8 @@ func TestClientFollowsRedirectTransparently(t *testing.T) {
 // home node is in the visited set from the start).
 func TestClientRejectsRedirectLoop(t *testing.T) {
 	book, directors := redirectCluster(t)
-	directors[grnet.Patra].fn = redirectTo(book, grnet.Xanthi)
-	directors[grnet.Xanthi].fn = redirectTo(book, grnet.Patra)
+	directors[grnet.Patra].set(redirectTo(book, grnet.Xanthi))
+	directors[grnet.Xanthi].set(redirectTo(book, grnet.Patra))
 
 	p, err := client.NewPlayer(grnet.Patra, book)
 	if err != nil {
@@ -147,12 +152,12 @@ func TestClientRejectsRedirectLoop(t *testing.T) {
 // bounce.
 func TestClientHopCountCap(t *testing.T) {
 	book, directors := redirectCluster(t)
-	directors[grnet.Patra].fn = redirectTo(book, grnet.Xanthi)
+	directors[grnet.Patra].set(redirectTo(book, grnet.Xanthi))
 	// Xanthi forwards to a third node that is never dialed: the limit check
 	// fires before the dial.
-	directors[grnet.Xanthi].fn = func(string, int) (topology.NodeID, string, bool) {
+	directors[grnet.Xanthi].set(func(string, int) (topology.NodeID, string, bool) {
 		return grnet.Athens, "127.0.0.1:1", true
-	}
+	})
 
 	p, err := client.NewPlayer(grnet.Patra, book, client.WithRedirectLimit(1))
 	if err != nil {
@@ -188,9 +193,9 @@ func TestClientRedirectRacingNodeDeath(t *testing.T) {
 	}
 	deadAddr := dead.Addr().String()
 	dead.Close()
-	directors[grnet.Patra].fn = func(string, int) (topology.NodeID, string, bool) {
+	directors[grnet.Patra].set(func(string, int) (topology.NodeID, string, bool) {
 		return grnet.Heraklio, deadAddr, true
-	}
+	})
 
 	p, err := client.NewPlayer(grnet.Patra, book)
 	if err != nil {

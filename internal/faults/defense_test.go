@@ -191,6 +191,18 @@ func TestLatencyTrackerDeadline(t *testing.T) {
 	if got := tr.Deadline(); got != 50*time.Millisecond {
 		t.Fatalf("deadline = %v, want 50ms", got)
 	}
+	// The percentile is recomputed once per deadlineRefresh observations:
+	// slower samples show in the deadline only when the cadence comes round.
+	for i := 0; i < deadlineRefresh-1; i++ {
+		tr.Observe(100 * time.Millisecond)
+	}
+	if got := tr.Deadline(); got != 50*time.Millisecond {
+		t.Fatalf("deadline inside the refresh cadence = %v, want the cached 50ms", got)
+	}
+	tr.Observe(100 * time.Millisecond)
+	if got := tr.Deadline(); got != 100*time.Millisecond {
+		t.Fatalf("deadline at the refresh = %v, want 100ms", got)
+	}
 	// A fast window never hedges below the floor.
 	fast := NewLatencyTracker(20 * time.Millisecond)
 	for i := 0; i < 2*latencyWindow; i++ {

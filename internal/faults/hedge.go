@@ -1,7 +1,7 @@
 package faults
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -12,6 +12,12 @@ const latencyWindow = 128
 // minHedgeSamples is how many samples must accumulate before the tracker
 // trusts its percentile estimate over the configured floor.
 const minHedgeSamples = 16
+
+// deadlineRefresh is how many observations may pass before Deadline
+// recomputes the percentile; in between it answers from the cached value.
+// Deadline runs on every fetch, and one new sample in a 128-sample window
+// moves a P99 too little to pay for a sort each time.
+const deadlineRefresh = 16
 
 // LatencyTracker derives the hedging deadline for cluster fetches from a
 // sliding window of observed fetch latencies: a fetch still unanswered past
@@ -25,6 +31,11 @@ type LatencyTracker struct {
 	mu      sync.Mutex
 	samples [latencyWindow]time.Duration
 	n       int // total observations (ring write position = n % latencyWindow)
+	// cached is the deadline computed when the tracker held cachedAt
+	// observations (zero: never computed); scratch is the sort buffer.
+	cached   time.Duration
+	cachedAt int
+	scratch  [latencyWindow]time.Duration
 }
 
 // NewLatencyTracker builds a tracker whose deadline never drops below floor
@@ -50,29 +61,25 @@ func (t *LatencyTracker) Observe(d time.Duration) {
 
 // Deadline returns the current hedge deadline: the window's P99 (never below
 // the floor). With fewer than minHedgeSamples observations it returns the
-// floor — hedging conservatively until the estimate means something.
+// floor — hedging conservatively until the estimate means something. The
+// percentile is recomputed at most once per deadlineRefresh observations.
 func (t *LatencyTracker) Deadline() time.Duration {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.n < minHedgeSamples {
 		return t.floor
 	}
-	size := t.n
-	if size > latencyWindow {
-		size = latencyWindow
+	if t.cachedAt != 0 && t.n-t.cachedAt < deadlineRefresh {
+		return t.cached
 	}
-	sorted := make([]time.Duration, size)
+	size := min(t.n, latencyWindow)
+	sorted := t.scratch[:size]
 	copy(sorted, t.samples[:size])
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := (size*99 + 99) / 100 // ceil(0.99·size), 1-based rank
-	if idx > size {
-		idx = size
-	}
-	p99 := sorted[idx-1]
-	if p99 < t.floor {
-		return t.floor
-	}
-	return p99
+	slices.Sort(sorted)
+	idx := min((size*99+99)/100, size) // ceil(0.99·size), 1-based rank
+	t.cached = max(sorted[idx-1], t.floor)
+	t.cachedAt = t.n
+	return t.cached
 }
 
 // Samples reports how many latencies have been observed.

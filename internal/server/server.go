@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -192,9 +193,15 @@ type Server struct {
 	// path; both nil when DisableDefense is set.
 	breakers *faults.BreakerSet
 	hedgeLat *faults.LatencyTracker
+	// peers holds this server's idle outbound peer connections, keyed by
+	// peer and route (see peerConnKey); fetchRemoteCluster is its only user.
+	peers *transport.ConnPool
 
 	mu     sync.Mutex
 	closed bool
+	// parked is the set of accepted connections waiting between requests;
+	// Close closes them so their handlers do not sit out the idle timeout.
+	parked map[*transport.Conn]struct{}
 	wg     sync.WaitGroup
 }
 
@@ -252,7 +259,14 @@ func New(cfg Config) (*Server, error) {
 	if cfg.RelayHoldDown == 0 {
 		cfg.RelayHoldDown = DefaultRelayHoldDown
 	}
-	srv := &Server{cfg: cfg, connSem: make(chan struct{}, cfg.MaxConns)}
+	srv := &Server{
+		cfg:     cfg,
+		connSem: make(chan struct{}, cfg.MaxConns),
+		// Half the idle timeout: a pooled connection is retired well before
+		// the peer's handler (same timeout) would hang up on it.
+		peers:  transport.NewConnPool(cfg.IdleTimeout / 2),
+		parked: make(map[*transport.Conn]struct{}),
+	}
 	if !cfg.DisableDefense {
 		srv.breakers = faults.NewBreakerSet(faults.BreakerConfig{
 			Clock:   cfg.Clock,
@@ -311,8 +325,9 @@ func (s *Server) Addr() string {
 	return s.ln.Addr().String()
 }
 
-// Close stops accepting, closes the listener, and waits for in-flight
-// handlers to finish. It is idempotent.
+// Close stops accepting, closes the listener, the idle peer-connection pool
+// and every accepted connection parked between requests, and waits for
+// in-flight handlers to finish. It is idempotent.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -322,19 +337,51 @@ func (s *Server) Close() error {
 	}
 	s.closed = true
 	ln := s.ln
+	parked := s.parked
+	s.parked = nil
 	s.mu.Unlock()
 	var err error
 	if ln != nil {
 		err = ln.Close()
 	}
+	s.peers.Close()
+	// A parked handler is blocked reading the next request under the idle
+	// timeout (peers pool their connections to us, so there are always
+	// some); closing the connection fails that read now.
+	for c := range parked {
+		_ = c.Close()
+	}
 	s.wg.Wait()
 	return err
 }
 
-func (s *Server) isClosed() bool {
+// ClosePeerConns closes the idle outbound peer connections, so the peers'
+// handlers serving them see EOF and exit. A fleet shutdown calls it on every
+// server before closing any: no server then waits on a handler that another
+// server's pool keeps parked. Fetches still in flight finish and close their
+// connection instead of pooling it.
+func (s *Server) ClosePeerConns() { s.peers.Close() }
+
+// park registers c as waiting between requests, or reports false when the
+// server is closed and the handler must exit. Registration and Close's sweep
+// are ordered by s.mu: either the handler sees closed, or Close sees (and
+// closes) the parked connection — a handler can never start an idle wait
+// that Close does not interrupt.
+func (s *Server) park(c *transport.Conn) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.closed
+	if s.closed {
+		return false
+	}
+	s.parked[c] = struct{}{}
+	return true
+}
+
+// unpark marks c as serving a request: Close lets it finish.
+func (s *Server) unpark(c *transport.Conn) {
+	s.mu.Lock()
+	delete(s.parked, c)
+	s.mu.Unlock()
 }
 
 func (s *Server) acceptLoop(ln net.Listener) {
@@ -364,13 +411,14 @@ func (s *Server) acceptLoop(ln net.Listener) {
 func (s *Server) handleConn(c *transport.Conn) {
 	defer c.Close()
 	for {
-		if s.isClosed() {
+		if !s.park(c) {
 			return
 		}
 		// Idle clients are disconnected rather than pinning a handler
 		// goroutine forever.
 		_ = c.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
 		m, f, err := c.ReadFrameOrMessage(s.cfg.Pool)
+		s.unpark(c)
 		if err != nil {
 			return
 		}
@@ -1635,32 +1683,29 @@ func (s *Server) planCluster(title string, planRate float64, exclude map[topolog
 }
 
 // fetchRemoteCluster pulls one cluster from a peer over TCP into a
-// pool-leased frame (the peer exchange itself stays on JSON framing: each
-// fetch is a fresh connection, where a hello round trip would cost more than
-// the marshal it saves).
+// pool-leased frame, on a connection from the server's idle pool when one is
+// parked for this peer and route and on a fresh dial otherwise. (The peer
+// exchange stays on JSON framing: one small request, one header + raw body.)
+// A connection goes back to the pool only after a complete well-formed
+// reply; any error closes it.
+//
+// The fault injector sees every fetch, not every dial: DialError is asked
+// before each attempt, so a scheduled partition refuses a route even while a
+// pooled connection for it exists, and what is pooled is the injector's
+// wrapped stream, which keeps gating (and being cut) on the route it was
+// dialed for.
+//
+// A reused connection that fails before the peer answered — the peer timed
+// it out, restarted, or the injector cut it while it sat idle — says nothing
+// about the peer, so the fetch is retried once on a fresh dial right here,
+// below fetchOnce's reporting: breakers, health scores, the hedge tracker and
+// the retry budget only ever see the outcome of a fetch the peer had a fair
+// chance to serve.
 func (s *Server) fetchRemoteCluster(dec core.Decision, title string, index int) (*transport.Frame, transport.ClusterPayload, error) {
 	addr, err := s.cfg.Book.Lookup(dec.Server)
 	if err != nil {
 		return nil, transport.ClusterPayload{}, err
 	}
-	// With an injector armed, scheduled faults covering this route refuse
-	// the dial outright and interpose on the connection's bytes (cuts and
-	// stalls mid-cluster).
-	var wrap func(io.ReadWriteCloser) io.ReadWriteCloser
-	if s.cfg.Faults != nil {
-		links := dec.Path.Links()
-		if ferr := s.cfg.Faults.DialError(dec.Server, links); ferr != nil {
-			return nil, transport.ClusterPayload{}, ferr
-		}
-		wrap = func(rw io.ReadWriteCloser) io.ReadWriteCloser {
-			return s.cfg.Faults.WrapStream(dec.Server, links, rw)
-		}
-	}
-	peer, err := transport.DialWith(addr, wrap)
-	if err != nil {
-		return nil, transport.ClusterPayload{}, err
-	}
-	defer peer.Close()
 	req, err := transport.Encode(transport.TypeClusterGet, transport.ClusterGetPayload{
 		Title:        title,
 		Index:        index,
@@ -1669,11 +1714,59 @@ func (s *Server) fetchRemoteCluster(dec core.Decision, title string, index int) 
 	if err != nil {
 		return nil, transport.ClusterPayload{}, err
 	}
-	if err := peer.WriteMessage(req); err != nil {
+	links := dec.Path.Links()
+	key := peerConnKey(dec.Server, links)
+	for fresh := false; ; fresh = true {
+		if s.cfg.Faults != nil {
+			if ferr := s.cfg.Faults.DialError(dec.Server, links); ferr != nil {
+				return nil, transport.ClusterPayload{}, ferr
+			}
+		}
+		var peer *transport.Conn
+		if !fresh {
+			peer = s.peers.Get(key)
+		}
+		reused := peer != nil
+		if reused {
+			s.cfg.Metrics.Counter("server.peer_reuses").Inc()
+		} else {
+			var wrap func(io.ReadWriteCloser) io.ReadWriteCloser
+			if s.cfg.Faults != nil {
+				wrap = func(rw io.ReadWriteCloser) io.ReadWriteCloser {
+					return s.cfg.Faults.WrapStream(dec.Server, links, rw)
+				}
+			}
+			if peer, err = transport.DialWith(addr, wrap); err != nil {
+				return nil, transport.ClusterPayload{}, err
+			}
+			s.cfg.Metrics.Counter("server.peer_dials").Inc()
+		}
+		frame, payload, answered, err := s.clusterGet(peer, req)
+		if err == nil {
+			s.peers.Put(key, peer)
+			return frame, payload, nil
+		}
+		_ = peer.Close()
+		if reused && !answered {
+			continue // stale idle connection: once more, on a fresh dial
+		}
+		if errors.Is(err, io.EOF) {
+			return nil, transport.ClusterPayload{}, fmt.Errorf("peer %s closed during cluster fetch", dec.Server)
+		}
 		return nil, transport.ClusterPayload{}, err
 	}
-	var payload transport.ClusterPayload
-	_, frame, err := peer.ReadMessageWithBodyPool(s.cfg.Pool, func(m transport.Message) (int64, error) {
+}
+
+// clusterGet runs one cluster.get exchange on peer. answered reports whether
+// the peer's reply header arrived, i.e. the failure (if any) is the peer's
+// answer or a stream broken mid-reply rather than a connection that was
+// already dead when the request went out.
+func (s *Server) clusterGet(peer *transport.Conn, req transport.Message) (frame *transport.Frame, payload transport.ClusterPayload, answered bool, err error) {
+	if err := peer.WriteMessage(req); err != nil {
+		return nil, transport.ClusterPayload{}, false, err
+	}
+	_, frame, err = peer.ReadMessageWithBodyPool(s.cfg.Pool, func(m transport.Message) (int64, error) {
+		answered = true
 		if rerr := transport.AsError(m); rerr != nil {
 			return 0, rerr
 		}
@@ -1685,12 +1778,23 @@ func (s *Server) fetchRemoteCluster(dec core.Decision, title string, index int) 
 		return p.Length, nil
 	})
 	if err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, transport.ClusterPayload{}, fmt.Errorf("peer %s closed during cluster fetch", dec.Server)
-		}
-		return nil, transport.ClusterPayload{}, err
+		return nil, transport.ClusterPayload{}, answered, err
 	}
-	return frame, payload, nil
+	return frame, payload, true, nil
+}
+
+// peerConnKey is the idle-pool key of a connection to peer over the route
+// crossing links. The route is part of the key because a fault-injected
+// connection gates on the links it was dialed for: after a VRA re-route the
+// fetch must not ride a wrapper watching the old path.
+func peerConnKey(peer topology.NodeID, links []topology.LinkID) string {
+	var b strings.Builder
+	b.WriteString(string(peer))
+	for _, l := range links {
+		b.WriteByte('|')
+		b.WriteString(string(l))
+	}
+	return b.String()
 }
 
 // Preload stores a title locally and records the holding in the database —

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"net"
 	"os"
@@ -230,10 +229,12 @@ func TestWriteClusterBodyJSONFraming(t *testing.T) {
 	defer frame.Release()
 	pool := NewBufferPool(nil)
 
+	sent := make(chan struct{})
 	go func() {
+		defer close(sent)
 		kernel, err := srv.WriteClusterBody(pool, TypeCluster, kernelPayload(size), frame)
 		if err != nil || kernel {
-			panic(fmt.Sprintf("JSON-framing send: kernel=%v err=%v", kernel, err))
+			t.Errorf("JSON-framing send: kernel=%v err=%v", kernel, err)
 		}
 	}()
 	var p ClusterPayload
@@ -245,6 +246,9 @@ func TestWriteClusterBodyJSONFraming(t *testing.T) {
 	if err != nil {
 		t.Fatalf("receive: %v", err)
 	}
+	// The sender returns its bounce buffer in a deferred release, after the
+	// last byte is on the wire: the lease audit must wait for it.
+	<-sent
 	if p != kernelPayload(size) || !bytes.Equal(body, data) {
 		t.Fatal("JSON-framed cluster differs from file content")
 	}
