@@ -505,13 +505,9 @@ type framingReport struct {
 // print their single-core warning loudly instead of silently weakening the
 // gate.
 func checkFramingBaseline(w io.Writer, rows []experiments.FramingRow, path string) error {
-	data, err := os.ReadFile(path)
+	base, err := loadBaseline[framingReport]("framing", path)
 	if err != nil {
 		return err
-	}
-	var base framingReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("framing baseline %s: %w", path, err)
 	}
 	bad, notes := experiments.FramingRegression(rows, base.Rows)
 	for _, n := range notes {
@@ -522,6 +518,19 @@ func checkFramingBaseline(w io.Writer, rows []experiments.FramingRow, path strin
 	}
 	fmt.Fprintln(w, "framing baseline check passed")
 	return nil
+}
+
+// loadBaseline reads a committed BENCH_<study>.json file into its schema R.
+func loadBaseline[R any](study, path string) (R, error) {
+	var base R
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return base, err
+	}
+	if err := json.Unmarshal(data, &base); err != nil {
+		return base, fmt.Errorf("%s baseline %s: %w", study, path, err)
+	}
+	return base, nil
 }
 
 // contentionReport is the committed BENCH_contention.json schema.
@@ -538,13 +547,9 @@ type contentionReport struct {
 // versa. The gate's notes — in particular the loud warning that a sub-4-proc
 // baseline cannot set the scaling bound — are printed verbatim.
 func checkContentionBaseline(w io.Writer, rows []experiments.ContentionRow, path string) error {
-	data, err := os.ReadFile(path)
+	base, err := loadBaseline[contentionReport]("contention", path)
 	if err != nil {
 		return err
-	}
-	var base contentionReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("contention baseline %s: %w", path, err)
 	}
 	for _, r := range base.Rows {
 		fmt.Fprintf(w, "contention baseline shards=%d: %.0f adm/sec %.0f reads/sec (procs %d)\n",

@@ -40,6 +40,7 @@ func run(w io.Writer, home, addr, title string, list bool) error {
 	if err != nil {
 		return err
 	}
+	defer player.Close()
 	if list {
 		titles, err := player.ListTitles()
 		if err != nil {

@@ -1142,7 +1142,8 @@ func (s *Service) Holders(title string) ([]NodeID, error) {
 }
 
 // Player returns a player homed at the given node. The service must be
-// started.
+// started. The player keeps its connection to the home open between
+// watches; Close releases it.
 func (s *Service) Player(home NodeID, opts ...client.Option) (*Player, error) {
 	if !s.started {
 		return nil, errors.New("dvod: service not started")

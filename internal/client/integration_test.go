@@ -18,8 +18,9 @@ import (
 
 // miniCluster brings up two live servers (Patra as home with a tiny array,
 // Xanthi as the replica holder) so every client path — list, watch, seek,
-// holders, parallel — runs over real sockets from this package's tests.
-func miniCluster(t *testing.T) (*transport.AddrBook, *db.DB) {
+// holders, parallel — runs over real sockets from this package's tests. opts
+// mutate both servers' configurations before construction.
+func miniCluster(t *testing.T, opts ...func(*server.Config)) (*transport.AddrBook, *db.DB) {
 	t.Helper()
 	g, err := grnet.Backbone()
 	if err != nil {
@@ -51,10 +52,14 @@ func miniCluster(t *testing.T) (*transport.AddrBook, *db.DB) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := server.New(server.Config{
+		cfg := server.Config{
 			Node: node, DB: d, Planner: planner, Array: arr, Cache: dma,
 			ClusterBytes: 1024, Book: book,
-		})
+		}
+		for _, o := range opts {
+			o(&cfg)
+		}
+		srv, err := server.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,30 +15,47 @@ import (
 // Holders asks the home server which replicas hold the title (plus the
 // delivery parameters a parallel fetch needs).
 func (p *Player) Holders(title string) (transport.HoldersOKPayload, error) {
-	conn, err := p.dialHome()
-	if err != nil {
-		return transport.HoldersOKPayload{}, err
-	}
-	defer conn.Close()
 	req, err := transport.Encode(transport.TypeHolders, transport.HoldersPayload{Title: title})
 	if err != nil {
 		return transport.HoldersOKPayload{}, err
 	}
-	if err := conn.WriteMessage(req); err != nil {
-		return transport.HoldersOKPayload{}, err
-	}
-	m, err := conn.ReadMessage()
+	m, err := p.call(req)
 	if err != nil {
 		return transport.HoldersOKPayload{}, err
-	}
-	if rerr := transport.AsError(m); rerr != nil {
-		return transport.HoldersOKPayload{}, rerr
 	}
 	return transport.Decode[transport.HoldersOKPayload](m)
 }
 
+// getCluster runs one cluster.get exchange with the server at addr on a
+// pooled connection and returns the cluster's header and body. The body
+// aliases the returned frame, which the caller must Release.
+func (p *Player) getCluster(addr string, req transport.Message) (transport.ClusterPayload, []byte, *transport.Frame, error) {
+	var (
+		m transport.Message
+		f *transport.Frame
+	)
+	conn, err := p.request(addr, req, func(c *transport.Conn) (err error) {
+		m, f, err = c.ReadFrameOrMessage(p.pool)
+		return err
+	})
+	if err != nil {
+		return transport.ClusterPayload{}, nil, nil, err
+	}
+	if rerr := transport.AsError(m); rerr != nil {
+		_ = conn.Close()
+		return transport.ClusterPayload{}, nil, nil, rerr
+	}
+	payload, body, hold, err := p.readCluster(conn, m, f)
+	if err != nil {
+		_ = conn.Close()
+		return transport.ClusterPayload{}, nil, nil, err
+	}
+	p.conns.Put(addr, conn)
+	return payload, body, hold, nil
+}
+
 // WatchParallel pulls the title's clusters directly from its replica
-// holders, round-robin, with one connection per holder — the delivery-side
+// holders, round-robin, one fetcher per holder — the delivery-side
 // realization of the paper's future work (strips distributed across
 // servers). Holders missing from the address book are skipped; the fetch
 // fails if none remain.
@@ -71,7 +88,6 @@ func (p *Player) WatchParallel(title string) (PlaybackStats, error) {
 		Verified:    true,
 	}
 	records := make([]ClusterRecord, info.NumClusters)
-	bodies := make([][]byte, info.NumClusters)
 
 	var (
 		wg       sync.WaitGroup
@@ -89,12 +105,6 @@ func (p *Player) WatchParallel(title string) (PlaybackStats, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			conn, err := transport.Dial(rep.addr)
-			if err != nil {
-				fail(fmt.Errorf("dial %s: %w", rep.node, err))
-				return
-			}
-			defer conn.Close()
 			for idx := ri; idx < info.NumClusters; idx += len(replicas) {
 				req, err := transport.Encode(transport.TypeClusterGet, transport.ClusterGetPayload{
 					Title:        title,
@@ -105,32 +115,20 @@ func (p *Player) WatchParallel(title string) (PlaybackStats, error) {
 					fail(err)
 					return
 				}
-				if err := conn.WriteMessage(req); err != nil {
-					fail(fmt.Errorf("fetch %s[%d] from %s: %w", title, idx, rep.node, err))
-					return
-				}
-				var payload transport.ClusterPayload
-				_, body, err := conn.ReadMessageWithBody(func(m transport.Message) (int64, error) {
-					if rerr := transport.AsError(m); rerr != nil {
-						return 0, rerr
-					}
-					pl, err := transport.Decode[transport.ClusterPayload](m)
-					if err != nil {
-						return 0, err
-					}
-					payload = pl
-					return pl.Length, nil
-				})
+				payload, body, hold, err := p.getCluster(rep.addr, req)
 				if err != nil {
 					fail(fmt.Errorf("fetch %s[%d] from %s: %w", title, idx, rep.node, err))
 					return
 				}
-				if payload.Index != idx {
-					fail(fmt.Errorf("asked for cluster %d, got %d", idx, payload.Index))
-					return
+				switch {
+				case payload.Index != idx:
+					err = fmt.Errorf("asked for cluster %d, got %d", idx, payload.Index)
+				case p.verify && !media.Verify(title, payload.Offset, body):
+					err = fmt.Errorf("cluster %d from %s failed verification", idx, rep.node)
 				}
-				if p.verify && !media.Verify(title, payload.Offset, body) {
-					fail(fmt.Errorf("cluster %d from %s failed verification", idx, rep.node))
+				hold.Release()
+				if err != nil {
+					fail(err)
 					return
 				}
 				records[idx] = ClusterRecord{
@@ -139,7 +137,6 @@ func (p *Player) WatchParallel(title string) (PlaybackStats, error) {
 					Source:    payload.Source,
 					ArrivedAt: time.Now(),
 				}
-				bodies[idx] = body
 			}
 		}()
 	}
@@ -156,7 +153,7 @@ func (p *Player) WatchParallel(title string) (PlaybackStats, error) {
 		}
 		stats.Records = append(stats.Records, rec)
 		stats.Sources = append(stats.Sources, rec.Source)
-		stats.BytesReceived += int64(len(bodies[idx]))
+		stats.BytesReceived += rec.Length
 	}
 	stats.Elapsed = time.Since(start)
 	if stats.BytesReceived != info.SizeBytes {

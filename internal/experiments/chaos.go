@@ -229,6 +229,7 @@ func chaosCell(cfg ChaosStudyConfig, schedule string, defended bool) (ChaosRow, 
 		wg.Add(1)
 		go func(i int, p *dvod.Player) {
 			defer wg.Done()
+			defer p.Close()
 			<-gate
 			stats[i], errs[i] = p.Watch(title.Name)
 		}(i, p)

@@ -143,6 +143,7 @@ func ChurnStudy(cfg ChurnStudyConfig) ([]ChurnRow, error) {
 				return row, err
 			}
 			stats, err := p.Watch(title.Name)
+			_ = p.Close()
 			if err != nil {
 				row.Failed++
 				continue

@@ -268,34 +268,30 @@ func contentionScaling(rows []ContentionRow) (float64, bool) {
 	return rows[len(rows)-1].AdmissionsPerSec / rows[0].AdmissionsPerSec, true
 }
 
-// ContentionRegression gates Ext-18 against its committed baseline. It
-// returns one bad message per violation (empty bad passes) plus notes the
-// caller must print — warnings about what the gate could not check, so a
-// weakened bound is always loud, never silent. Shard scaling is a
-// parallelism effect — a single-core machine runs every shard count at the
-// same rate — so the gate separates machine-independent checks from
-// comparative ones:
-//
-//   - absolute floor, always enforced: the max-shard cell must clear
-//     ContentionFloorAdmissionsPerSec, and the concurrent lock-free read
-//     path must have made progress (zero snapshot reads during the storm
-//     means the read path wedged behind the writers).
-//   - scaling, self-tightening: the current 1→max shard speedup must reach
-//     80% of whatever the baseline machine demonstrated, capped at 3× —
-//     regenerating the baseline on a many-core box tightens the bound toward
-//     the 3× target. Skipped below GOMAXPROCS 4, where the speedup cannot
-//     manifest. A baseline itself measured below GOMAXPROCS 4 demonstrated
-//     nothing about scaling, so the gate refuses to derive the bound from it:
-//     it emits a loud warning telling maintainers to regenerate the baseline
-//     on a multi-core runner and holds a ≥4-proc current run to the fixed
-//     ContentionParallelScalingFloor instead.
-//   - throughput, matched machines only: when current and baseline ran at
-//     the same GOMAXPROCS, the max-shard rate must be within 20% of the
-//     baseline's. Cross-machine wall-clock comparisons flake, so mismatched
-//     GOMAXPROCS falls back to the absolute floor alone.
+// ContentionRegression gates Ext-18 against its committed baseline:
+// ContentionStructural's bounds plus ContentionTiming's. It returns one bad
+// message per violation (empty bad passes) plus notes the caller must print
+// — warnings about what the gate could not check, so a weakened bound is
+// always loud, never silent. It is the gate `vodbench -study contention
+// -contention-baseline` runs; go test calls only the structural half, since
+// wall-clock rates are not a test verdict.
 func ContentionRegression(current, baseline []ContentionRow) (bad, notes []string) {
+	bad = ContentionStructural(current, baseline)
 	if len(current) == 0 {
-		return []string{"contention run produced no rows"}, nil
+		return bad, nil
+	}
+	timing, notes := ContentionTiming(current, baseline)
+	return append(bad, timing...), notes
+}
+
+// ContentionStructural returns the Ext-18 bounds that hold on any machine:
+// the run produced rows, the baseline has rows and every baseline shard
+// count is still measured, and the concurrent lock-free read path made
+// progress (zero snapshot reads during the storm means the read path wedged
+// behind the writers).
+func ContentionStructural(current, baseline []ContentionRow) (bad []string) {
+	if len(current) == 0 {
+		return []string{"contention run produced no rows"}
 	}
 	if len(baseline) == 0 {
 		bad = append(bad, "contention baseline holds no rows to compare")
@@ -309,14 +305,37 @@ func ContentionRegression(current, baseline []ContentionRow) (bad, notes []strin
 			bad = append(bad, fmt.Sprintf("baseline shard count %d missing from current run", b.Shards))
 		}
 	}
+	if current[len(current)-1].SnapshotReads == 0 {
+		bad = append(bad, "lock-free read path made zero progress during the admission storm")
+	}
+	return bad
+}
+
+// ContentionTiming returns Ext-18's wall-clock bounds for a non-empty run.
+// Shard scaling is a parallelism effect — a single-core machine runs every
+// shard count at the same rate — so the rate bounds are proc-aware:
+//
+//   - absolute floor, always enforced: the max-shard cell must clear
+//     ContentionFloorAdmissionsPerSec.
+//   - scaling, self-tightening: the current 1→max shard speedup must reach
+//     80% of whatever the baseline machine demonstrated, capped at 3× —
+//     regenerating the baseline on a many-core box tightens the bound toward
+//     the 3× target. Skipped below GOMAXPROCS 4, where the speedup cannot
+//     manifest. A baseline itself measured below GOMAXPROCS 4 demonstrated
+//     nothing about scaling, so the gate refuses to derive the bound from it:
+//     it emits a loud warning telling maintainers to regenerate the baseline
+//     on a multi-core runner and holds a ≥4-proc current run to the fixed
+//     ContentionParallelScalingFloor instead.
+//   - throughput, matched machines only: when current and baseline ran at
+//     the same GOMAXPROCS, the max-shard rate must be within 20% of the
+//     baseline's. Cross-machine wall-clock comparisons flake, so mismatched
+//     GOMAXPROCS falls back to the absolute floor alone.
+func ContentionTiming(current, baseline []ContentionRow) (bad, notes []string) {
 	cur := current[len(current)-1]
 	if cur.AdmissionsPerSec < ContentionFloorAdmissionsPerSec {
 		bad = append(bad, fmt.Sprintf(
 			"max-shard cell (shards=%d) ran %.0f admissions/sec, floor is %d",
 			cur.Shards, cur.AdmissionsPerSec, ContentionFloorAdmissionsPerSec))
-	}
-	if cur.SnapshotReads == 0 {
-		bad = append(bad, "lock-free read path made zero progress during the admission storm")
 	}
 	baselineCanScale := false
 	if len(baseline) > 0 {

@@ -125,6 +125,14 @@ func TestContentionRegressionGate(t *testing.T) {
 	if bad, _ := ContentionRegression(wedged, baseline); len(bad) == 0 {
 		t.Error("wedged read path accepted")
 	}
+	// Rates are the timing half's alone: the structural half passes a run
+	// under the floor and catches the wedged read path.
+	if bad := ContentionStructural(cases[0].current, baseline); len(bad) != 0 {
+		t.Errorf("structural gate judged an admission rate: %v", bad)
+	}
+	if bad := ContentionStructural(wedged, baseline); len(bad) == 0 {
+		t.Error("structural gate accepted a wedged read path")
+	}
 
 	// A single-core current run cannot demonstrate scaling: only the floor
 	// binds, so flat throughput above it passes even against a strong

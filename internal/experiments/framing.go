@@ -66,7 +66,7 @@ const (
 
 // FramingRow is one (framing, cluster size) outcome.
 type FramingRow struct {
-	Framing        string  // "json", "binary", or "kernel"
+	Framing        string // "json", "binary", or "kernel"
 	ClusterBytes   int64
 	Clusters       int     // clusters delivered per watch
 	ElapsedMs      float64 // mean wall time of one watch
@@ -190,6 +190,7 @@ func framingArm(framing string, clusterBytes int64, titleClusters, runs int) (Fr
 	if err != nil {
 		return FramingRow{}, err
 	}
+	defer p.Close()
 	row := FramingRow{
 		Framing:      framing,
 		ClusterBytes: clusterBytes,
@@ -249,36 +250,46 @@ const (
 )
 
 // FramingRegression compares a fresh Ext-13 run against the committed
-// baseline and returns one message per violated bound (empty means pass).
-//
-// Structural bounds bind everywhere: every baseline (framing, size) cell
-// must still be measured, kernel rows must exist, and on Linux the kernel
-// arm must actually take the kernel path (KernelSends > 0, or the study
-// silently measured the fallback). Speedup bounds are proc-aware, like
-// ContentionRegression: at FramingSpeedupMinProcs and above, the kernel arm
-// must reach FramingKernelSpeedupTarget× the binary arm's MB/s at the
-// largest cluster size; below that the target cannot physically manifest,
-// so the gate prints a loud warning through the returned notes channel and
-// demands only FramingKernelParityFloor× parity. A single-core baseline is
-// never used to tighten bounds.
+// baseline and returns one message per violated bound (empty means pass):
+// FramingStructural's bounds plus FramingTiming's. It is the gate
+// `vodbench -study framing -framing-baseline` runs; go test calls only the
+// structural half, since wall-clock ratios are not a test verdict.
 func FramingRegression(current, baseline []FramingRow) (bad, notes []string) {
-	if len(current) == 0 {
-		return []string{"framing run produced no rows"}, nil
-	}
-	type cell struct {
-		framing string
-		size    int64
-	}
-	cur := make(map[cell]FramingRow, len(current))
+	bad = FramingStructural(current, baseline)
+	timing, notes := FramingTiming(current)
+	return append(bad, timing...), notes
+}
+
+// framingCell keys a framing row by arm and cluster size.
+type framingCell struct {
+	framing string
+	size    int64
+}
+
+// framingCells indexes rows by cell and returns the largest cluster size.
+func framingCells(rows []FramingRow) (map[framingCell]FramingRow, int64) {
+	cells := make(map[framingCell]FramingRow, len(rows))
 	var maxSize int64
-	for _, r := range current {
-		cur[cell{r.Framing, r.ClusterBytes}] = r
+	for _, r := range rows {
+		cells[framingCell{r.Framing, r.ClusterBytes}] = r
 		if r.ClusterBytes > maxSize {
 			maxSize = r.ClusterBytes
 		}
 	}
+	return cells, maxSize
+}
+
+// FramingStructural returns the Ext-13 bounds that hold on any machine:
+// every baseline (framing, size) cell must still be measured, kernel rows
+// must exist, and on Linux the kernel arm must actually take the kernel path
+// (KernelSends > 0, or the study silently measured the fallback).
+func FramingStructural(current, baseline []FramingRow) (bad []string) {
+	if len(current) == 0 {
+		return []string{"framing run produced no rows"}
+	}
+	cur, _ := framingCells(current)
 	for _, b := range baseline {
-		if _, ok := cur[cell{b.Framing, b.ClusterBytes}]; !ok {
+		if _, ok := cur[framingCell{b.Framing, b.ClusterBytes}]; !ok {
 			bad = append(bad, fmt.Sprintf(
 				"baseline cell %s@%dKiB missing from current run", b.Framing, b.ClusterBytes>>10))
 		}
@@ -297,10 +308,21 @@ func FramingRegression(current, baseline []FramingRow) (bad, notes []string) {
 	}
 	if kernelRows == 0 {
 		bad = append(bad, "current run has no kernel framing rows")
-		return bad, notes
 	}
-	k, kok := cur[cell{FramingKernel, maxSize}]
-	b, bok := cur[cell{FramingBinary, maxSize}]
+	return bad
+}
+
+// FramingTiming returns Ext-13's wall-clock bound, which is proc-aware like
+// ContentionRegression: at FramingSpeedupMinProcs and above, the kernel arm
+// must reach FramingKernelSpeedupTarget× the binary arm's MB/s at the
+// largest cluster size; below that the target cannot physically manifest,
+// so the gate prints a loud warning through the returned notes channel and
+// demands only FramingKernelParityFloor× parity. A single-core baseline is
+// never used to tighten bounds.
+func FramingTiming(current []FramingRow) (bad, notes []string) {
+	cur, maxSize := framingCells(current)
+	k, kok := cur[framingCell{FramingKernel, maxSize}]
+	b, bok := cur[framingCell{FramingBinary, maxSize}]
 	if kok && bok && b.MBps > 0 {
 		ratio := k.MBps / b.MBps
 		switch {

@@ -101,6 +101,10 @@ func TestFramingRegressionGates(t *testing.T) {
 	if bad, _ := FramingRegression(framingFixture(8, 1.5), base); len(bad) == 0 {
 		t.Fatal("kernel at 1.5x binary passed the multi-core 2x gate")
 	}
+	// The speedup is the timing half's alone: the structural half passes it.
+	if bad := FramingStructural(framingFixture(8, 1.5), base); len(bad) != 0 {
+		t.Fatalf("structural gate judged a throughput ratio: %v", bad)
+	}
 
 	// A kernel row with zero kernel sends on linux is the study measuring
 	// the wrong path.

@@ -211,6 +211,7 @@ func ledgerCell(cfg LedgerStudyConfig, withLedger bool) (LedgerRow, error) {
 		wg.Add(1)
 		go func(i int, p *dvod.Player, delay time.Duration) {
 			defer wg.Done()
+			defer p.Close()
 			time.Sleep(delay)
 			_, errs[i] = p.Watch(title.Name)
 		}(i, p, time.Duration(i)*cfg.Stagger)

@@ -216,6 +216,7 @@ func mergeCell(cfg MergeStudyConfig, window int, pattern string, draws []int) (M
 				errs[i] = err
 				return
 			}
+			defer p.Close()
 			<-gate
 			stats, err := p.Watch(titles[draws[i]].Name)
 			if err != nil {

@@ -214,6 +214,7 @@ func prefixArm(cfg PrefixStudyConfig, arm string) (PrefixRow, error) {
 				errs[i] = err
 				return
 			}
+			defer p.Close()
 			<-gate
 			stats[i], errs[i] = p.Watch(title.Name)
 		}(i)
@@ -288,38 +289,44 @@ const (
 )
 
 // PrefixRegression compares a fresh Ext-20 run against the committed baseline
-// and returns one message per violated bound (empty means pass).
-//
-// Structural bounds bind everywhere: all three arms present; the prefix arms
-// report zero startup remote fetches (instant start is served from local
-// disk, full stop) while the baseline arm pays one per session; the prefix
-// store actually served clusters; the relay arm opened upstream subscriptions
-// and never fell back; and the relay arm's origin reads are at least
-// PrefixOriginReadCutTarget× below the same run's baseline arm, and within
-// 20% of the committed baseline's cut. The startup-latency bound is
-// proc-aware, like FramingRegression: the halving target binds at
-// PrefixStartupSpeedupMinProcs and above. Below that, no timing bound is
-// enforced at all — announced loudly through notes, never silently: with the
-// whole crowd time-sharing one core, measured time-to-first-cluster is
-// scheduler queueing (the prefix arms do pure CPU work while baseline
-// sessions sleep in remote fetches, so the prefix arms can even look
-// slower), and the zero-remote-startup count is the instant-start proof
-// that still binds.
+// and returns one message per violated bound (empty means pass):
+// PrefixStructural's bounds plus PrefixTiming's. It is the gate
+// `vodbench -study prefix -prefix-baseline` runs; go test calls only the
+// structural half, since wall-clock ratios are not a test verdict.
 func PrefixRegression(current, baseline []PrefixRow) (bad, notes []string) {
+	bad = PrefixStructural(current, baseline)
+	timing, notes := PrefixTiming(current)
+	return append(bad, timing...), notes
+}
+
+// prefixArms indexes rows by arm.
+func prefixArms(rows []PrefixRow) map[string]PrefixRow {
+	arms := make(map[string]PrefixRow, len(rows))
+	for _, r := range rows {
+		arms[r.Arm] = r
+	}
+	return arms
+}
+
+// PrefixStructural returns the Ext-20 bounds that hold on any machine: all
+// three arms present; the prefix arms report zero startup remote fetches
+// (instant start is served from local disk, full stop) while the baseline
+// arm pays one per session; the prefix store actually served clusters; the
+// relay arm opened upstream subscriptions and never fell back; and the relay
+// arm's origin reads are at least PrefixOriginReadCutTarget× below the same
+// run's baseline arm, and within 20% of the committed baseline's cut.
+func PrefixStructural(current, baseline []PrefixRow) (bad []string) {
 	if len(current) == 0 {
-		return []string{"prefix run produced no rows"}, nil
+		return []string{"prefix run produced no rows"}
 	}
-	cur := make(map[string]PrefixRow, len(current))
-	for _, r := range current {
-		cur[r.Arm] = r
-	}
+	cur := prefixArms(current)
 	for _, arm := range []string{PrefixArmBaseline, PrefixArmPrefix, PrefixArmRelay} {
 		if _, ok := cur[arm]; !ok {
 			bad = append(bad, fmt.Sprintf("arm %q missing from current run", arm))
 		}
 	}
 	if len(bad) > 0 {
-		return bad, notes
+		return bad
 	}
 	base := cur[PrefixArmBaseline]
 	if base.StartupRemoteFetches < int64(base.Watchers) {
@@ -359,7 +366,23 @@ func PrefixRegression(current, baseline []PrefixRow) (bad, notes []string) {
 	} else if relay.OriginReads == 0 && base.OriginReads == 0 {
 		bad = append(bad, "both arms report zero origin reads: the study measured nothing")
 	}
-	if base.StartupP99Ms > 0 {
+	return bad
+}
+
+// PrefixTiming returns Ext-20's startup-latency bound (nothing when the
+// baseline or relay arm is missing). It is proc-aware, like FramingTiming:
+// the halving target binds at PrefixStartupSpeedupMinProcs and above. Below
+// that, no timing bound is enforced at all — announced loudly through notes,
+// never silently: with the whole crowd time-sharing one core, measured
+// time-to-first-cluster is scheduler queueing (the prefix arms do pure CPU
+// work while baseline sessions sleep in remote fetches, so the prefix arms
+// can even look slower), and the zero-remote-startup count is the
+// instant-start proof that still binds.
+func PrefixTiming(current []PrefixRow) (bad, notes []string) {
+	cur := prefixArms(current)
+	base, bok := cur[PrefixArmBaseline]
+	relay, rok := cur[PrefixArmRelay]
+	if bok && rok && base.StartupP99Ms > 0 {
 		ratio := relay.StartupP99Ms / base.StartupP99Ms
 		if relay.Procs >= PrefixStartupSpeedupMinProcs {
 			if ratio > 1/PrefixStartupCutTarget {

@@ -70,8 +70,9 @@ func TestPrefixStudyShape(t *testing.T) {
 	if s := FormatPrefixStudy(rows); !strings.Contains(s, PrefixArmRelay) {
 		t.Fatalf("format dropped the relay arm:\n%s", s)
 	}
-	// A healthy run gates cleanly against itself.
-	if bad, _ := PrefixRegression(rows, rows); len(bad) != 0 {
+	// A healthy run passes the structural gate against itself. (Its timing
+	// half belongs to `vodbench -study prefix`, not to a test verdict.)
+	if bad := PrefixStructural(rows, rows); len(bad) != 0 {
 		t.Fatalf("self-comparison flagged: %v", bad)
 	}
 }
@@ -136,6 +137,10 @@ func TestPrefixRegressionGates(t *testing.T) {
 	}
 	if bad, _ := PrefixRegression(prefixFixture(8, 10, 0.8), base); len(bad) == 0 {
 		t.Fatal("0.8x startup passed the multi-core halving gate")
+	}
+	// The halving is the timing half's alone: the structural half passes it.
+	if bad := PrefixStructural(prefixFixture(8, 10, 0.8), base); len(bad) != 0 {
+		t.Fatalf("structural gate judged a startup ratio: %v", bad)
 	}
 
 	// Origin-read cut below 5x fails everywhere.

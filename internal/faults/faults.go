@@ -612,3 +612,12 @@ func (f *faultyStream) SetReadDeadline(t time.Time) error {
 	}
 	return nil
 }
+
+// SetReadBuffer forwards receive-buffer sizing, so a player's connection
+// is sized the same with and without the injector in the path.
+func (f *faultyStream) SetReadBuffer(bytes int) error {
+	if b, ok := f.rw.(interface{ SetReadBuffer(int) error }); ok {
+		return b.SetReadBuffer(bytes)
+	}
+	return nil
+}

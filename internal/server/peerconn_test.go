@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -253,5 +254,52 @@ func TestCloseInterruptsParkedConnections(t *testing.T) {
 	}
 	if _, err := conn.ReadMessage(); err == nil {
 		t.Fatal("parked connection still answered after Close")
+	}
+}
+
+// TestIdleConnectionsNeverLockOutANewOne: with two handler slots, three
+// players each leave a keep-alive connection parked at the home. Every new
+// connection evicts the longest-parked one instead of waiting out the
+// two-minute idle timeout, so a fourth player's watch is served at once, and
+// the evicted players redial on their next watch.
+func TestIdleConnectionsNeverLockOutANewOne(t *testing.T) {
+	lc := newCluster(t, nil, func(c *server.Config) { c.MaxConns = 2 })
+	title := media.Title{Name: "crowded", SizeBytes: 3 * clusterBytes, BitrateMbps: 1.5}
+	lc.addTitle(t, title, grnet.Patra)
+	watch := func(p *client.Player) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() {
+			stats, err := p.Watch(title.Name)
+			if err == nil && !stats.Verified {
+				err = errors.New("delivery not verified")
+			}
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(time.Second): // a hang guard, not a speed claim
+			t.Fatal("watch is waiting for a handler slot held by an idle connection")
+		}
+	}
+	players := make([]*client.Player, 4)
+	for i := range players {
+		p, err := client.NewPlayer(grnet.Patra, lc.book)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		players[i] = p
+		watch(p)
+	}
+	if n := lc.servers[grnet.Patra].Metrics().Snapshot().Counters["server.idle_evictions"]; n < 2 {
+		t.Fatalf("idle evictions = %d, want at least 2", n)
+	}
+	// The evicted players find their pooled connection dead and redial.
+	for _, p := range players {
+		watch(p)
 	}
 }

@@ -83,10 +83,11 @@ type Config struct {
 	// starts, and cluster-boundary re-plans skip routes without residual
 	// headroom. Nil serves best-effort, as the paper does.
 	Broker *admission.Broker
-	// MaxConns bounds concurrently handled connections; excess accepted
-	// connections wait for a free handler slot, so handler goroutines
-	// cannot grow without bound under a connection flood. Zero defaults
-	// to 256.
+	// MaxConns bounds concurrently handled connections, so handler
+	// goroutines cannot grow without bound under a connection flood. When
+	// every slot is taken, a newly accepted connection evicts the one parked
+	// idle longest between requests, and waits for a free slot only when
+	// none is parked. Zero defaults to 256.
 	MaxConns int
 	// Pool recycles cluster-body buffers across deliveries (the zero-copy
 	// pipeline); nil allocates a pool reporting into Metrics.
@@ -197,11 +198,16 @@ type Server struct {
 	// peer and route (see peerConnKey); fetchRemoteCluster is its only user.
 	peers *transport.ConnPool
 
+	// parkSig wakes an accept loop waiting for a handler slot whenever a
+	// handler parks: its connection can now be evicted for the new one.
+	parkSig chan struct{}
+
 	mu     sync.Mutex
 	closed bool
-	// parked is the set of accepted connections waiting between requests;
-	// Close closes them so their handlers do not sit out the idle timeout.
-	parked map[*transport.Conn]struct{}
+	// parked maps each accepted connection waiting between requests to
+	// when it parked; Close closes them so their handlers do not sit out the
+	// idle timeout, and a full accept loop evicts the oldest.
+	parked map[*transport.Conn]time.Time
 	wg     sync.WaitGroup
 }
 
@@ -264,8 +270,9 @@ func New(cfg Config) (*Server, error) {
 		connSem: make(chan struct{}, cfg.MaxConns),
 		// Half the idle timeout: a pooled connection is retired well before
 		// the peer's handler (same timeout) would hang up on it.
-		peers:  transport.NewConnPool(cfg.IdleTimeout / 2),
-		parked: make(map[*transport.Conn]struct{}),
+		peers:   transport.NewConnPool(cfg.IdleTimeout / 2),
+		parkSig: make(chan struct{}, 1),
+		parked:  make(map[*transport.Conn]time.Time),
 	}
 	if !cfg.DisableDefense {
 		srv.breakers = faults.NewBreakerSet(faults.BreakerConfig{
@@ -373,7 +380,11 @@ func (s *Server) park(c *transport.Conn) bool {
 	if s.closed {
 		return false
 	}
-	s.parked[c] = struct{}{}
+	s.parked[c] = time.Now()
+	select {
+	case s.parkSig <- struct{}{}:
+	default:
+	}
 	return true
 }
 
@@ -391,10 +402,10 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		if err != nil {
 			return // listener closed
 		}
-		// Wait for a handler slot before spawning: under a connection
-		// flood the excess connections queue in the listen backlog
-		// instead of each pinning a goroutine.
-		s.connSem <- struct{}{}
+		// Take a handler slot before spawning: under a connection flood
+		// the excess connections queue in the listen backlog instead of
+		// each pinning a goroutine.
+		s.acquireSlot()
 		s.wg.Add(1)
 		go func() {
 			defer func() {
@@ -404,6 +415,55 @@ func (s *Server) acceptLoop(ln net.Listener) {
 			s.handleConn(transport.NewConn(nc))
 		}()
 	}
+}
+
+// acquireSlot takes a handler slot for a newly accepted connection. When
+// every slot is taken it closes the connection parked longest instead of
+// waiting: clients and peers keep their connections open between requests,
+// so parked handlers would otherwise lock new connections out until the
+// idle timeout. The evicted client sees a stale connection and redials. With
+// nothing parked it waits until a handler exits or parks.
+func (s *Server) acquireSlot() {
+	for {
+		select {
+		case s.connSem <- struct{}{}:
+			return
+		default:
+		}
+		if s.evictParked() {
+			// The evicted handler's read fails at once and frees its slot.
+			s.connSem <- struct{}{}
+			return
+		}
+		select {
+		case s.connSem <- struct{}{}:
+			return
+		case <-s.parkSig:
+		}
+	}
+}
+
+// evictParked closes the connection that has been parked longest, reporting
+// false when none is.
+func (s *Server) evictParked() bool {
+	s.mu.Lock()
+	var (
+		oldest *transport.Conn
+		since  time.Time
+	)
+	for c, t := range s.parked {
+		if oldest == nil || t.Before(since) {
+			oldest, since = c, t
+		}
+	}
+	delete(s.parked, oldest)
+	s.mu.Unlock()
+	if oldest == nil {
+		return false
+	}
+	_ = oldest.Close()
+	s.cfg.Metrics.Counter("server.idle_evictions").Inc()
+	return true
 }
 
 // handleConn serves control messages on one connection until EOF or a

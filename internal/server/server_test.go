@@ -340,7 +340,7 @@ func TestClusterGetDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	var payload transport.ClusterPayload
-	_, body, err := conn.ReadMessageWithBody(func(m transport.Message) (int64, error) {
+	_, body, err := conn.ReadMessageWithBodyPool(nil, func(m transport.Message) (int64, error) {
 		if rerr := transport.AsError(m); rerr != nil {
 			return 0, rerr
 		}
@@ -357,7 +357,7 @@ func TestClusterGetDirect(t *testing.T) {
 	if payload.Length != 7 || payload.Offset != 2*clusterBytes || payload.Source != grnet.Heraklio {
 		t.Fatalf("payload = %+v", payload)
 	}
-	if !media.Verify("direct", payload.Offset, body) {
+	if !media.Verify("direct", payload.Offset, body.Payload) {
 		t.Fatal("cluster content mismatch")
 	}
 	// Requesting a non-resident title yields an error frame.

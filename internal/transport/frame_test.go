@@ -424,10 +424,10 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	valid := append([]byte(nil), s.Bytes()...)
 	f.Add(valid)
-	f.Add(valid[:5])                                       // truncated header
-	f.Add(valid[:len(valid)-17])                           // truncated payload
-	f.Add([]byte{FrameMagic0})                             // magic only
-	f.Add([]byte{FrameMagic0, 0xFF, 1, 1, 0, 0, 0, 0, 1})  // corrupt magic1
+	f.Add(valid[:5])                                                  // truncated header
+	f.Add(valid[:len(valid)-17])                                      // truncated payload
+	f.Add([]byte{FrameMagic0})                                        // magic only
+	f.Add([]byte{FrameMagic0, 0xFF, 1, 1, 0, 0, 0, 0, 1})             // corrupt magic1
 	f.Add([]byte{FrameMagic0, FrameMagic1, 0, 1, 0, 0, 0, 0, 1, 'x'}) // version 0
 	oversized := append([]byte(nil), valid...)
 	binary.BigEndian.PutUint32(oversized[5:9], MaxFramePayload+1)
@@ -506,7 +506,7 @@ func BenchmarkFraming(b *testing.B) {
 			for b.Loop() {
 				// Legacy receive pipeline: unmarshal twice, allocate the
 				// body.
-				_, got, err := rcv.ReadMessageWithBody(func(m Message) (int64, error) {
+				_, got, err := rcv.ReadMessageWithBodyPool(nil, func(m Message) (int64, error) {
 					p, err := Decode[ClusterPayload](m)
 					if err != nil {
 						return 0, err
@@ -516,7 +516,7 @@ func BenchmarkFraming(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(got) != size {
+				if len(got.Payload) != size {
 					b.Fatal("short body")
 				}
 			}

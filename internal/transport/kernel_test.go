@@ -145,8 +145,8 @@ func TestWriteClusterBodyKernelTCP(t *testing.T) {
 // sink is a write-only in-memory stream with no kernel path.
 type sink struct{ bytes.Buffer }
 
-func (*sink) Close() error                 { return nil }
-func (*sink) Read([]byte) (int, error)     { return 0, io.EOF }
+func (*sink) Close() error                  { return nil }
+func (*sink) Read([]byte) (int, error)      { return 0, io.EOF }
 func (s *sink) Write(p []byte) (int, error) { return s.Buffer.Write(p) }
 
 // TestWriteClusterBodyFallbackByteIdentical proves the three binary senders
@@ -238,7 +238,7 @@ func TestWriteClusterBodyJSONFraming(t *testing.T) {
 		}
 	}()
 	var p ClusterPayload
-	_, body, err := cli.ReadMessageWithBody(func(m Message) (int64, error) {
+	_, body, err := cli.ReadMessageWithBodyPool(nil, func(m Message) (int64, error) {
 		var derr error
 		p, derr = Decode[ClusterPayload](m)
 		return p.Length, derr
@@ -249,7 +249,7 @@ func TestWriteClusterBodyJSONFraming(t *testing.T) {
 	// The sender returns its bounce buffer in a deferred release, after the
 	// last byte is on the wire: the lease audit must wait for it.
 	<-sent
-	if p != kernelPayload(size) || !bytes.Equal(body, data) {
+	if p != kernelPayload(size) || !bytes.Equal(body.Payload, data) {
 		t.Fatal("JSON-framed cluster differs from file content")
 	}
 	if n := pool.Outstanding(); n != 0 {

@@ -355,6 +355,17 @@ func (c *Conn) SetReadDeadline(t time.Time) error {
 	return nil
 }
 
+// SetReadBuffer sizes the kernel receive buffer when the underlying stream
+// has one (TCP does; on in-memory test pipes this is a no-op returning nil).
+// A fixed buffer also fixes the receive window the far end can fill ahead
+// of the reader.
+func (c *Conn) SetReadBuffer(bytes int) error {
+	if b, ok := c.rw.(interface{ SetReadBuffer(int) error }); ok {
+		return b.SetReadBuffer(bytes)
+	}
+	return nil
+}
+
 // SetDeadline bounds both directions when the underlying stream supports
 // deadlines. Exchanges that must stay on cadence use this rather than
 // SetReadDeadline: a peer that accepted and went silent can stall the write
@@ -487,21 +498,12 @@ func (c *Conn) ReadMessage() (Message, error) {
 	return c.readLocked()
 }
 
-// ReadMessageWithBody receives a control frame and, using bodyLen extracted
-// from it by the caller-supplied function, the raw body that follows. The
-// body is freshly allocated; use ReadMessageWithBodyPool on hot paths.
-func (c *Conn) ReadMessageWithBody(bodyLen func(Message) (int64, error)) (Message, []byte, error) {
-	m, f, err := c.ReadMessageWithBodyPool(nil, bodyLen)
-	if f == nil {
-		return m, nil, err
-	}
-	return m, f.Payload, err
-}
-
-// ReadMessageWithBodyPool is ReadMessageWithBody with the body leased from
-// pool: the returned frame owns the body bytes until Release (see Frame's
-// ownership rule). A nil frame is returned when the error path was taken
-// before the body read.
+// ReadMessageWithBodyPool receives a control frame and, using bodyLen
+// extracted from it by the caller-supplied function, the raw body that
+// follows, leased from pool (allocated unpooled when pool is nil): the
+// returned frame owns the body bytes until Release (see Frame's ownership
+// rule). A nil frame is returned when the error path was taken before the
+// body read.
 func (c *Conn) ReadMessageWithBodyPool(pool *BufferPool, bodyLen func(Message) (int64, error)) (Message, *Frame, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()

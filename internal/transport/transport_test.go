@@ -83,7 +83,7 @@ func TestMessageWithBody(t *testing.T) {
 	go func() {
 		_ = a.WriteMessageWithBody(msg, body)
 	}()
-	got, gotBody, err := b.ReadMessageWithBody(func(m Message) (int64, error) {
+	got, gotBody, err := b.ReadMessageWithBodyPool(nil, func(m Message) (int64, error) {
 		p, err := Decode[ClusterPayload](m)
 		if err != nil {
 			return 0, err
@@ -93,8 +93,9 @@ func TestMessageWithBody(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Type != TypeClusterOK || string(gotBody) != "0123456789" {
-		t.Fatalf("got %s body %q", got.Type, gotBody)
+	defer gotBody.Release()
+	if got.Type != TypeClusterOK || string(gotBody.Payload) != "0123456789" {
+		t.Fatalf("got %s body %q", got.Type, gotBody.Payload)
 	}
 }
 
@@ -163,7 +164,7 @@ func TestReadMessageWithBodyBadLength(t *testing.T) {
 		m, _ := Encode(TypeClusterOK, ClusterPayload{Length: 10})
 		_ = a.WriteMessage(m)
 	}()
-	if _, _, err := b.ReadMessageWithBody(func(Message) (int64, error) {
+	if _, _, err := b.ReadMessageWithBodyPool(nil, func(Message) (int64, error) {
 		return -1, nil
 	}); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("negative body error = %v", err)
@@ -272,5 +273,38 @@ func TestCounters(t *testing.T) {
 	got, err = c.LinkOctets("unseen--link")
 	if err != nil || got != 0 {
 		t.Fatalf("unseen = %d, %v", got, err)
+	}
+}
+
+// sizedStream records the receive-buffer size a Conn forwards to it.
+type sizedStream struct {
+	net.Conn
+	size int
+}
+
+func (s *sizedStream) SetReadBuffer(bytes int) error {
+	s.size = bytes
+	return nil
+}
+
+// TestConnSetReadBuffer: the size reaches a stream that has a receive buffer
+// and is a no-op on one that has none.
+func TestConnSetReadBuffer(t *testing.T) {
+	a, b := net.Pipe()
+	defer b.Close()
+	s := &sizedStream{Conn: a}
+	c := NewConn(s)
+	defer c.Close()
+	if err := c.SetReadBuffer(64 << 10); err != nil {
+		t.Fatal(err)
+	}
+	if s.size != 64<<10 {
+		t.Fatalf("stream saw size %d, want %d", s.size, 64<<10)
+	}
+	plain, other := pipe()
+	defer plain.Close()
+	defer other.Close()
+	if err := plain.SetReadBuffer(64 << 10); err != nil {
+		t.Fatalf("pipe without a receive buffer: %v", err)
 	}
 }
