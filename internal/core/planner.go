@@ -67,7 +67,7 @@ func (p *Planner) healthView(snap *topology.Snapshot) (*topology.Snapshot, error
 		return snap, nil
 	}
 	var extra map[topology.LinkID]float64
-	for _, l := range snap.Graph().Links() {
+	for _, l := range snap.Graph().LinksView() {
 		pen := p.nodePenalty(l.A)
 		if pb := p.nodePenalty(l.B); pb > pen {
 			pen = pb
@@ -166,7 +166,7 @@ func (p *Planner) PlanBandwidth(home topology.NodeID, title string, bitrateMbps 
 	}
 	if p.committed != nil {
 		extra := make(map[topology.LinkID]float64)
-		for _, l := range snap.Graph().Links() {
+		for _, l := range snap.Graph().LinksView() {
 			if mbps := p.committed(l.ID); mbps > 0 {
 				extra[l.ID] = mbps / l.CapacityMbps
 			}

@@ -82,20 +82,16 @@ func (v VRA) Select(snap *topology.Snapshot, home topology.NodeID, candidates []
 	if k == 0 {
 		k = topology.DefaultNormalizationK
 	}
-	weights, err := snap.Weights(k)
+	weights, err := snap.WeightsView(k)
 	if err != nil {
 		return Decision{}, fmt.Errorf("vra weights: %w", err)
 	}
-	tree, err := routing.ShortestPaths(snap.Graph(), routing.CostTable(weights), home)
-	if err != nil {
-		return Decision{}, fmt.Errorf("vra dijkstra: %w", err)
-	}
-	best, err := routing.CheapestTo(tree, candidates)
+	best, err := routing.CheapestPath(snap.Graph(), routing.CostTable(weights), home, candidates)
 	if err != nil {
 		if errors.Is(err, routing.ErrUnreachable) {
 			return Decision{}, fmt.Errorf("%w: %v", ErrNoReachable, err)
 		}
-		return Decision{}, err
+		return Decision{}, fmt.Errorf("vra dijkstra: %w", err)
 	}
 	return Decision{Server: best.Dest(), Path: best, Cost: best.Cost}, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"sync"
 	"testing"
 
 	"dvod/internal/grnet"
@@ -17,6 +18,33 @@ func snapshotAt(t *testing.T, st grnet.SampleTime) *topology.Snapshot {
 		t.Fatal(err)
 	}
 	return snap
+}
+
+// TestVRAConcurrentSelect has eight planners share one snapshot, as a
+// server's sessions do: the snapshot's cached weights and the pooled
+// Dijkstra scratch space must give every caller the same decision.
+func TestVRAConcurrentSelect(t *testing.T) {
+	snap := snapshotAt(t, grnet.At10am)
+	cands := []topology.NodeID{grnet.Thessaloniki, grnet.Xanthi}
+	want, err := (VRA{}).Select(snap, grnet.Patra, cands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 200 {
+				d, err := (VRA{}).Select(snap, grnet.Patra, cands)
+				if err != nil || d.Path.String() != want.Path.String() || d.Cost != want.Cost {
+					t.Errorf("concurrent Select = %s cost %g (%v), want %s cost %g", d.Path, d.Cost, err, want.Path, want.Cost)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestVRAName(t *testing.T) {

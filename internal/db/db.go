@@ -385,7 +385,7 @@ func (d *DB) publishSnapshot() {
 func (d *DB) StaleLinks(now time.Time, maxAge time.Duration) []topology.LinkID {
 	g := d.Graph()
 	var out []topology.LinkID
-	for _, l := range g.Links() {
+	for _, l := range g.LinksView() {
 		sh := d.shardFor(l.ID)
 		sh.mu.Lock()
 		s, ok := sh.stats[l.ID]

@@ -161,8 +161,12 @@ func (d *Disk) Write(id BlockID, data []byte) error {
 		}
 		b.f = f
 	} else {
-		b.data = make([]byte, len(data))
-		copy(b.data, data)
+		mem, err := allocBlockMem(b, len(data))
+		if err != nil {
+			return fmt.Errorf("write %s on %s: allocate block memory: %w", id, d.id, err)
+		}
+		copy(mem, data)
+		b.data = mem
 	}
 	b.refs.Store(1)
 	d.blocks[id] = b
@@ -256,7 +260,8 @@ func (d *Disk) Has(id BlockID) bool {
 
 // Delete removes a block, freeing its space. A file-backed block's file is
 // unlinked immediately; its descriptor stays open until any in-flight
-// FileRef pins (kernel sends) are closed.
+// FileRef pins (kernel sends) are closed. An in-memory block's storage is
+// returned by its cleanup after the next garbage collection, never here.
 func (d *Disk) Delete(id BlockID) error {
 	d.mu.Lock()
 	b, ok := d.blocks[id]

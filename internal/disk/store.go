@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync/atomic"
 )
 
@@ -31,7 +32,8 @@ const (
 var ErrCorruptBlock = errors.New("stored block corrupt")
 
 // block is one stored block's backing: exactly one of data (memory-backed)
-// or f (file-backed) is set.
+// or f (file-backed) is set. data comes from allocBlockMem and, on unix,
+// lives outside the Go heap until the block becomes unreachable.
 type block struct {
 	size int64
 	data []byte
@@ -109,9 +111,15 @@ func checkBlockFile(b *block, id BlockID, diskID string) error {
 // readBlockInto copies one block's bytes into dst (len(dst) == block size),
 // from memory or via pread on the backing file. File reads re-validate the
 // header first so truncation and header scribbles surface as ErrCorruptBlock.
+//
+// Callers hold the disk's lock. That is what keeps an in-memory block's
+// storage mapped during the copy: the disk's map references b until Delete,
+// which takes the same lock, and only an unreachable b releases its memory.
+// The KeepAlive states the same for b itself.
 func readBlockInto(b *block, id BlockID, diskID string, dst []byte) error {
 	if b.f == nil {
 		copy(dst, b.data)
+		runtime.KeepAlive(b)
 		return nil
 	}
 	if err := checkBlockFile(b, id, diskID); err != nil {

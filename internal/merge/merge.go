@@ -81,13 +81,19 @@ type Registry struct {
 	mu      sync.Mutex
 	nextID  int64
 	cohorts map[string][]*Cohort
+	// soloLast holds the titles whose last held cohort ended with a single
+	// subscriber: batching did not pay there, so the next held join of the
+	// title starts its pump at once (see JoinSourceHold).
+	soloLast map[string]struct{}
 
-	gCohorts    *metrics.Gauge
-	cCohorts    *metrics.Counter
-	cMerged     *metrics.Counter
-	cReadsSaved *metrics.Counter
-	cBytesSaved *metrics.Counter
-	cEvictions  *metrics.Counter
+	gCohorts      *metrics.Gauge
+	cCohorts      *metrics.Counter
+	cMerged       *metrics.Counter
+	cReadsSaved   *metrics.Counter
+	cBytesSaved   *metrics.Counter
+	cEvictions    *metrics.Counter
+	cHolds        *metrics.Counter
+	cHoldsSkipped *metrics.Counter
 }
 
 // NewRegistry validates the configuration.
@@ -105,14 +111,17 @@ func NewRegistry(cfg Config) (*Registry, error) {
 		cfg.Metrics = metrics.NewRegistry()
 	}
 	return &Registry{
-		cfg:         cfg,
-		cohorts:     make(map[string][]*Cohort),
-		gCohorts:    cfg.Metrics.Gauge("merge.cohorts"),
-		cCohorts:    cfg.Metrics.Counter("merge.cohorts_total"),
-		cMerged:     cfg.Metrics.Counter("merge.sessions_merged"),
-		cReadsSaved: cfg.Metrics.Counter("merge.disk_reads_saved"),
-		cBytesSaved: cfg.Metrics.Counter("merge.bytes_saved"),
-		cEvictions:  cfg.Metrics.Counter("merge.evictions"),
+		cfg:           cfg,
+		cohorts:       make(map[string][]*Cohort),
+		soloLast:      make(map[string]struct{}),
+		gCohorts:      cfg.Metrics.Gauge("merge.cohorts"),
+		cCohorts:      cfg.Metrics.Counter("merge.cohorts_total"),
+		cMerged:       cfg.Metrics.Counter("merge.sessions_merged"),
+		cReadsSaved:   cfg.Metrics.Counter("merge.disk_reads_saved"),
+		cBytesSaved:   cfg.Metrics.Counter("merge.bytes_saved"),
+		cEvictions:    cfg.Metrics.Counter("merge.evictions"),
+		cHolds:        cfg.Metrics.Counter("merge.holds"),
+		cHoldsSkipped: cfg.Metrics.Counter("merge.holds_skipped"),
 	}, nil
 }
 
@@ -145,6 +154,11 @@ func (r *Registry) JoinSource(title string, numClusters, start int, src Source, 
 // idea from the VoD literature. The hold delays only the shared stream's
 // first cluster, never a session's locally-served prefix, and a hold of zero
 // starts the pump immediately.
+//
+// The hold is paid only where batching paid last time: when the title's
+// last held cohort ended with a single subscriber, the pump starts at once
+// (counted merge.holds_skipped; merge.holds counts the holds kept). A title
+// with no history, or whose last held cohort was shared, holds as asked.
 func (r *Registry) JoinSourceHold(title string, numClusters, start int, src Source, closeSrc func(), hold time.Duration) (*Sub, error) {
 	if numClusters <= 0 || start < 0 || start >= numClusters {
 		return nil, fmt.Errorf("merge: start %d outside [0, %d)", start, numClusters)
@@ -160,6 +174,15 @@ func (r *Registry) JoinSourceHold(title string, numClusters, start int, src Sour
 			return s, nil
 		}
 	}
+	held := hold > 0
+	if held {
+		if _, solo := r.soloLast[title]; solo {
+			hold = 0
+			r.cHoldsSkipped.Inc()
+		} else {
+			r.cHolds.Inc()
+		}
+	}
 	c := &Cohort{
 		id:       r.nextID,
 		title:    title,
@@ -167,9 +190,11 @@ func (r *Registry) JoinSourceHold(title string, numClusters, start int, src Sour
 		reg:      r,
 		src:      src,
 		closeSrc: closeSrc,
+		held:     held,
 		hold:     hold,
 		pos:      start,
 		subs:     make(map[*Sub]struct{}),
+		joined:   1,
 	}
 	r.nextID++
 	c.cond = sync.NewCond(&c.mu)
@@ -193,10 +218,21 @@ func (r *Registry) ActiveCohorts() int {
 	return n
 }
 
-// remove unregisters a finished cohort.
+// remove unregisters a finished cohort. A cohort created with a requested
+// hold leaves its verdict for the title's next held join: solo or shared.
 func (r *Registry) remove(c *Cohort) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if c.held {
+		c.mu.Lock()
+		solo := c.joined == 1
+		c.mu.Unlock()
+		if solo {
+			r.soloLast[c.title] = struct{}{}
+		} else {
+			delete(r.soloLast, c.title)
+		}
+	}
 	list := r.cohorts[c.title]
 	for i, x := range list {
 		if x == c {
@@ -230,13 +266,15 @@ type Cohort struct {
 	reg      *Registry
 	src      Source
 	closeSrc func()        // optional; invoked once when the pump exits
+	held     bool          // created with a requested hold: records its verdict
 	hold     time.Duration // aggregation hold-down before the first read
 
-	mu   sync.Mutex
-	cond *sync.Cond
-	pos  int // next cluster index the pump will broadcast
-	subs map[*Sub]struct{}
-	done bool
+	mu     sync.Mutex
+	cond   *sync.Cond
+	pos    int // next cluster index the pump will broadcast
+	subs   map[*Sub]struct{}
+	joined int // subscribers ever attached, the creator included
+	done   bool
 }
 
 // tryJoin attaches a new subscriber when start is within the window of the
@@ -258,6 +296,7 @@ func (c *Cohort) tryJoin(start, numClusters int) *Sub {
 		s.start = c.pos // the gap [start, pos) becomes the patch stream
 	}
 	c.subs[s] = struct{}{}
+	c.joined++
 	c.cond.Broadcast()
 	return s
 }

@@ -568,6 +568,129 @@ func TestMergeHoldDownBatchesJoiners(t *testing.T) {
 	}
 }
 
+// signalSource wraps a source so every read announces its index on reads
+// before it proceeds, letting a test see that the pump has started without
+// measuring time.
+func signalSource(inner merge.Source, reads chan<- int) merge.Source {
+	return func(index int) (*transport.Frame, transport.ClusterPayload, error) {
+		reads <- index
+		return inner(index)
+	}
+}
+
+// soloCohort runs one held cohort of title with a single subscriber to
+// completion, leaving a solo verdict for the title.
+func soloCohort(t *testing.T, r *merge.Registry, title string, clusters int, src merge.Source) {
+	t.Helper()
+	s, err := r.JoinSourceHold(title, clusters, 0, src, nil, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRange(t, drain(t, s), 0, clusters)
+	waitCohorts(t, r, 0)
+}
+
+func holdCounts(r *metrics.Registry) (holds, skipped int64) {
+	snap := r.Snapshot()
+	return snap.Counters["merge.holds"], snap.Counters["merge.holds_skipped"]
+}
+
+// TestMergeSoloCohortSkipsNextHold covers the solo rule: after a held cohort
+// ends with one subscriber, the title's next held join reads at once — here
+// under an hour-long hold, so only a skipped hold lets the first read land —
+// and a follower arriving after that read still shares the stream. That
+// cohort ends shared, so the one after it holds again.
+func TestMergeSoloCohortSkipsNextHold(t *testing.T) {
+	const clusters = 8
+	mreg := metrics.NewRegistry()
+	r, err := merge.NewRegistry(merge.Config{Window: clusters, Metrics: mreg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := transport.NewBufferPool(nil)
+	var reads atomic.Int64
+	soloCohort(t, r, "hot-title", clusters, gatedSource(pool, &reads, nil))
+	if holds, skipped := holdCounts(mreg); holds != 1 || skipped != 0 {
+		t.Fatalf("first held cohort: holds/skipped = %d/%d, want 1/0", holds, skipped)
+	}
+
+	gate := make(chan struct{})
+	started := make(chan int, clusters)
+	src := signalSource(gatedSource(pool, &reads, gate), started)
+	lead, err := r.JoinSourceHold("hot-title", clusters, 0, src, nil, time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case idx := <-started:
+		if idx != 0 {
+			t.Fatalf("first read of the unheld cohort is cluster %d, want 0", idx)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("cohort after a solo cohort is still holding (no read before any follower)")
+	}
+	if holds, skipped := holdCounts(mreg); holds != 1 || skipped != 1 {
+		t.Fatalf("after a solo cohort: holds/skipped = %d/%d, want 1/1", holds, skipped)
+	}
+	follower, err := r.Join("hot-title", clusters, 0, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if follower.CohortID() != lead.CohortID() {
+		t.Fatal("follower opened a second cohort while the first was on cluster 0")
+	}
+	close(gate)
+	var wg sync.WaitGroup
+	for _, s := range []*merge.Sub{lead, follower} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			wantRange(t, drain(t, s), 0, clusters)
+		}()
+	}
+	wg.Wait()
+	waitCohorts(t, r, 0)
+
+	// The last held cohort was shared: batching paid, so the next one holds.
+	soloCohort(t, r, "hot-title", clusters, gatedSource(pool, &reads, nil))
+	if holds, skipped := holdCounts(mreg); holds != 2 || skipped != 1 {
+		t.Fatalf("after a shared cohort: holds/skipped = %d/%d, want 2/1", holds, skipped)
+	}
+}
+
+// TestMergeSoloVerdictIsPerTitle checks that one title's solo verdict does
+// not skip another title's hold, and that cohorts created without a hold
+// leave no verdict at all.
+func TestMergeSoloVerdictIsPerTitle(t *testing.T) {
+	const clusters = 4
+	mreg := metrics.NewRegistry()
+	r, err := merge.NewRegistry(merge.Config{Window: clusters, Metrics: mreg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := transport.NewBufferPool(nil)
+	var reads atomic.Int64
+	src := gatedSource(pool, &reads, nil)
+	soloCohort(t, r, "title-a", clusters, src)
+
+	// A solo cohort with no hold on title-b: not a relay cohort, no verdict.
+	s, err := r.Join("title-b", clusters, 0, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRange(t, drain(t, s), 0, clusters)
+	waitCohorts(t, r, 0)
+
+	soloCohort(t, r, "title-b", clusters, src)
+	if holds, skipped := holdCounts(mreg); holds != 2 || skipped != 0 {
+		t.Fatalf("title-b after title-a's solo cohort: holds/skipped = %d/%d, want 2/0", holds, skipped)
+	}
+	soloCohort(t, r, "title-a", clusters, src)
+	if holds, skipped := holdCounts(mreg); holds != 2 || skipped != 1 {
+		t.Fatalf("title-a's second cohort: holds/skipped = %d/%d, want 2/1", holds, skipped)
+	}
+}
+
 // TestMergeZeroHoldStartsImmediately pins the hold-down's no-op contract: a
 // zero hold must not delay the pump (JoinSource always passes zero).
 func TestMergeZeroHoldStartsImmediately(t *testing.T) {

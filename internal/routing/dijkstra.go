@@ -6,11 +6,12 @@
 package routing
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"dvod/internal/topology"
 )
@@ -112,24 +113,20 @@ func (t *Tree) PathTo(dst topology.NodeID) (Path, error) {
 	if math.IsInf(d, 1) {
 		return Path{}, fmt.Errorf("%w: %s from %s", ErrUnreachable, dst, t.Source)
 	}
-	var rev []topology.NodeID
-	for n := dst; ; {
-		rev = append(rev, n)
-		if n == t.Source {
-			break
-		}
-		n = t.Prev[n]
+	hops := 0
+	for n := dst; n != t.Source; n = t.Prev[n] {
+		hops++
 	}
-	nodes := make([]topology.NodeID, len(rev))
-	for i, n := range rev {
-		nodes[len(nodes)-1-i] = n
+	nodes := make([]topology.NodeID, hops+1)
+	for n, k := dst, hops; k >= 0; n, k = t.Prev[n], k-1 {
+		nodes[k] = n
 	}
 	return Path{Nodes: nodes, Cost: d}, nil
 }
 
 // checkWeights validates that every graph link has a finite non-negative cost.
 func checkWeights(g *topology.Graph, weights CostTable) error {
-	for _, l := range g.Links() {
+	for _, l := range g.LinksView() {
 		w, ok := weights[l.ID]
 		if !ok {
 			return fmt.Errorf("%w: %s", ErrMissingWeight, l.ID)
@@ -149,6 +146,33 @@ func checkWeights(g *topology.Graph, weights CostTable) error {
 func ShortestPaths(g *topology.Graph, weights CostTable, source topology.NodeID) (*Tree, error) {
 	tree, _, err := dijkstra(g, weights, source, false)
 	return tree, err
+}
+
+// CheapestPath runs Dijkstra from source and returns the least-cost path to
+// the cheapest reachable candidate: the same answer as ShortestPaths followed
+// by CheapestTo, without building the tree. It is the per-request planning
+// call, so its scratch space is reused across calls.
+func CheapestPath(g *topology.Graph, weights CostTable, source topology.NodeID, candidates []topology.NodeID) (Path, error) {
+	s, err := startSearch(g, weights, source)
+	if err != nil {
+		return Path{}, err
+	}
+	defer s.release()
+	s.run(weights, nil)
+	best := -1
+	for _, c := range candidates {
+		i, ok := g.NodeOrdinal(c)
+		if !ok || math.IsInf(s.dist[i], 1) {
+			continue
+		}
+		if best < 0 || s.dist[i] < s.dist[best] || (s.dist[i] == s.dist[best] && c < g.NodeAt(best)) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return Path{}, fmt.Errorf("%w: no candidate reachable from %s", ErrUnreachable, source)
+	}
+	return Path{Nodes: s.pathTo(best), Cost: s.dist[best]}, nil
 }
 
 // TraceStep is one row of the paper's Dijkstra walk-through: after the
@@ -175,141 +199,204 @@ func DijkstraTrace(g *topology.Graph, weights CostTable, source topology.NodeID)
 	return steps, tree, err
 }
 
-type pqItem struct {
-	node topology.NodeID
-	dist float64
-	idx  int
+// search is the scratch space of one Dijkstra run, indexed by node ordinal
+// (topology.Graph.NodeOrdinal) and reused across runs through searchPool.
+type search struct {
+	g    *topology.Graph
+	src  int
+	dist []float64
+	prev []int // predecessor ordinal; -1 for the source and unreached nodes
+	heap []int // ordinals, a binary min-heap on (dist, node ID)
+	pos  []int // ordinal → index in heap; -1 when not queued
 }
 
-type priorityQueue []*pqItem
+var searchPool = sync.Pool{New: func() any { return new(search) }}
 
-func (q priorityQueue) Len() int { return len(q) }
-
-func (q priorityQueue) Less(i, j int) bool {
-	if q[i].dist != q[j].dist {
-		return q[i].dist < q[j].dist
-	}
-	return q[i].node < q[j].node // deterministic tie-break
-}
-
-func (q priorityQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].idx = i
-	q[j].idx = j
-}
-
-func (q *priorityQueue) Push(x any) {
-	it := x.(*pqItem)
-	it.idx = len(*q)
-	*q = append(*q, it)
-}
-
-func (q *priorityQueue) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return it
-}
-
-func dijkstra(g *topology.Graph, weights CostTable, source topology.NodeID, trace bool) (*Tree, []TraceStep, error) {
-	if !g.HasNode(source) {
-		return nil, nil, fmt.Errorf("%w: %s", ErrUnknownNode, source)
+// startSearch validates the inputs and returns scratch space sized for g
+// with only the source labelled.
+func startSearch(g *topology.Graph, weights CostTable, source topology.NodeID) (*search, error) {
+	src, ok := g.NodeOrdinal(source)
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrUnknownNode, source)
 	}
 	if err := checkWeights(g, weights); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-
-	dist := make(map[topology.NodeID]float64, g.NumNodes())
-	prev := make(map[topology.NodeID]topology.NodeID, g.NumNodes())
-	done := make(map[topology.NodeID]bool, g.NumNodes())
-	for _, n := range g.Nodes() {
-		dist[n] = math.Inf(1)
+	s := searchPool.Get().(*search)
+	n := g.NumNodes()
+	s.g, s.src = g, src
+	s.dist = slices.Grow(s.dist[:0], n)[:n]
+	s.prev = slices.Grow(s.prev[:0], n)[:n]
+	s.pos = slices.Grow(s.pos[:0], n)[:n]
+	s.heap = s.heap[:0]
+	for i := range n {
+		s.dist[i] = math.Inf(1)
+		s.prev[i] = -1
+		s.pos[i] = -1
 	}
-	dist[source] = 0
+	s.dist[src] = 0
+	return s, nil
+}
 
-	items := map[topology.NodeID]*pqItem{}
-	var pq priorityQueue
-	src := &pqItem{node: source, dist: 0}
-	heap.Push(&pq, src)
-	items[source] = src
+// release returns the scratch space to the pool.
+func (s *search) release() {
+	s.g = nil
+	searchPool.Put(s)
+}
 
-	tree := &Tree{Source: source, Dist: dist, Prev: prev}
-	var steps []TraceStep
-	var permanent []topology.NodeID
-
-	for pq.Len() > 0 {
-		it := heap.Pop(&pq).(*pqItem)
-		n := it.node
-		if done[n] {
-			continue
-		}
-		done[n] = true
-		delete(items, n)
-		permanent = append(permanent, n)
-
-		for _, lid := range g.Adjacent(n) {
-			l, err := g.LinkByID(lid)
-			if err != nil {
-				return nil, nil, err
-			}
-			m := l.Other(n)
-			if done[m] {
-				continue
-			}
-			alt := dist[n] + weights[lid]
-			if alt < dist[m] {
-				dist[m] = alt
-				prev[m] = n
-				if ex, ok := items[m]; ok {
-					ex.dist = alt
-					heap.Fix(&pq, ex.idx)
+// run makes every reachable node permanent, in (distance, node ID) order,
+// calling permanent (when non-nil) after each one.
+func (s *search) run(weights CostTable, permanent func(n int)) {
+	g := s.g
+	s.push(s.src)
+	for len(s.heap) > 0 {
+		n := s.pop()
+		node := g.NodeAt(n)
+		// Weights are non-negative, so a node already made permanent is
+		// never relaxed again: its distance is at most dist[n].
+		for _, lid := range g.AdjacentView(node) {
+			l, _ := g.LinkByID(lid)
+			m, _ := g.NodeOrdinal(l.Other(node))
+			if alt := s.dist[n] + weights[lid]; alt < s.dist[m] {
+				s.dist[m] = alt
+				s.prev[m] = n
+				if s.pos[m] >= 0 {
+					s.up(s.pos[m])
 				} else {
-					ni := &pqItem{node: m, dist: alt}
-					heap.Push(&pq, ni)
-					items[m] = ni
+					s.push(m)
 				}
 			}
 		}
-
-		if trace {
-			steps = append(steps, snapshotStep(g, tree, permanent))
+		if permanent != nil {
+			permanent(n)
 		}
 	}
-	return tree, steps, nil
 }
 
-// snapshotStep copies the tentative labels of all non-source nodes.
-func snapshotStep(g *topology.Graph, t *Tree, permanent []topology.NodeID) TraceStep {
+// pathTo returns the labelled path from the source to the reached node i.
+func (s *search) pathTo(i int) []topology.NodeID {
+	hops := 0
+	for m := i; m != s.src; m = s.prev[m] {
+		hops++
+	}
+	nodes := make([]topology.NodeID, hops+1)
+	for m, k := i, hops; k >= 0; m, k = s.prev[m], k-1 {
+		nodes[k] = s.g.NodeAt(m)
+	}
+	return nodes
+}
+
+// tree copies the labels into a Tree.
+func (s *search) tree() *Tree {
+	n := len(s.dist)
+	t := &Tree{
+		Source: s.g.NodeAt(s.src),
+		Dist:   make(map[topology.NodeID]float64, n),
+		Prev:   make(map[topology.NodeID]topology.NodeID, n),
+	}
+	for i := range n {
+		node := s.g.NodeAt(i)
+		t.Dist[node] = s.dist[i]
+		if s.prev[i] >= 0 {
+			t.Prev[node] = s.g.NodeAt(s.prev[i])
+		}
+	}
+	return t
+}
+
+func (s *search) less(a, b int) bool {
+	if s.dist[a] != s.dist[b] {
+		return s.dist[a] < s.dist[b]
+	}
+	return s.g.NodeAt(a) < s.g.NodeAt(b) // deterministic tie-break
+}
+
+func (s *search) swap(i, j int) {
+	s.heap[i], s.heap[j] = s.heap[j], s.heap[i]
+	s.pos[s.heap[i]] = i
+	s.pos[s.heap[j]] = j
+}
+
+func (s *search) push(n int) {
+	s.pos[n] = len(s.heap)
+	s.heap = append(s.heap, n)
+	s.up(len(s.heap) - 1)
+}
+
+func (s *search) pop() int {
+	top := s.heap[0]
+	last := len(s.heap) - 1
+	s.swap(0, last)
+	s.heap = s.heap[:last]
+	s.pos[top] = -1
+	s.down(0)
+	return top
+}
+
+func (s *search) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !s.less(s.heap[i], s.heap[parent]) {
+			return
+		}
+		s.swap(i, parent)
+		i = parent
+	}
+}
+
+func (s *search) down(i int) {
+	for {
+		least := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(s.heap) && s.less(s.heap[c], s.heap[least]) {
+				least = c
+			}
+		}
+		if least == i {
+			return
+		}
+		s.swap(i, least)
+		i = least
+	}
+}
+
+func dijkstra(g *topology.Graph, weights CostTable, source topology.NodeID, trace bool) (*Tree, []TraceStep, error) {
+	s, err := startSearch(g, weights, source)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer s.release()
+	var steps []TraceStep
+	var permanent []topology.NodeID
+	var onPermanent func(int)
+	if trace {
+		onPermanent = func(n int) {
+			permanent = append(permanent, g.NodeAt(n))
+			steps = append(steps, s.step(permanent))
+		}
+	}
+	s.run(weights, onPermanent)
+	return s.tree(), steps, nil
+}
+
+// step copies the tentative labels of all non-source nodes.
+func (s *search) step(permanent []topology.NodeID) TraceStep {
+	g := s.g
 	step := TraceStep{
 		Step:      len(permanent),
 		Permanent: append([]topology.NodeID(nil), permanent...),
 		Labels:    make(map[topology.NodeID]Label, g.NumNodes()-1),
 	}
-	for _, n := range g.Nodes() {
-		if n == t.Source {
+	for _, n := range g.NodesView() {
+		i, _ := g.NodeOrdinal(n)
+		if i == s.src {
 			continue
 		}
-		d := t.Dist[n]
-		if math.IsInf(d, 1) {
+		if math.IsInf(s.dist[i], 1) {
 			step.Labels[n] = Label{Reachable: false}
 			continue
 		}
-		// Reconstruct the current tentative path through Prev.
-		var rev []topology.NodeID
-		for m := n; ; {
-			rev = append(rev, m)
-			if m == t.Source {
-				break
-			}
-			m = t.Prev[m]
-		}
-		nodes := make([]topology.NodeID, len(rev))
-		for i, m := range rev {
-			nodes[len(nodes)-1-i] = m
-		}
-		step.Labels[n] = Label{Reachable: true, Dist: d, Path: nodes}
+		step.Labels[n] = Label{Reachable: true, Dist: s.dist[i], Path: s.pathTo(i)}
 	}
 	return step
 }

@@ -368,12 +368,15 @@ func TestCheapestToSkipsUnreachable(t *testing.T) {
 }
 
 // randomConnectedGraph builds a connected random graph: a spanning path plus
-// extra random edges.
+// extra random edges. Nodes are added in random order, so node ordinals and
+// sorted order differ.
 func randomConnectedGraph(r *rand.Rand, n, extra int) (*topology.Graph, CostTable) {
 	g := topology.NewGraph()
 	ids := make([]topology.NodeID, n)
 	for i := range n {
 		ids[i] = topology.NodeID(string(rune('A' + i)))
+	}
+	for _, i := range r.Perm(n) {
 		if err := g.AddNode(ids[i]); err != nil {
 			panic(err)
 		}
@@ -502,5 +505,48 @@ func TestSubPathOptimalityProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Property: CheapestPath picks the same route as ShortestPaths followed by
+// CheapestTo, ties included (integer weights, zero allowed, make them common).
+func TestCheapestPathMatchesTreeProperty(t *testing.T) {
+	prop := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := 3 + r.Intn(10)
+		g, weights := randomConnectedGraph(r, n, n)
+		for id := range weights {
+			weights[id] = float64(r.Intn(3))
+		}
+		nodes := g.Nodes()
+		src := nodes[r.Intn(n)]
+		cands := []topology.NodeID{nodes[r.Intn(n)], nodes[r.Intn(n)], nodes[r.Intn(n)], "nowhere"}
+		tree, err := ShortestPaths(g, weights, src)
+		if err != nil {
+			return false
+		}
+		want, err := CheapestTo(tree, cands)
+		if err != nil {
+			return false
+		}
+		got, err := CheapestPath(g, weights, src, cands)
+		return err == nil && got.String() == want.String() && got.Cost == want.Cost
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestCheapestPathErrors(t *testing.T) {
+	g := line(t)
+	weights := MinHopWeights(g)
+	if _, err := CheapestPath(g, weights, "Z", []topology.NodeID{"A"}); !errors.Is(err, ErrUnknownNode) {
+		t.Fatalf("unknown source: %v", err)
+	}
+	if _, err := CheapestPath(g, CostTable{}, "A", []topology.NodeID{"B"}); !errors.Is(err, ErrMissingWeight) {
+		t.Fatalf("missing weight: %v", err)
+	}
+	if _, err := CheapestPath(g, weights, "A", []topology.NodeID{"Z"}); !errors.Is(err, ErrUnreachable) {
+		t.Fatalf("no known candidate: %v", err)
 	}
 }

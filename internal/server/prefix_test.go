@@ -3,6 +3,7 @@ package server_test
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"dvod/internal/client"
 	"dvod/internal/disk"
@@ -226,6 +227,52 @@ func TestWatchRelayCohortSharesUpstream(t *testing.T) {
 	if reads := origin.Counters["server.disk_reads"]; reads > 2*tail {
 		t.Fatalf("origin disk reads %d, want ≈ one shared tail of %d (unshared would be %d)",
 			reads, tail, int64(watchers)*tail)
+	}
+}
+
+// TestRelaySoloJoinSkipsNextHold sends two sequential relay.joins of one
+// title from one downstream server. The origin holds the first (a title with
+// no history), which ends with that one relay as its only subscriber, so it
+// starts the second at once. Counters, not elapsed time, tell the paths apart.
+func TestRelaySoloJoinSkipsNextHold(t *testing.T) {
+	const numClusters = 16
+	lc := newCluster(t, map[topology.NodeID]int64{grnet.Patra: clusterBytes},
+		withMerge(numClusters, 0),
+		func(c *server.Config) { c.RelayCohorts = true })
+	title := media.Title{Name: "lone", SizeBytes: numClusters * clusterBytes, BitrateMbps: 1.5}
+	lc.addTitle(t, title, grnet.Xanthi)
+	p, err := client.NewPlayer(grnet.Patra, lc.book)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	origin := lc.servers[grnet.Xanthi].Metrics()
+	for i, want := range []struct{ holds, skipped int64 }{{1, 0}, {1, 1}} {
+		stats, err := p.Watch(title.Name)
+		if err != nil {
+			t.Fatalf("watch %d: %v", i, err)
+		}
+		if !stats.Verified {
+			t.Fatalf("watch %d: delivery not verified", i)
+		}
+		// The origin's cohort records its verdict as it unregisters.
+		deadline := time.Now().Add(5 * time.Second)
+		for origin.Snapshot().Gauges["merge.cohorts"] != 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("watch %d: origin cohort never unregistered", i)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		m := origin.Snapshot()
+		if got := m.Counters["server.relay_watchers"]; got != int64(i+1) {
+			t.Fatalf("watch %d: origin relay_watchers = %d, want %d", i, got, i+1)
+		}
+		if h, s := m.Counters["merge.holds"], m.Counters["merge.holds_skipped"]; h != want.holds || s != want.skipped {
+			t.Fatalf("watch %d: origin holds/skipped = %d/%d, want %d/%d", i, h, s, want.holds, want.skipped)
+		}
+	}
+	if got := lc.servers[grnet.Patra].Metrics().Snapshot().Counters["server.relay_fallbacks"]; got != 0 {
+		t.Fatalf("relay_fallbacks = %d, want 0", got)
 	}
 }
 

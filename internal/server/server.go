@@ -150,24 +150,18 @@ type Config struct {
 	// the holder's side relay sessions join its own merge registry, so N
 	// relay servers share one origin disk-read stream. Requires MergeWindow.
 	RelayCohorts bool
-	// RelayHoldDown is the aggregation hold-down applied to cohorts created
-	// for incoming relay.join sessions: the cohort's pump waits this long
-	// before its first read, so a flash crowd of downstream relays dialing
-	// within the hold all batch onto the base stream with zero patch
-	// clusters (VoD batching). It delays only the shared tail — a relay's
-	// watchers are streaming their locally-pinned prefixes meanwhile — and
-	// never an interactive watch. Zero selects DefaultRelayHoldDown;
-	// negative disables the hold.
-	RelayHoldDown time.Duration
 }
 
-// DefaultRelayHoldDown is the aggregation hold-down for relay-fed cohorts
-// when Config.RelayHoldDown is zero: long enough to batch a burst of
-// downstream relay.join dials even when the downstream servers' sessions are
-// queueing on loaded cores, short next to any pinned-prefix head (a relay
-// dials at session start — the tail prefetches behind the head — so the
-// hold delays only a stream the viewer is not yet watching).
-const DefaultRelayHoldDown = 250 * time.Millisecond
+// relayHoldDown is the aggregation hold-down applied to cohorts created for
+// incoming relay.join sessions: the cohort's pump waits this long before its
+// first read, so a flash crowd of downstream relays dialing within the hold
+// all batch onto the base stream with zero patch clusters (VoD batching).
+// Long enough to batch a burst of dials even when the downstream servers'
+// sessions are queueing on loaded cores; it delays only the shared tail (a
+// relay dials at session start, while its watchers play their pinned
+// prefixes) and never an interactive watch. The merge registry skips it for
+// a title whose last held cohort served a single relay.
+const relayHoldDown = 250 * time.Millisecond
 
 // Director is the redirect decision hook (implemented by
 // membership.Director). Route reports the peer a watch for title — already
@@ -261,9 +255,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.RelayCohorts && cfg.MergeWindow <= 0 {
 		return nil, errors.New("server: relay cohorts require a merge window")
-	}
-	if cfg.RelayHoldDown == 0 {
-		cfg.RelayHoldDown = DefaultRelayHoldDown
 	}
 	srv := &Server{
 		cfg:     cfg,
@@ -1605,7 +1596,7 @@ func (s *Server) handleRelay(c *transport.Conn, m transport.Message) error {
 	if err := c.QueueMessage(head); err != nil {
 		return err
 	}
-	ws := &watchSession{holdDown: max(s.cfg.RelayHoldDown, 0)}
+	ws := &watchSession{holdDown: relayHoldDown}
 	if !s.cfg.DisableDefense {
 		ws.budget = faults.NewRetryBudget(3, 0.1)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 )
 
 // Snapshot is a point-in-time view of the network: the static graph plus the
@@ -13,6 +14,15 @@ import (
 type Snapshot struct {
 	graph *Graph
 	util  map[LinkID]float64
+	// weights caches the last WeightsView table; a snapshot is immutable,
+	// so its weights for one K never change.
+	weights atomic.Pointer[linkWeights]
+}
+
+// linkWeights is one cached cost table and the K it was computed with.
+type linkWeights struct {
+	k float64
+	w map[LinkID]float64
 }
 
 // NewSnapshot pairs a graph with per-link utilization fractions. Links absent
@@ -118,6 +128,23 @@ func (s *Snapshot) Weights(k float64) (map[LinkID]float64, error) {
 	return out, nil
 }
 
+// WeightsView returns the same table as Weights, computed once per snapshot
+// and normalization constant and shared by every caller: the planner asks
+// for it on every cluster, and the published snapshot changes only when a
+// link sample lands. The map is the snapshot's own: callers must not modify
+// it.
+func (s *Snapshot) WeightsView(k float64) (map[LinkID]float64, error) {
+	if c := s.weights.Load(); c != nil && c.k == k {
+		return c.w, nil
+	}
+	w, err := s.Weights(k)
+	if err != nil {
+		return nil, err
+	}
+	s.weights.Store(&linkWeights{k: k, w: w})
+	return w, nil
+}
+
 // WithUtilization returns a new snapshot sharing the graph but with one
 // link's utilization replaced. It is used by what-if evaluation (e.g. the
 // VRA's continuous re-evaluation tests).
@@ -160,7 +187,7 @@ type LinkReport struct {
 // Report computes a per-link summary, sorted by link ID. It powers the CLI
 // table printers.
 func (s *Snapshot) Report(k float64) ([]LinkReport, error) {
-	links := s.graph.Links()
+	links := s.graph.LinksView()
 	out := make([]LinkReport, 0, len(links))
 	for _, l := range links {
 		lu, err := s.LinkUtilizationTerm(l.ID, k)

@@ -11,8 +11,11 @@
 package topology
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -83,16 +86,25 @@ var (
 // Graph is the static overlay topology: the node set and capacitated links.
 // Build it once with AddNode/AddLink; afterwards it is safe for concurrent
 // readers. Mutating methods are not safe to call concurrently with readers.
+//
+// The sorted node and link lists are kept up to date by AddNode/AddLink, so
+// per-request readers (the planner, Dijkstra) walk them through the
+// non-copying NodesView/LinksView/AdjacentView instead of rebuilding and
+// sorting a copy on every call. Every node also has a dense ordinal (its
+// insertion order, see NodeOrdinal) for indexing per-call scratch space.
 type Graph struct {
-	nodes    map[NodeID]struct{}
+	nodes    map[NodeID]int // node → ordinal
+	ordinals []NodeID       // ordinal → node
+	sorted   []NodeID
 	links    map[LinkID]Link
+	linkList []Link              // sorted by ID
 	adjacent map[NodeID][]LinkID // sorted for determinism
 }
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph {
 	return &Graph{
-		nodes:    make(map[NodeID]struct{}),
+		nodes:    make(map[NodeID]int),
 		links:    make(map[LinkID]Link),
 		adjacent: make(map[NodeID][]LinkID),
 	}
@@ -106,7 +118,10 @@ func (g *Graph) AddNode(n NodeID) error {
 	if _, ok := g.nodes[n]; ok {
 		return fmt.Errorf("%w: %s", ErrNodeExists, n)
 	}
-	g.nodes[n] = struct{}{}
+	g.nodes[n] = len(g.ordinals)
+	g.ordinals = append(g.ordinals, n)
+	i, _ := slices.BinarySearch(g.sorted, n)
+	g.sorted = slices.Insert(g.sorted, i, n)
 	return nil
 }
 
@@ -133,7 +148,10 @@ func (g *Graph) AddLink(a, b NodeID, capacityMbps float64) (LinkID, error) {
 	if lb < la {
 		la, lb = lb, la
 	}
-	g.links[id] = Link{ID: id, A: la, B: lb, CapacityMbps: capacityMbps}
+	l := Link{ID: id, A: la, B: lb, CapacityMbps: capacityMbps}
+	g.links[id] = l
+	i, _ := slices.BinarySearchFunc(g.linkList, id, func(x Link, id LinkID) int { return cmp.Compare(x.ID, id) })
+	g.linkList = slices.Insert(g.linkList, i, l)
 	g.insertAdjacent(a, id)
 	g.insertAdjacent(b, id)
 	return id, nil
@@ -141,11 +159,8 @@ func (g *Graph) AddLink(a, b NodeID, capacityMbps float64) (LinkID, error) {
 
 func (g *Graph) insertAdjacent(n NodeID, id LinkID) {
 	adj := g.adjacent[n]
-	i := sort.Search(len(adj), func(i int) bool { return adj[i] >= id })
-	adj = append(adj, "")
-	copy(adj[i+1:], adj[i:])
-	adj[i] = id
-	g.adjacent[n] = adj
+	i, _ := slices.BinarySearch(adj, id)
+	g.adjacent[n] = slices.Insert(adj, i, id)
 }
 
 // HasNode reports whether n is in the graph.
@@ -154,15 +169,23 @@ func (g *Graph) HasNode(n NodeID) bool {
 	return ok
 }
 
-// Nodes returns the node set in sorted order.
-func (g *Graph) Nodes() []NodeID {
-	out := make([]NodeID, 0, len(g.nodes))
-	for n := range g.nodes {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+// Nodes returns a copy of the node set in sorted order.
+func (g *Graph) Nodes() []NodeID { return slices.Clone(g.sorted) }
+
+// NodesView returns the node set in sorted order without copying it. The
+// slice is the graph's own: callers must not modify it, and it is valid
+// until the graph is next mutated.
+func (g *Graph) NodesView() []NodeID { return g.sorted }
+
+// NodeOrdinal returns n's ordinal: a dense index in [0, NumNodes) that
+// stays fixed for the graph's lifetime, for indexing per-node scratch space.
+func (g *Graph) NodeOrdinal(n NodeID) (int, bool) {
+	i, ok := g.nodes[n]
+	return i, ok
 }
+
+// NodeAt returns the node with ordinal i (see NodeOrdinal).
+func (g *Graph) NodeAt(i int) NodeID { return g.ordinals[i] }
 
 // NumNodes returns the number of nodes.
 func (g *Graph) NumNodes() int { return len(g.nodes) }
@@ -184,20 +207,23 @@ func (g *Graph) LinkByID(id LinkID) (Link, error) {
 	return l, nil
 }
 
-// Links returns every link, sorted by ID.
-func (g *Graph) Links() []Link {
-	out := make([]Link, 0, len(g.links))
-	for _, l := range g.links {
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+// Links returns a copy of every link, sorted by ID.
+func (g *Graph) Links() []Link { return slices.Clone(g.linkList) }
+
+// LinksView returns every link, sorted by ID, without copying. The slice is
+// the graph's own: callers must not modify it, and it is valid until the
+// graph is next mutated.
+func (g *Graph) LinksView() []Link { return g.linkList }
+
+// Adjacent returns a copy of the IDs of links incident to n, sorted.
+func (g *Graph) Adjacent(n NodeID) []LinkID {
+	return slices.Clone(g.adjacent[n])
 }
 
-// Adjacent returns the IDs of links incident to n, sorted.
-func (g *Graph) Adjacent(n NodeID) []LinkID {
-	return append([]LinkID(nil), g.adjacent[n]...)
-}
+// AdjacentView returns the IDs of links incident to n, sorted, without
+// copying. The slice is the graph's own: callers must not modify it, and
+// it is valid until the graph is next mutated.
+func (g *Graph) AdjacentView(n NodeID) []LinkID { return g.adjacent[n] }
 
 // Neighbors returns the nodes directly connected to n, sorted.
 func (g *Graph) Neighbors(n NodeID) []NodeID {
@@ -250,46 +276,34 @@ func (g *Graph) WithoutNode(n NodeID) (*Graph, error) {
 	if _, ok := g.nodes[n]; !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNodeUnknown, n)
 	}
+	// Rebuilt in sorted order, every insertion appends; adjacency stays
+	// sorted, so the order planners iterate it in is preserved.
 	c := NewGraph()
-	for m := range g.nodes {
+	for _, m := range g.sorted {
 		if m != n {
-			c.nodes[m] = struct{}{}
+			_ = c.AddNode(m)
 		}
 	}
-	for id, l := range g.links {
-		if l.A == n || l.B == n {
-			continue
+	for _, l := range g.linkList {
+		if !l.HasEndpoint(n) {
+			_, _ = c.AddLink(l.A, l.B, l.CapacityMbps)
 		}
-		c.links[id] = l
-	}
-	// Filter the original adjacency slices rather than rebuilding from the
-	// links map so adjacency order — which planners iterate — is preserved.
-	for m, adj := range g.adjacent {
-		if m == n {
-			continue
-		}
-		keep := make([]LinkID, 0, len(adj))
-		for _, id := range adj {
-			if _, ok := c.links[id]; ok {
-				keep = append(keep, id)
-			}
-		}
-		c.adjacent[m] = keep
 	}
 	return c, nil
 }
 
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
-	c := NewGraph()
-	for n := range g.nodes {
-		c.nodes[n] = struct{}{}
-	}
-	for id, l := range g.links {
-		c.links[id] = l
+	c := &Graph{
+		nodes:    maps.Clone(g.nodes),
+		ordinals: slices.Clone(g.ordinals),
+		sorted:   slices.Clone(g.sorted),
+		links:    maps.Clone(g.links),
+		linkList: slices.Clone(g.linkList),
+		adjacent: make(map[NodeID][]LinkID, len(g.adjacent)),
 	}
 	for n, adj := range g.adjacent {
-		c.adjacent[n] = append([]LinkID(nil), adj...)
+		c.adjacent[n] = slices.Clone(adj)
 	}
 	return c
 }

@@ -119,6 +119,71 @@ func TestGraphAccessors(t *testing.T) {
 	}
 }
 
+// TestGraphViewsStaySorted adds nodes and links out of order and checks the
+// non-copying views against sorted copies, the ordinals against insertion
+// order, and that the copies do not alias the graph's own lists.
+func TestGraphViewsStaySorted(t *testing.T) {
+	g := NewGraph()
+	for _, n := range []NodeID{"C", "A", "D", "B"} {
+		if err := g.AddNode(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range [][2]NodeID{{"D", "C"}, {"A", "D"}, {"B", "A"}, {"C", "A"}} {
+		if _, err := g.AddLink(e[0], e[1], 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := fmtIDs(g.NodesView()); got != "A B C D" {
+		t.Fatalf("NodesView = %s, want A B C D", got)
+	}
+	var links []NodeID
+	for _, l := range g.LinksView() {
+		links = append(links, NodeID(l.ID))
+	}
+	if got := fmtIDs(links); got != "A--B A--C A--D C--D" {
+		t.Fatalf("LinksView = %s", got)
+	}
+	if adj := g.AdjacentView("A"); len(adj) != 3 || adj[0] != "A--B" || adj[2] != "A--D" {
+		t.Fatalf("AdjacentView(A) = %v", adj)
+	}
+	for i, n := range []NodeID{"C", "A", "D", "B"} {
+		if o, ok := g.NodeOrdinal(n); !ok || o != i || g.NodeAt(o) != n {
+			t.Fatalf("NodeOrdinal(%s) = %d, %v; want insertion order %d", n, o, ok, i)
+		}
+	}
+	if _, ok := g.NodeOrdinal("Z"); ok {
+		t.Fatal("NodeOrdinal found an unknown node")
+	}
+	nodes, ls := g.Nodes(), g.Links()
+	nodes[0], ls[0].CapacityMbps = "Z", 99
+	if g.NodesView()[0] != "A" || g.LinksView()[0].CapacityMbps != 1 {
+		t.Fatal("Nodes/Links copies alias the graph's own lists")
+	}
+
+	w, err := g.WithoutNode("A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmtIDs(w.NodesView()); got != "B C D" || w.NumLinks() != 1 || len(w.AdjacentView("B")) != 0 {
+		t.Fatalf("WithoutNode(A): nodes %s, %d links", got, w.NumLinks())
+	}
+	if g.NumNodes() != 4 || g.NumLinks() != 4 {
+		t.Fatal("WithoutNode mutated the original")
+	}
+}
+
+func fmtIDs(ids []NodeID) string {
+	s := ""
+	for i, id := range ids {
+		if i > 0 {
+			s += " "
+		}
+		s += string(id)
+	}
+	return s
+}
+
 func TestLinkOther(t *testing.T) {
 	l := Link{A: "A", B: "B"}
 	if l.Other("A") != "B" || l.Other("B") != "A" || l.Other("Z") != "" {
@@ -310,6 +375,41 @@ func TestWeightsCoversAllLinks(t *testing.T) {
 		if v < 0 {
 			t.Fatalf("negative weight %g for %s", v, id)
 		}
+	}
+}
+
+// TestWeightsViewCachedPerK checks that WeightsView serves Weights' table,
+// computes it once per snapshot and K, and recomputes for a different K.
+func TestWeightsViewCachedPerK(t *testing.T) {
+	s, err := NewSnapshot(buildTriangle(t), map[LinkID]float64{MakeLinkID("A", "B"): 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := s.Weights(DefaultNormalizationK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, err := s.WeightsView(DefaultNormalizationK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, w := range want {
+		if v1[id] != w {
+			t.Fatalf("WeightsView[%s] = %g, Weights says %g", id, v1[id], w)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { _, _ = s.WeightsView(DefaultNormalizationK) }); allocs != 0 {
+		t.Fatalf("cached WeightsView allocates %.0f times", allocs)
+	}
+	v100, err := s.WeightsView(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ab := MakeLinkID("A", "B"); v100[ab] == v1[ab] {
+		t.Fatal("WeightsView ignored a new K")
+	}
+	if _, err := s.WeightsView(-1); err == nil {
+		t.Fatal("WeightsView accepted a negative K")
 	}
 }
 
