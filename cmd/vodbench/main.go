@@ -28,8 +28,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -730,34 +732,22 @@ type mergeReport struct {
 	Rows  []experiments.MergeRow `json:"rows"`
 }
 
-// checkMergeBaseline compares the current run's origin-read saving per
-// pattern against the committed baseline and fails on a >20% regression.
-// The saving ratio is structural (reads shared per cohort), not wall-clock,
-// so the gate is stable on loaded CI machines.
+// checkMergeBaseline gates the merge study against the committed baseline:
+// every pattern measured and merging (structural), and each pattern's
+// origin-read saving within 20% of the baseline's (timing) — see
+// MergeRegression.
 func checkMergeBaseline(w io.Writer, rows []experiments.MergeRow, path string) error {
-	data, err := os.ReadFile(path)
+	base, err := loadBaseline[mergeReport]("merge", path)
 	if err != nil {
 		return err
 	}
-	var base mergeReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("merge baseline %s: %w", path, err)
-	}
 	want := experiments.MergeSavings(base.Rows)
 	got := experiments.MergeSavings(rows)
-	if len(want) == 0 {
-		return fmt.Errorf("merge baseline %s holds no savings to compare", path)
+	for _, pattern := range slices.Sorted(maps.Keys(want)) {
+		fmt.Fprintf(w, "merge baseline %s: saving %.2fx (baseline %.2fx)\n", pattern, got[pattern], want[pattern])
 	}
-	for pattern, baseline := range want {
-		current, ok := got[pattern]
-		if !ok {
-			return fmt.Errorf("merge baseline: pattern %q missing from current run", pattern)
-		}
-		fmt.Fprintf(w, "merge baseline %s: saving %.2fx (baseline %.2fx)\n", pattern, current, baseline)
-		if current < 0.8*baseline {
-			return fmt.Errorf("merge regression: %s origin-read saving %.2fx fell >20%% below baseline %.2fx",
-				pattern, current, baseline)
-		}
+	if bad := experiments.MergeRegression(rows, base.Rows); len(bad) > 0 {
+		return fmt.Errorf("merge regression: %s", strings.Join(bad, "; "))
 	}
 	return nil
 }

@@ -1520,13 +1520,13 @@ func WithDisks(count int, capacityBytes int64) Option {
 	}
 }
 
-// WithFileBackedDisks stores every disk block as a real file under
-// dir/<node>/<disk>/ instead of in memory. Content, layout, and fault
-// injection are identical to the in-memory store; what changes is delivery:
-// on Linux, resident clusters are served straight from the block file's
-// descriptor with sendfile(2) (DESIGN.md § "Kernel delivery path"). The
-// directory is created as needed and not cleaned up on Close — callers own
-// its lifetime (tests pass t.TempDir()).
+// WithFileBackedDisks stores every disk block as a named file under
+// dir/<node>/<disk>/ instead of in memory. Content, layout, fault injection
+// and delivery are identical to the in-memory store, whose blocks on Linux
+// are unlinked tmpfs files: resident clusters are served straight from the
+// block file's descriptor with sendfile(2) (DESIGN.md § "Kernel delivery
+// path"). The directory is created as needed and not cleaned up on Close —
+// callers own its lifetime (tests pass t.TempDir()).
 func WithFileBackedDisks(dir string) Option {
 	return func(o *options) { o.dataDir = dir }
 }

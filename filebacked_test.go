@@ -157,6 +157,55 @@ func TestFileBackedFaultsForceFallback(t *testing.T) {
 	}
 }
 
+// TestMemoryDisksFaultsForceFallback is TestFileBackedFaultsForceFallback on
+// in-memory disks, whose blocks are tmpfs files on Linux: an armed fault
+// plan still makes every send take the userspace copy, and the stream still
+// verifies.
+func TestMemoryDisksFaultsForceFallback(t *testing.T) {
+	var plan FaultPlan
+	plan.SlowDisk(0, 2*time.Second, "A", time.Millisecond)
+	svc, err := New(TopologySpec{
+		Nodes: []NodeID{"A", "B"},
+		Links: []LinkSpec{{A: "A", B: "B", CapacityMbps: 34}},
+	},
+		WithClusterBytes(8192),
+		WithDisks(2, 1<<20),
+		WithFaultPlan(plan, 11),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	title := Title{Name: "delayed", SizeBytes: 50_000, BitrateMbps: 1.5}
+	if err := svc.AddTitle(title); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Preload("A", "delayed"); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+
+	p, err := svc.Player("A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := p.Watch("delayed")
+	if err != nil {
+		t.Fatalf("Watch under disk fault: %v", err)
+	}
+	if !stats.Verified || stats.BytesReceived != title.SizeBytes {
+		t.Fatalf("stats = %+v", stats)
+	}
+	if kernel := sumCounter(svc, "server.kernel_sends"); kernel != 0 {
+		t.Fatalf("kernel_sends = %d with a fault interceptor armed, want 0", kernel)
+	}
+	if fallback := sumCounter(svc, "server.fallback_sends"); fallback == 0 {
+		t.Fatal("fallback_sends = 0")
+	}
+}
+
 // TestWithFileBackedDisksReuseRejected: a second service over the same data
 // directory must fail loudly (block files already exist), not silently
 // serve stale content.

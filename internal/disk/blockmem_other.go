@@ -1,9 +1,12 @@
-//go:build !unix
+//go:build !linux
 
 package disk
 
-// allocBlockMem returns n zeroed bytes of storage for an in-memory block.
-// Platforms without mmap keep block bytes on the Go heap.
-func allocBlockMem(_ *block, n int) ([]byte, error) {
-	return make([]byte, n), nil
+// newMemBlock stores an in-memory block's bytes on the Go heap. Without
+// Linux's sendfile there is no kernel path for a block file to serve, so
+// these blocks have no descriptor and FileRef refuses them.
+func newMemBlock(data []byte) (*block, error) {
+	mem := make([]byte, len(data))
+	copy(mem, data)
+	return &block{size: int64(len(data)), data: mem}, nil
 }

@@ -1,10 +1,11 @@
 // Package disk simulates the video servers' storage hardware: individual
 // disks with fixed capacity holding named blocks, grouped into the
 // multi-disk arrays the paper's DMA stripes titles across. Capacity
-// accounting is exact; block contents are held in memory (tests and
-// experiments use scaled-down title sizes) or, for disks built with
-// NewFileBacked, in one backing file per block so the delivery plane can
-// hand bodies straight to sendfile(2) via FileRef. A simple service-time
+// accounting is exact. Every block lives in a file of its own, so the
+// delivery plane can hand bodies straight to sendfile(2) via FileRef: named
+// under a directory for disks built with NewFileBacked, and for in-memory
+// disks (tests and experiments use scaled-down title sizes) an unlinked
+// tmpfs file on Linux or plain heap bytes elsewhere. A simple service-time
 // model provides read latencies for the emulated plane.
 package disk
 
@@ -153,20 +154,15 @@ func (d *Disk) Write(id BlockID, data []byte) error {
 		return fmt.Errorf("%w: %s needs %d, %s has %d free",
 			ErrDiskFull, id, len(data), d.id, d.capacity-d.used)
 	}
-	b := &block{size: int64(len(data))}
+	var b *block
+	var err error
 	if d.dir != "" {
-		f, err := writeBlockFile(d.dir, id, data)
-		if err != nil {
-			return fmt.Errorf("write %s on %s: %w", id, d.id, err)
-		}
-		b.f = f
+		b, err = writeBlockFile(d.dir, id, data)
 	} else {
-		mem, err := allocBlockMem(b, len(data))
-		if err != nil {
-			return fmt.Errorf("write %s on %s: allocate block memory: %w", id, d.id, err)
-		}
-		copy(mem, data)
-		b.data = mem
+		b, err = newMemBlock(data)
+	}
+	if err != nil {
+		return fmt.Errorf("write %s on %s: %w", id, d.id, err)
 	}
 	b.refs.Store(1)
 	d.blocks[id] = b
@@ -200,16 +196,13 @@ func (d *Disk) Read(id BlockID) ([]byte, error) {
 	if fault.Err != nil {
 		return nil, fmt.Errorf("read %s on %s: %w: %w", id, d.id, ErrInjectedRead, fault.Err)
 	}
-	d.mu.Lock()
-	b, ok := d.blocks[id]
-	if !ok {
-		d.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s on %s", ErrBlockUnknown, id, d.id)
-	}
-	out := make([]byte, b.size)
-	err := readBlockInto(b, id, d.id, out)
-	d.mu.Unlock()
+	b, err := d.pin(id)
 	if err != nil {
+		return nil, err
+	}
+	defer b.release()
+	out := make([]byte, b.size)
+	if err := readBlockInto(b, id, d.id, out); err != nil {
 		return nil, err
 	}
 	if fault.ShortFraction > 0 && fault.ShortFraction < 1 {
@@ -228,12 +221,11 @@ func (d *Disk) ReadInto(id BlockID, dst []byte) (int, error) {
 	if fault.Err != nil {
 		return 0, fmt.Errorf("read %s on %s: %w: %w", id, d.id, ErrInjectedRead, fault.Err)
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	b, ok := d.blocks[id]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s on %s", ErrBlockUnknown, id, d.id)
+	b, err := d.pin(id)
+	if err != nil {
+		return 0, err
 	}
+	defer b.release()
 	if int64(len(dst)) < b.size {
 		return 0, fmt.Errorf("read %s on %s: buffer %d bytes, block %d",
 			id, d.id, len(dst), b.size)
@@ -250,6 +242,20 @@ func (d *Disk) ReadInto(id BlockID, dst []byte) (int, error) {
 	return n, nil
 }
 
+// pin returns the stored block with one more reference, so its descriptor
+// stays open after the lock drops even if Delete runs meanwhile. The caller
+// must release it.
+func (d *Disk) pin(id BlockID) (*block, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	b, ok := d.blocks[id]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s on %s", ErrBlockUnknown, id, d.id)
+	}
+	b.refs.Add(1)
+	return b, nil
+}
+
 // Has reports whether the block is stored.
 func (d *Disk) Has(id BlockID) bool {
 	d.mu.Lock()
@@ -259,9 +265,9 @@ func (d *Disk) Has(id BlockID) bool {
 }
 
 // Delete removes a block, freeing its space. A file-backed block's file is
-// unlinked immediately; its descriptor stays open until any in-flight
-// FileRef pins (kernel sends) are closed. An in-memory block's storage is
-// returned by its cleanup after the next garbage collection, never here.
+// unlinked immediately (a tmpfs block has no name left to unlink). Its
+// descriptor closes here, or when the last in-flight pin — a FileRef or a
+// read — is released, and that close frees the bytes.
 func (d *Disk) Delete(id BlockID) error {
 	d.mu.Lock()
 	b, ok := d.blocks[id]
@@ -272,8 +278,8 @@ func (d *Disk) Delete(id BlockID) error {
 	delete(d.blocks, id)
 	d.used -= b.size
 	d.mu.Unlock()
-	if b.f != nil {
-		_ = os.Remove(b.f.Name())
+	if b.path != "" {
+		_ = os.Remove(b.path)
 	}
 	b.release()
 	return nil

@@ -7,14 +7,14 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync/atomic"
 )
 
-// File-backed block store: one file per block under the disk's directory,
-// each opening with a fixed header so a truncated or scribbled-over file
-// surfaces as a typed ErrCorruptBlock instead of silently serving garbage.
-// The layout is
+// Block files: one file per block — under the disk's directory on a
+// file-backed disk, unlinked on tmpfs for an in-memory disk on Linux — each
+// opening with a fixed header so a truncated or scribbled-over file surfaces
+// as a typed ErrCorruptBlock instead of silently serving garbage. The layout
+// is
 //
 //	magic(8) "DVODBLK1" | size(8, big-endian) | size bytes of block data
 //
@@ -31,24 +31,35 @@ const (
 // the injected faults of ErrInjectedRead.
 var ErrCorruptBlock = errors.New("stored block corrupt")
 
-// block is one stored block's backing: exactly one of data (memory-backed)
-// or f (file-backed) is set. data comes from allocBlockMem and, on unix,
-// lives outside the Go heap until the block becomes unreachable.
+// block is one stored block's backing: exactly one of data or f is set. f is
+// a block file — named under a file-backed disk's directory, or (an
+// in-memory disk on Linux) an unlinked tmpfs file; data holds an in-memory
+// block's bytes on other platforms.
 type block struct {
 	size int64
 	data []byte
 	f    *os.File
-	// refs counts the stored map entry (1) plus every outstanding FileRef,
-	// so Delete during an in-flight kernel send removes the name but keeps
-	// the descriptor open until the last sender drops its pin.
+	// path is the file's name for Delete to unlink; empty when the file has
+	// no name (an unlinked tmpfs block).
+	path string
+	// refs counts the stored map entry (1) plus every outstanding pin (a
+	// FileRef or an in-flight read), so Delete during a send removes the
+	// block but keeps the descriptor open until the last holder is done.
 	refs atomic.Int32
 }
 
+// openBlockFiles counts the block descriptors, across every disk of the
+// process, that their last release has not closed yet. (A disk dropped
+// without deleting its blocks leaves them to os.File's finalizer, which this
+// count does not see.)
+var openBlockFiles atomic.Int64
+
 // release drops one reference, closing the backing file when the last holder
-// is gone. Memory-backed blocks have no file to close.
+// is gone. Heap-backed blocks have no file to close.
 func (b *block) release() {
 	if b.refs.Add(-1) == 0 && b.f != nil {
 		_ = b.f.Close()
+		openBlockFiles.Add(-1)
 	}
 }
 
@@ -59,28 +70,39 @@ func blockFileName(id BlockID) string {
 	return fmt.Sprintf("%x.%d.blk", id.Title, id.Part)
 }
 
-// writeBlockFile creates the block's backing file and returns the open
-// handle, positioned for ReadAt use. The file is created exclusively: a
-// leftover file of the same name fails the write like ErrBlockExists would.
-func writeBlockFile(dir string, id BlockID, data []byte) (*os.File, error) {
+// writeBlockFile creates the block's backing file under dir. The file is
+// created exclusively: a leftover file of the same name fails the write like
+// ErrBlockExists would.
+func writeBlockFile(dir string, id BlockID, data []byte) (*block, error) {
 	f, err := os.OpenFile(filepath.Join(dir, blockFileName(id)),
 		os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("create block file: %w", err)
 	}
+	if err := writeBlockData(f, data); err != nil {
+		_ = os.Remove(f.Name())
+		return nil, err
+	}
+	return &block{size: int64(len(data)), f: f, path: f.Name()}, nil
+}
+
+// writeBlockData writes the header and data into a fresh block file, which
+// stays open for ReadAt use and is counted in openBlockFiles. On error the
+// file is closed; removing its name, if it has one, is the caller's part.
+func writeBlockData(f *os.File, data []byte) error {
 	var hdr [blockHeaderLen]byte
 	copy(hdr[:8], blockMagic)
 	binary.BigEndian.PutUint64(hdr[8:], uint64(len(data)))
-	if _, err := f.Write(hdr[:]); err == nil {
+	_, err := f.Write(hdr[:])
+	if err == nil {
 		_, err = f.Write(data)
 	}
 	if err != nil {
-		name := f.Name()
 		_ = f.Close()
-		_ = os.Remove(name)
-		return nil, fmt.Errorf("write block file: %w", err)
+		return fmt.Errorf("write block file: %w", err)
 	}
-	return f, nil
+	openBlockFiles.Add(1)
+	return nil
 }
 
 // checkBlockFile re-validates a block file's header against the recorded
@@ -111,15 +133,10 @@ func checkBlockFile(b *block, id BlockID, diskID string) error {
 // readBlockInto copies one block's bytes into dst (len(dst) == block size),
 // from memory or via pread on the backing file. File reads re-validate the
 // header first so truncation and header scribbles surface as ErrCorruptBlock.
-//
-// Callers hold the disk's lock. That is what keeps an in-memory block's
-// storage mapped during the copy: the disk's map references b until Delete,
-// which takes the same lock, and only an unreachable b releases its memory.
-// The KeepAlive states the same for b itself.
+// The caller holds a pin on b, which keeps the descriptor open.
 func readBlockInto(b *block, id BlockID, diskID string, dst []byte) error {
 	if b.f == nil {
 		copy(dst, b.data)
-		runtime.KeepAlive(b)
 		return nil
 	}
 	if err := checkBlockFile(b, id, diskID); err != nil {
@@ -134,7 +151,7 @@ func readBlockInto(b *block, id BlockID, diskID string, dst []byte) error {
 	return nil
 }
 
-// FileRef is a pinned zero-copy handle on one file-backed block: the open
+// FileRef is a pinned zero-copy handle on one block file: the open
 // descriptor plus the byte range [Offset, Offset+Size) holding the block's
 // data. The kernel delivery path hands it to sendfile(2)/splice(2) so the
 // bytes travel disk→socket without entering Go userspace.
@@ -168,26 +185,28 @@ func (r FileRef) Close() {
 }
 
 // FileRef returns a kernel-sendable handle on the block, or ok == false when
-// the delivery plane must use the buffered read path instead: the disk is
-// memory-backed, the block is absent, or a fault-injection ReadInterceptor
-// is installed (injected slow/stall/short-read faults act on buffered reads,
-// so an armed injector forces every read through them).
+// the delivery plane must use the buffered read path instead: the block is
+// absent, the block has no file (an in-memory disk off Linux), or a
+// fault-injection ReadInterceptor is installed (injected slow/stall/
+// short-read faults act on buffered reads, so an armed injector forces every
+// read through them).
 func (d *Disk) FileRef(id BlockID) (FileRef, bool) {
 	if d.intercept.Load() != nil {
 		return FileRef{}, false
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	b, ok := d.blocks[id]
-	if !ok || b.f == nil {
+	b, err := d.pin(id)
+	if err != nil {
 		return FileRef{}, false
 	}
-	b.refs.Add(1)
+	if b.f == nil {
+		b.release()
+		return FileRef{}, false
+	}
 	return FileRef{f: b.f, off: blockHeaderLen, size: b.size, blk: b}, true
 }
 
-// FileBacked reports whether this disk stores blocks in backing files (built
-// with NewFileBacked) rather than in memory.
+// FileBacked reports whether this disk stores blocks in named files under a
+// directory (built with NewFileBacked) rather than in memory.
 func (d *Disk) FileBacked() bool { return d.dir != "" }
 
 // NewFileBacked returns a disk that stores each block in its own file under

@@ -293,25 +293,57 @@ func maxArrivalGap(recs []client.ClusterRecord) time.Duration {
 //     metric hedging and resume exist to bound. A dead hedge path shows up
 //     here (the stall schedule's ~20 ms MTTR reverts to the full window)
 //     even when no watch fails.
+//
+// It is the gate `vodbench -study chaos -chaos-baseline` runs:
+// ChaosStructural's bounds plus ChaosTiming's. go test calls only the
+// structural half, since wall-clock bounds are not a test verdict.
 func ChaosRegression(current, baseline []ChaosRow) []string {
-	base := make(map[string]ChaosRow)
-	for _, r := range baseline {
+	return append(ChaosStructural(current, baseline), ChaosTiming(current, baseline)...)
+}
+
+// defendedChaosRows indexes the defended rows by schedule.
+func defendedChaosRows(rows []ChaosRow) map[string]ChaosRow {
+	out := make(map[string]ChaosRow)
+	for _, r := range rows {
 		if r.Mode == "defended" {
-			base[r.Schedule] = r
+			out[r.Schedule] = r
 		}
 	}
+	return out
+}
+
+// ChaosStructural returns the Ext-15 bounds that do not depend on the
+// machine's speed: every defended schedule of the baseline is still
+// measured, and none fails more watches than the FailedRate bound allows.
+func ChaosStructural(current, baseline []ChaosRow) []string {
+	cur := defendedChaosRows(current)
 	var bad []string
-	for _, r := range current {
-		if r.Mode != "defended" {
+	for _, b := range baseline {
+		if b.Mode != "defended" {
 			continue
 		}
-		b, ok := base[r.Schedule]
+		r, ok := cur[b.Schedule]
 		if !ok {
+			bad = append(bad, fmt.Sprintf("%s: baseline defended schedule missing from current run", b.Schedule))
 			continue
 		}
 		if r.FailedRate > b.FailedRate*1.2+0.3 {
 			bad = append(bad, fmt.Sprintf("%s: defended failed-watch rate %.2f regressed past baseline %.2f",
 				r.Schedule, r.FailedRate, b.FailedRate))
+		}
+	}
+	return bad
+}
+
+// ChaosTiming returns Ext-15's wall-clock bounds: the defended rebuffer rate
+// and MTTR of every schedule the baseline records.
+func ChaosTiming(current, baseline []ChaosRow) []string {
+	base := defendedChaosRows(baseline)
+	var bad []string
+	for _, r := range current {
+		b, ok := base[r.Schedule]
+		if r.Mode != "defended" || !ok {
+			continue
 		}
 		if r.RebufferRate > b.RebufferRate*1.2+1.0 {
 			bad = append(bad, fmt.Sprintf("%s: defended rebuffer rate %.2f regressed past baseline %.2f",

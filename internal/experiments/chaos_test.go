@@ -122,6 +122,34 @@ func TestChaosRegressionGate(t *testing.T) {
 	}
 }
 
+// TestChaosGateHalves: the failed-watch rate and a schedule gone missing are
+// structural; the rebuffer rate and MTTR are timing and only the timing half
+// judges them.
+func TestChaosGateHalves(t *testing.T) {
+	baseline := []ChaosRow{
+		{Schedule: "flap", Mode: "defended", FailedRate: 0, RebufferRate: 1, MTTRms: 20},
+		{Schedule: "stall", Mode: "defended", FailedRate: 0, RebufferRate: 1, MTTRms: 20},
+	}
+	slow := []ChaosRow{
+		{Schedule: "flap", Mode: "defended", RebufferRate: 9, MTTRms: 900},
+		{Schedule: "stall", Mode: "defended"},
+	}
+	if bad := ChaosStructural(slow, baseline); len(bad) != 0 {
+		t.Fatalf("structural half judged rebuffers and MTTR: %v", bad)
+	}
+	if bad := ChaosTiming(slow, baseline); len(bad) != 2 {
+		t.Fatalf("timing half: %v, want the rebuffer and MTTR messages", bad)
+	}
+	failing := []ChaosRow{{Schedule: "flap", Mode: "defended", FailedRate: 1}}
+	bad := ChaosStructural(failing, baseline)
+	if len(bad) != 2 || !strings.Contains(bad[0], "failed-watch") || !strings.Contains(bad[1], "stall") {
+		t.Fatalf("structural half: %v, want the failed rate and the missing stall schedule", bad)
+	}
+	if bad := ChaosTiming(failing, baseline); len(bad) != 0 {
+		t.Fatalf("timing half judged the failed-watch rate: %v", bad)
+	}
+}
+
 func TestMaxArrivalGap(t *testing.T) {
 	if g := maxArrivalGap(nil); g != 0 {
 		t.Fatalf("gap of no records = %v", g)

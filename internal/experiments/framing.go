@@ -116,7 +116,8 @@ func FramingStudy(cfg FramingStudyConfig) ([]FramingRow, error) {
 // framingArm brings up one live server holding a TitleClusters-long title at
 // the given cluster size and measures one framing's delivery against it. The
 // kernel arm stores its blocks in a temporary directory so resident clusters
-// are served off descriptors; the other arms use the in-memory store.
+// are served off descriptors; the other arms use the in-memory store, the
+// binary arm with its kernel path switched off.
 func framingArm(framing string, clusterBytes int64, titleClusters, runs int) (FramingRow, error) {
 	g, err := grnet.Backbone()
 	if err != nil {
@@ -140,6 +141,12 @@ func framingArm(framing string, clusterBytes int64, titleClusters, runs int) (Fr
 		arr, err = disk.NewUniformArray("fr", 3, titleBytes)
 		if err != nil {
 			return FramingRow{}, err
+		}
+		if framing == FramingBinary {
+			// In-memory blocks are tmpfs files on Linux and would take the
+			// kernel path too; an armed interceptor makes FileRef refuse, so
+			// this arm measures the pooled copy it is named for.
+			arr.SetReadInterceptor(func(disk.BlockID) disk.ReadFault { return disk.ReadFault{} })
 		}
 	}
 	dma, err := cache.NewDMA(cache.Config{Array: arr, ClusterBytes: clusterBytes})
@@ -281,8 +288,10 @@ func framingCells(rows []FramingRow) (map[framingCell]FramingRow, int64) {
 
 // FramingStructural returns the Ext-13 bounds that hold on any machine:
 // every baseline (framing, size) cell must still be measured, kernel rows
-// must exist, and on Linux the kernel arm must actually take the kernel path
-// (KernelSends > 0, or the study silently measured the fallback).
+// must exist, on Linux the kernel arm must actually take the kernel path
+// (KernelSends > 0, or the study silently measured the fallback), and the
+// binary arm must never take it (KernelSends == 0, or it measured sendfile
+// instead of the copy).
 func FramingStructural(current, baseline []FramingRow) (bad []string) {
 	if len(current) == 0 {
 		return []string{"framing run produced no rows"}
@@ -296,6 +305,11 @@ func FramingStructural(current, baseline []FramingRow) (bad []string) {
 	}
 	kernelRows := 0
 	for _, r := range current {
+		if r.Framing == FramingBinary && r.KernelSends != 0 {
+			bad = append(bad, fmt.Sprintf(
+				"binary arm @%dKiB made %d kernel sends: the study measured sendfile, not the copy",
+				r.ClusterBytes>>10, r.KernelSends))
+		}
 		if r.Framing != FramingKernel {
 			continue
 		}

@@ -116,6 +116,13 @@ func TestFramingRegressionGates(t *testing.T) {
 		}
 	}
 
+	// A binary row with kernel sends measured sendfile instead of the copy.
+	sent := framingFixture(1, 0.9)
+	sent[1].KernelSends = 96
+	if bad := FramingStructural(sent, base); len(bad) == 0 {
+		t.Fatal("kernel sends on the binary arm passed")
+	}
+
 	// Baseline cells must stay measured.
 	missing := framingFixture(1, 0.9)[:2] // kernel row dropped
 	if bad, _ := FramingRegression(missing, base); len(bad) == 0 {

@@ -3,7 +3,9 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"text/tabwriter"
@@ -265,6 +267,59 @@ func MergeSavings(rows []MergeRow) map[string]float64 {
 		}
 	}
 	return out
+}
+
+// MergeRegression compares a run against the committed Ext-14 baseline and
+// returns one message per violated bound (empty means pass): MergeStructural's
+// bounds plus MergeTiming's. It is the gate `vodbench -study merge
+// -merge-baseline` runs; go test calls only the structural half, since how
+// many watchers overlap inside the merge window depends on the machine's
+// speed.
+func MergeRegression(current, baseline []MergeRow) []string {
+	return append(MergeStructural(current, baseline), MergeTiming(current, baseline)...)
+}
+
+// MergeStructural returns the Ext-14 bounds that hold on any machine: the
+// baseline records savings, every baseline pattern is still measured, and
+// its merged arm merged at least one session into a cohort.
+func MergeStructural(current, baseline []MergeRow) []string {
+	want := MergeSavings(baseline)
+	if len(want) == 0 {
+		return []string{"merge baseline holds no savings to compare"}
+	}
+	merged := make(map[string]MergeRow)
+	for _, r := range current {
+		if r.Mode == "merged" {
+			merged[r.Pattern] = r
+		}
+	}
+	var bad []string
+	for _, pattern := range slices.Sorted(maps.Keys(want)) {
+		r, ok := merged[pattern]
+		switch {
+		case !ok:
+			bad = append(bad, fmt.Sprintf("pattern %q missing from current run", pattern))
+		case r.Merged == 0:
+			bad = append(bad, fmt.Sprintf("%s: no session merged into a cohort", pattern))
+		}
+	}
+	return bad
+}
+
+// MergeTiming returns Ext-14's speed-dependent bound: each pattern's
+// origin-read saving stays within 20% of the baseline's.
+func MergeTiming(current, baseline []MergeRow) []string {
+	want := MergeSavings(baseline)
+	got := MergeSavings(current)
+	var bad []string
+	for _, pattern := range slices.Sorted(maps.Keys(want)) {
+		current, ok := got[pattern]
+		if ok && current < 0.8*want[pattern] {
+			bad = append(bad, fmt.Sprintf("%s origin-read saving %.2fx fell >20%% below baseline %.2fx",
+				pattern, current, want[pattern]))
+		}
+	}
+	return bad
 }
 
 // FormatMergeStudy renders Ext-14, appending each merged row's origin-read

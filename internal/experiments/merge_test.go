@@ -61,3 +61,35 @@ func TestMergeStudySavesOriginReads(t *testing.T) {
 		t.Fatal("empty report")
 	}
 }
+
+// TestMergeGateHalves: a pattern gone missing or a merged arm that merged
+// nothing is structural; a saving drifting more than 20% below the baseline
+// is timing, and only the timing half judges it.
+func TestMergeGateHalves(t *testing.T) {
+	rows := func(mergedReads, merged int64) []MergeRow {
+		return []MergeRow{
+			{Pattern: "hot", Mode: "unicast", OriginReads: 1200},
+			{Pattern: "hot", Mode: "merged", OriginReads: mergedReads, Merged: merged},
+		}
+	}
+	base := rows(100, 11) // 12x saving
+	if bad := MergeRegression(base, base); len(bad) != 0 {
+		t.Fatalf("baseline against itself: %v", bad)
+	}
+	drifted := rows(200, 11) // 6x saving
+	if bad := MergeStructural(drifted, base); len(bad) != 0 {
+		t.Fatalf("structural half judged the saving: %v", bad)
+	}
+	if bad := MergeTiming(drifted, base); len(bad) != 1 {
+		t.Fatalf("timing half: %v, want the saving drift", bad)
+	}
+	if bad := MergeStructural(rows(100, 0), base); len(bad) != 1 {
+		t.Fatalf("structural half: %v, want the merge-free run refused", bad)
+	}
+	if bad := MergeStructural(base[:1], base); len(bad) != 1 {
+		t.Fatalf("structural half: %v, want the missing merged arm refused", bad)
+	}
+	if bad := MergeStructural(base, nil); len(bad) != 1 {
+		t.Fatalf("structural half: %v, want an empty baseline refused", bad)
+	}
+}

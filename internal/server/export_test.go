@@ -1,0 +1,12 @@
+package server
+
+import (
+	"dvod/internal/core"
+	"dvod/internal/transport"
+)
+
+// FetchRemoteCluster exposes one peer fetch, below retries and breakers, to
+// the package's external tests.
+func (s *Server) FetchRemoteCluster(dec core.Decision, title string, index int) (*transport.Frame, transport.ClusterPayload, error) {
+	return s.fetchRemoteCluster(dec, title, index)
+}

@@ -5,14 +5,15 @@
 // the momentarily optimal peer, switching peers between clusters when the
 // optimum moves.
 //
-// The delivery hot path is zero-copy: cluster bodies are leased from a
-// transport.BufferPool, filled by striping.ReadPartInto (or a pooled peer
-// fetch), written to the wire as binary cluster frames when the client
-// negotiated them (transport.TypeHello), and returned to the pool — no JSON
-// marshal and no per-cluster allocation. Clients that never send a hello get
-// the canonical JSON framing instead. Per-server delivery volume surfaces as
-// the server.bytes_out / server.frames_out counters next to the pool's
-// hit/miss counters on GET /metrics.
+// The delivery hot path is zero-copy: a locally stored cluster is a pinned
+// block file that goes to the socket with sendfile on Linux, and a cluster
+// pulled from a peer (whose origin sent it the same way) lands in a buffer
+// leased from a transport.BufferPool. Either is written to the wire as a
+// binary cluster frame when the client negotiated them (transport.TypeHello)
+// — no JSON marshal and no per-cluster allocation. Clients that never send a
+// hello get the canonical JSON framing instead. Per-server delivery volume
+// surfaces as the server.bytes_out / server.frames_out counters next to the
+// pool's hit/miss counters on GET /metrics.
 //
 // With Config.MergeWindow > 0 the server additionally merges shared-prefix
 // streams: concurrent Watch sessions of one title whose positions overlap
@@ -634,11 +635,11 @@ func (s *Server) sendCluster(c *transport.Conn, msgType string, payload transpor
 }
 
 // readLocalCluster fetches one resident cluster from the local array as a
-// transport frame the caller must Release. On a file-backed array with no
-// fault interceptor armed, the frame pins the block's descriptor
-// (disk.FileRef) and carries no bytes at all — sendCluster streams it with
-// sendfile. Otherwise the part is copied into a pool-leased buffer exactly
-// as before.
+// transport frame the caller must Release. When the block has a file (a
+// file-backed array, or any array on Linux) and no fault interceptor is
+// armed, the frame pins the block's descriptor (disk.FileRef) and carries no
+// bytes at all — sendCluster streams it with sendfile. Otherwise the part is
+// copied into a pool-leased buffer.
 func (s *Server) readLocalCluster(title string, index int) (*transport.Frame, transport.ClusterPayload, error) {
 	layout, ok := s.cfg.Cache.Layout(title)
 	if !ok {
@@ -686,7 +687,7 @@ func (s *Server) readLocalCluster(title string, index int) (*transport.Frame, tr
 
 // readPrefixCluster serves one cluster from the pinned prefix store — the
 // prefix tier's twin of readLocalCluster, with the same kernel-path
-// preference (a file-backed prefix block goes out via sendfile). It reports
+// preference (a prefix block with a file goes out via sendfile). It reports
 // ok=false on any miss or error: a racing epoch shrink may free a block
 // between the lookup and the read, and the caller then falls through to the
 // normal delivery path instead of failing the session.
@@ -1735,10 +1736,12 @@ func (s *Server) planCluster(title string, planRate float64, exclude map[topolog
 
 // fetchRemoteCluster pulls one cluster from a peer over TCP into a
 // pool-leased frame, on a connection from the server's idle pool when one is
-// parked for this peer and route and on a fresh dial otherwise. (The peer
-// exchange stays on JSON framing: one small request, one header + raw body.)
-// A connection goes back to the pool only after a complete well-formed
-// reply; any error closes it.
+// parked for this peer and route and on a fresh dial otherwise. A fresh dial
+// runs the hello once and must be granted binary cluster frames, so the peer
+// answers each JSON cluster.get with a binary cluster.ok it can send with
+// sendfile; a pooled reuse keeps that grant. A failed hello counts like a
+// failed dial. A connection goes back to the pool only after a complete
+// well-formed reply; any error closes it.
 //
 // The fault injector sees every fetch, not every dial: DialError is asked
 // before each attempt, so a scheduled partition refuses a route even while a
@@ -1791,6 +1794,10 @@ func (s *Server) fetchRemoteCluster(dec core.Decision, title string, index int) 
 				return nil, transport.ClusterPayload{}, err
 			}
 			s.cfg.Metrics.Counter("server.peer_dials").Inc()
+			if err := peer.RequireClusterFrames(); err != nil {
+				_ = peer.Close()
+				return nil, transport.ClusterPayload{}, fmt.Errorf("peer %s: %w", dec.Server, err)
+			}
 		}
 		frame, payload, answered, err := s.clusterGet(peer, req)
 		if err == nil {
@@ -1809,27 +1816,16 @@ func (s *Server) fetchRemoteCluster(dec core.Decision, title string, index int) 
 }
 
 // clusterGet runs one cluster.get exchange on peer. answered reports whether
-// the peer's reply header arrived, i.e. the failure (if any) is the peer's
-// answer or a stream broken mid-reply rather than a connection that was
-// already dead when the request went out.
+// the first octet of the peer's reply arrived, i.e. the failure (if any) is
+// the peer's answer or a stream broken mid-reply rather than a connection
+// that was already dead when the request went out.
 func (s *Server) clusterGet(peer *transport.Conn, req transport.Message) (frame *transport.Frame, payload transport.ClusterPayload, answered bool, err error) {
 	if err := peer.WriteMessage(req); err != nil {
 		return nil, transport.ClusterPayload{}, false, err
 	}
-	_, frame, err = peer.ReadMessageWithBodyPool(s.cfg.Pool, func(m transport.Message) (int64, error) {
-		answered = true
-		if rerr := transport.AsError(m); rerr != nil {
-			return 0, rerr
-		}
-		p, err := transport.Decode[transport.ClusterPayload](m)
-		if err != nil {
-			return 0, err
-		}
-		payload = p
-		return p.Length, nil
-	})
+	payload, frame, err = peer.ReadClusterReply(s.cfg.Pool)
 	if err != nil {
-		return nil, transport.ClusterPayload{}, answered, err
+		return nil, transport.ClusterPayload{}, !errors.Is(err, transport.ErrNoReply), err
 	}
 	return frame, payload, true, nil
 }

@@ -88,6 +88,16 @@ var (
 	ErrBadVersion = fmt.Errorf("%w: unsupported version", ErrBadFrame)
 )
 
+// Errors of the peer hop's cluster exchange.
+var (
+	// ErrNoReply marks a reply read that failed before the first octet
+	// arrived (see ReadClusterReply).
+	ErrNoReply = errors.New("no reply")
+	// ErrClusterFramesRefused reports a peer whose hello reply did not grant
+	// CapClusterFrames (see RequireClusterFrames).
+	ErrClusterFramesRefused = errors.New("peer refused " + CapClusterFrames)
+)
+
 // Frame is one received binary frame.
 //
 // Ownership rule: Payload is leased from the BufferPool that decoded the
@@ -432,6 +442,45 @@ func (c *Conn) ReadFrameOrMessage(pool *BufferPool) (Message, *Frame, error) {
 	return m, nil, err
 }
 
+// ReadClusterReply reads the reply to a cluster.get on a connection that
+// negotiated binary frames: a FrameCluster, returned as a body-only frame
+// whose Payload is just the cluster's bytes (the lease still covers the
+// meta and goes back whole on the last Release), or the peer's error frame,
+// returned as its error. Any other reply is ErrBadFrame.
+//
+// A read that fails before the reply's first octet arrived wraps ErrNoReply:
+// the peer never started an answer, which on a pooled connection means the
+// connection was already dead. Every later failure — a reply broken
+// mid-header or mid-body, a refusal — means the peer did answer.
+func (c *Conn) ReadClusterReply(pool *BufferPool) (ClusterPayload, *Frame, error) {
+	c.rmu.Lock()
+	defer c.rmu.Unlock()
+	var first [1]byte
+	if _, err := io.ReadFull(c.rw, first[:]); err != nil {
+		return ClusterPayload{}, nil, fmt.Errorf("%w: %w", ErrNoReply, err)
+	}
+	if first[0] != FrameMagic0 {
+		m, err := c.readJSONLocked(first[0])
+		if err == nil {
+			if err = AsError(m); err == nil {
+				err = fmt.Errorf("%w: %q where a cluster frame was expected", ErrBadFrame, m.Type)
+			}
+		}
+		return ClusterPayload{}, nil, err
+	}
+	f, err := c.readFrameLocked(pool)
+	if err != nil {
+		return ClusterPayload{}, nil, err
+	}
+	p, body, err := DecodeClusterFrame(f)
+	if err != nil {
+		f.Release()
+		return ClusterPayload{}, nil, err
+	}
+	f.Payload = body
+	return p, f, nil
+}
+
 // readFrameLocked parses a binary frame whose first magic octet has already
 // been consumed. Callers hold rmu.
 func (c *Conn) readFrameLocked(pool *BufferPool) (*Frame, error) {
@@ -484,6 +533,20 @@ func (c *Conn) BinaryFrames() bool { return c.binary.Load() }
 func (c *Conn) Negotiate() (bool, error) {
 	granted, err := c.NegotiateCaps(CapClusterFrames)
 	return granted[CapClusterFrames], err
+}
+
+// RequireClusterFrames runs Negotiate on a connection that cannot carry
+// clusters any other way, such as the peer hop: a peer that answers the hello
+// without granting CapClusterFrames fails with ErrClusterFramesRefused.
+func (c *Conn) RequireClusterFrames() error {
+	granted, err := c.Negotiate()
+	if err != nil {
+		return fmt.Errorf("hello: %w", err)
+	}
+	if !granted {
+		return ErrClusterFramesRefused
+	}
+	return nil
 }
 
 // NegotiateCaps performs the client side of the hello handshake with an

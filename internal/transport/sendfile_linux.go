@@ -201,14 +201,15 @@ func (c *Conn) spliceStep(fd uintptr) bool {
 				ks.opErr = io.ErrUnexpectedEOF
 				return true
 			}
-			ks.filled += n
-			ks.inPipe = n
+			// Splice returns int64 on 64-bit Linux and int on 386.
+			ks.filled += int64(n)
+			ks.inPipe = int64(n)
 		}
 		for ks.inPipe > 0 {
 			n, err := syscall.Splice(ks.pr, nil, int(fd), nil, int(ks.inPipe), spliceFlags)
 			if n > 0 {
-				ks.inPipe -= n
-				ks.sent += n
+				ks.inPipe -= int64(n)
+				ks.sent += int64(n)
 			}
 			switch err {
 			case nil:

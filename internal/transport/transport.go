@@ -71,8 +71,10 @@ const (
 	TypeCluster     = "cluster"
 	TypeWatchDone   = "watch.done"
 	// TypeClusterGet fetches one stored cluster (ClusterGetPayload);
-	// TypeClusterOK answers with ClusterPayload + raw bytes. Used both by
-	// peers (mid-stream re-routing) and directly by tests.
+	// TypeClusterOK answers with ClusterPayload + raw bytes, or, on a
+	// connection that negotiated binary frames, a FrameCluster (see
+	// ReadClusterReply). Used both by peers (mid-stream re-routing, always
+	// binary) and directly by tests.
 	TypeClusterGet = "cluster.get"
 	TypeClusterOK  = "cluster.ok"
 	// TypeHolders asks which servers hold a title (HoldersPayload);
