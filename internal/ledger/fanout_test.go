@@ -101,55 +101,31 @@ func TestFanoutConvergenceRegression(t *testing.T) {
 }
 
 // dialToLedger answers exactly one exchange against the target ledger over an
-// in-memory pipe (JSON framing path), mirroring Server.handleLedgerSync.
-// A twin of the closure in TestGossiperRunOnceConverges, reusable per target.
+// in-memory pipe, mirroring the server's ledger surface: hello, then one
+// binary ledger-sync frame answered with a reply frame.
 func dialToLedger(target *Ledger) func(topology.NodeID, string) (*transport.Conn, error) {
 	return func(topology.NodeID, string) (*transport.Conn, error) {
 		cp, sp := net.Pipe()
 		client, server := transport.NewConn(cp), transport.NewConn(sp)
 		go func() {
 			defer server.Close()
-			hello, _, err := server.ReadFrameOrMessage(nil)
+			hello, err := server.ReadMessage()
 			if err != nil || hello.Type != transport.TypeHello {
 				return
 			}
 			if err := server.AcceptHello(hello); err != nil {
 				return
 			}
-			m, fr, err := server.ReadFrameOrMessage(nil)
+			_, fr, err := server.ReadFrameOrMessage(nil)
+			if err != nil || fr == nil {
+				return
+			}
+			req, err := transport.DecodeLedgerSyncFrame(fr)
+			fr.Release()
 			if err != nil {
 				return
 			}
-			var req transport.LedgerSyncPayload
-			binary := fr != nil
-			if binary {
-				if fr.Type != transport.FrameLedgerSync {
-					fr.Release()
-					return
-				}
-				req, err = transport.DecodeLedgerSyncFrame(fr)
-				fr.Release()
-				if err != nil {
-					return
-				}
-			} else {
-				if m.Type != transport.TypeLedgerSync {
-					return
-				}
-				if req, err = transport.Decode[transport.LedgerSyncPayload](m); err != nil {
-					return
-				}
-			}
-			resp := target.HandleSync(req)
-			if binary {
-				server.WriteLedgerSyncFrame(resp, true)
-				return
-			}
-			reply, err := transport.Encode(transport.TypeLedgerSyncOK, resp)
-			if err != nil {
-				return
-			}
-			server.WriteMessage(reply)
+			server.WriteLedgerSyncFrame(target.HandleSync(req), true)
 		}()
 		return client, nil
 	}

@@ -58,10 +58,10 @@ type GossipConfig struct {
 
 // Gossiper runs the anti-entropy loop: every interval it beats the local
 // heartbeat, expires origins whose lease ran out, and push-pulls with the
-// next peer in round-robin order. One exchange is a fresh dial, a
-// capability-negotiated hello, one ledger.sync request carrying this
-// replica's delta for the peer, and one reply carrying the peer's delta
-// back — after which both sides hold the union.
+// next peer in round-robin order. One exchange is a fresh dial, a hello that
+// must grant binary frames, one ledger-sync frame carrying this replica's
+// delta for the peer, and one reply frame carrying the peer's delta back —
+// after which both sides hold the union.
 type Gossiper struct {
 	cfg GossipConfig
 
@@ -216,50 +216,20 @@ func (g *Gossiper) exchange(peer topology.NodeID) error {
 	// Wall time deliberately: the deadline guards a real socket even when the
 	// gossip cadence runs on a virtual clock.
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	granted, err := conn.NegotiateCaps(transport.CapLedgerSync, transport.CapClusterFrames)
-	if err != nil {
+	if err := conn.RequireClusterFrames(); err != nil {
 		return fmt.Errorf("negotiate with %s: %w", peer, err)
 	}
-	req := g.cfg.Ledger.Sync(peer)
-	binary := granted[transport.CapLedgerSync] && granted[transport.CapClusterFrames]
-	if binary {
-		if err := conn.WriteLedgerSyncFrame(req, false); err != nil {
-			return fmt.Errorf("send sync to %s: %w", peer, err)
-		}
-	} else {
-		m, err := transport.Encode(transport.TypeLedgerSync, req)
-		if err != nil {
-			return fmt.Errorf("encode sync for %s: %w", peer, err)
-		}
-		if err := conn.WriteMessage(m); err != nil {
-			return fmt.Errorf("send sync to %s: %w", peer, err)
-		}
+	if err := conn.WriteLedgerSyncFrame(g.cfg.Ledger.Sync(peer), false); err != nil {
+		return fmt.Errorf("send sync to %s: %w", peer, err)
 	}
-	m, f, err := conn.ReadFrameOrMessage(nil)
+	f, err := conn.ReadReplyFrame(transport.FrameLedgerSync)
 	if err != nil {
-		return fmt.Errorf("read reply from %s: %w", peer, err)
+		return fmt.Errorf("reply from %s: %w", peer, err)
 	}
-	var reply transport.LedgerSyncPayload
-	if f != nil {
-		defer f.Release()
-		if f.Type != transport.FrameLedgerSync {
-			return fmt.Errorf("reply from %s: unexpected frame 0x%02x", peer, f.Type)
-		}
-		reply, err = transport.DecodeLedgerSyncFrame(f)
-		if err != nil {
-			return fmt.Errorf("reply from %s: %w", peer, err)
-		}
-	} else {
-		if m.Type == transport.TypeError {
-			return fmt.Errorf("reply from %s: remote error", peer)
-		}
-		if m.Type != transport.TypeLedgerSyncOK {
-			return fmt.Errorf("reply from %s: unexpected %q", peer, m.Type)
-		}
-		reply, err = transport.Decode[transport.LedgerSyncPayload](m)
-		if err != nil {
-			return fmt.Errorf("reply from %s: %w", peer, err)
-		}
+	defer f.Release()
+	reply, err := transport.DecodeLedgerSyncFrame(f)
+	if err != nil {
+		return fmt.Errorf("reply from %s: %w", peer, err)
 	}
 	g.cfg.Ledger.Merge(reply)
 	return nil

@@ -1,13 +1,11 @@
 package ledger
 
 import (
-	"net"
 	"testing"
 	"time"
 
 	"dvod/internal/clock"
 	"dvod/internal/topology"
-	"dvod/internal/transport"
 )
 
 func newTestLedger(t *testing.T, origin topology.NodeID, clk clock.Clock) *Ledger {
@@ -332,7 +330,7 @@ func TestHandleSyncRepliesExactDelta(t *testing.T) {
 }
 
 // TestGossiperRunOnceConverges drives two gossipers over an in-memory wire
-// (JSON control-frame path) and checks digest convergence.
+// and checks digest convergence.
 func TestGossiperRunOnceConverges(t *testing.T) {
 	clk := clock.NewVirtual(time.Unix(0, 0))
 	a := newTestLedger(t, "A", clk)
@@ -340,63 +338,10 @@ func TestGossiperRunOnceConverges(t *testing.T) {
 	a.Reserve([]topology.LinkID{"M|O"}, "premium", 1.5)
 	b.Reserve([]topology.LinkID{"M|O"}, "standard", 0.8)
 
-	// loopback "dial": the server side answers exactly one exchange against
-	// the target ledger, mirroring Server.handleLedgerSync.
-	dialTo := func(target *Ledger) func(topology.NodeID, string) (*transport.Conn, error) {
-		return func(topology.NodeID, string) (*transport.Conn, error) {
-			cp, sp := net.Pipe()
-			client, server := transport.NewConn(cp), transport.NewConn(sp)
-			go func() {
-				defer server.Close()
-				hello, _, err := server.ReadFrameOrMessage(nil)
-				if err != nil || hello.Type != transport.TypeHello {
-					return
-				}
-				if err := server.AcceptHello(hello); err != nil {
-					return
-				}
-				m, fr, err := server.ReadFrameOrMessage(nil)
-				if err != nil {
-					return
-				}
-				var req transport.LedgerSyncPayload
-				binary := fr != nil
-				if binary {
-					if fr.Type != transport.FrameLedgerSync {
-						fr.Release()
-						return
-					}
-					req, err = transport.DecodeLedgerSyncFrame(fr)
-					fr.Release()
-					if err != nil {
-						return
-					}
-				} else {
-					if m.Type != transport.TypeLedgerSync {
-						return
-					}
-					if req, err = transport.Decode[transport.LedgerSyncPayload](m); err != nil {
-						return
-					}
-				}
-				resp := target.HandleSync(req)
-				if binary {
-					server.WriteLedgerSyncFrame(resp, true)
-					return
-				}
-				reply, err := transport.Encode(transport.TypeLedgerSyncOK, resp)
-				if err != nil {
-					return
-				}
-				server.WriteMessage(reply)
-			}()
-			return client, nil
-		}
-	}
 	lookup := func(topology.NodeID) (string, error) { return "mem", nil }
 	ga, err := NewGossiper(GossipConfig{
 		Ledger: a, Peers: []topology.NodeID{"B"},
-		Lookup: lookup, Dial: dialTo(b), Clock: clk,
+		Lookup: lookup, Dial: dialToLedger(b), Clock: clk,
 	})
 	if err != nil {
 		t.Fatalf("gossiper: %v", err)

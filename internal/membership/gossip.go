@@ -215,7 +215,7 @@ func (g *Gossiper) RunOnce() {
 }
 
 // exchange performs one push-pull delta exchange with peer over a fresh
-// connection: negotiate the binary framing, send our unacknowledged rows,
+// connection: require the binary framing, send our unacknowledged rows,
 // merge the reply. Success doubles as liveness evidence for the peer (via
 // MergeReply); the caller charges failures to the failure detector.
 func (g *Gossiper) exchange(peer topology.NodeID) error {
@@ -232,58 +232,23 @@ func (g *Gossiper) exchange(peer topology.NodeID) error {
 	// the gossip cadence runs on a virtual clock. Both directions are
 	// bounded — a silent peer can stall writes as well as reads.
 	conn.SetDeadline(time.Now().Add(g.cfg.ExchangeTimeout))
-	granted, err := conn.NegotiateCaps(transport.CapMemberSync, transport.CapClusterFrames)
-	if err != nil {
+	if err := conn.RequireClusterFrames(); err != nil {
 		return fmt.Errorf("negotiate with %s: %w", peer, err)
 	}
-	req := g.cfg.Tracker.SyncFor(peer)
-	binary := granted[transport.CapMemberSync] && granted[transport.CapClusterFrames]
-	if binary {
-		enc, err := transport.AppendMemberSyncPayload(nil, req)
-		if err != nil {
-			return fmt.Errorf("encode sync for %s: %w", peer, err)
-		}
-		g.cfg.Metrics.Counter("membership.bytes_out").Add(int64(len(enc) + transport.FrameHeaderLen))
-		if err := conn.WriteMemberSyncFrame(req, false); err != nil {
-			return fmt.Errorf("send sync to %s: %w", peer, err)
-		}
-	} else {
-		m, err := transport.Encode(transport.TypeMemberSync, req)
-		if err != nil {
-			return fmt.Errorf("encode sync for %s: %w", peer, err)
-		}
-		g.cfg.Metrics.Counter("membership.bytes_out").Add(int64(len(m.Payload)))
-		if err := conn.WriteMessage(m); err != nil {
-			return fmt.Errorf("send sync to %s: %w", peer, err)
-		}
-	}
-	m, f, err := conn.ReadFrameOrMessage(nil)
+	n, err := conn.WriteMemberSyncFrame(g.cfg.Tracker.SyncFor(peer), false)
 	if err != nil {
-		return fmt.Errorf("read reply from %s: %w", peer, err)
+		return fmt.Errorf("send sync to %s: %w", peer, err)
 	}
-	var reply transport.MemberSyncPayload
-	if f != nil {
-		defer f.Release()
-		if f.Type != transport.FrameMemberSync {
-			return fmt.Errorf("reply from %s: unexpected frame 0x%02x", peer, f.Type)
-		}
-		g.cfg.Metrics.Counter("membership.bytes_in").Add(int64(len(f.Payload) + transport.FrameHeaderLen))
-		reply, err = transport.DecodeMemberSyncFrame(f)
-		if err != nil {
-			return fmt.Errorf("reply from %s: %w", peer, err)
-		}
-	} else {
-		if m.Type == transport.TypeError {
-			return fmt.Errorf("reply from %s: remote error", peer)
-		}
-		if m.Type != transport.TypeMemberSyncOK {
-			return fmt.Errorf("reply from %s: unexpected %q", peer, m.Type)
-		}
-		g.cfg.Metrics.Counter("membership.bytes_in").Add(int64(len(m.Payload)))
-		reply, err = transport.Decode[transport.MemberSyncPayload](m)
-		if err != nil {
-			return fmt.Errorf("reply from %s: %w", peer, err)
-		}
+	g.cfg.Metrics.Counter("membership.bytes_out").Add(int64(n))
+	f, err := conn.ReadReplyFrame(transport.FrameMemberSync)
+	if err != nil {
+		return fmt.Errorf("reply from %s: %w", peer, err)
+	}
+	defer f.Release()
+	g.cfg.Metrics.Counter("membership.bytes_in").Add(int64(len(f.Payload) + transport.FrameHeaderLen))
+	reply, err := transport.DecodeMemberSyncFrame(f)
+	if err != nil {
+		return fmt.Errorf("reply from %s: %w", peer, err)
 	}
 	g.cfg.Tracker.MergeReply(peer, reply)
 	return nil

@@ -3,20 +3,26 @@ package membership
 import (
 	"errors"
 	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"dvod/internal/clock"
+	"dvod/internal/ledger"
 	"dvod/internal/metrics"
 	"dvod/internal/topology"
 	"dvod/internal/transport"
 )
 
+// dialFunc is the gossipers' Dial hook.
+type dialFunc = func(topology.NodeID, string) (*transport.Conn, error)
+
 // serveMember answers exchanges against the target tracker over an
 // in-memory pipe, mirroring the server's membership surface: hello
-// negotiation, member.sync in JSON or binary, and member.ping-req answered
-// from the reachable predicate.
-func serveMember(target *Tracker, reachable func(topology.NodeID) bool) func(topology.NodeID, string) (*transport.Conn, error) {
+// negotiation, binary member sync, and member.ping-req answered from the
+// reachable predicate.
+func serveMember(target *Tracker, reachable func(topology.NodeID) bool) dialFunc {
 	return func(topology.NodeID, string) (*transport.Conn, error) {
 		cp, sp := net.Pipe()
 		client, server := transport.NewConn(cp), transport.NewConn(sp)
@@ -37,7 +43,7 @@ func serveMember(target *Tracker, reachable func(topology.NodeID) bool) func(top
 					if derr != nil {
 						return
 					}
-					if server.WriteMemberSyncFrame(target.HandleSync(req), true) != nil {
+					if _, err := server.WriteMemberSyncFrame(target.HandleSync(req), true); err != nil {
 						return
 					}
 					continue
@@ -45,15 +51,6 @@ func serveMember(target *Tracker, reachable func(topology.NodeID) bool) func(top
 				switch m.Type {
 				case transport.TypeHello:
 					if server.AcceptHello(m) != nil {
-						return
-					}
-				case transport.TypeMemberSync:
-					req, derr := transport.Decode[transport.MemberSyncPayload](m)
-					if derr != nil {
-						return
-					}
-					reply, eerr := transport.Encode(transport.TypeMemberSyncOK, target.HandleSync(req))
-					if eerr != nil || server.WriteMessage(reply) != nil {
 						return
 					}
 				case transport.TypeMemberPingReq:
@@ -163,59 +160,104 @@ func TestGossiperConvergesAndDetects(t *testing.T) {
 	}
 }
 
-// TestGossiperLegacyJSONFallback pins the mixed-fleet path: against a server
-// that never grants the member-sync capability, the exchange stays on JSON
-// and still converges.
-func TestGossiperLegacyJSONFallback(t *testing.T) {
-	a := newTestTracker(t, "A", "B")
-	b := newTestTracker(t, "B", "A")
-	b.SetLocalState(Draining)
-	legacyDial := func(topology.NodeID, string) (*transport.Conn, error) {
+// refusingPeer dials a peer that answers the hello without granting binary
+// frames: "refuse" sends the error frame of a server predating the handshake,
+// "no-grant" a hello.ok that grants nothing. The peer counts every frame or
+// message that arrives after the hello into after; wg tracks its goroutines.
+func refusingPeer(mode string, after *atomic.Int32, wg *sync.WaitGroup) dialFunc {
+	return func(topology.NodeID, string) (*transport.Conn, error) {
 		cp, sp := net.Pipe()
 		client, server := transport.NewConn(cp), transport.NewConn(sp)
+		wg.Add(1)
 		go func() {
+			defer wg.Done()
 			defer server.Close()
-			for {
-				m, err := server.ReadMessage()
-				if err != nil {
-					return
+			if _, err := server.ReadMessage(); err != nil {
+				return
+			}
+			var err error
+			if mode == "refuse" {
+				err = server.WriteError(`unknown message type "hello"`)
+			} else {
+				var m transport.Message
+				if m, err = transport.Encode(transport.TypeHelloOK, transport.HelloOKPayload{Version: transport.FrameVersion}); err == nil {
+					err = server.WriteMessage(m)
 				}
-				switch m.Type {
-				case transport.TypeHello:
-					// An old server: hellos bounce with an error, which the
-					// client treats as "stay on JSON".
-					reply, _ := transport.Encode(transport.TypeError, transport.ErrorPayload{Message: "unknown type"})
-					if server.WriteMessage(reply) != nil {
-						return
-					}
-				case transport.TypeMemberSync:
-					req, derr := transport.Decode[transport.MemberSyncPayload](m)
-					if derr != nil {
-						return
-					}
-					reply, eerr := transport.Encode(transport.TypeMemberSyncOK, b.HandleSync(req))
-					if eerr != nil || server.WriteMessage(reply) != nil {
-						return
-					}
-				default:
-					return
+			}
+			for err == nil {
+				var f *transport.Frame
+				if _, f, err = server.ReadFrameOrMessage(nil); err == nil {
+					f.Release()
+					after.Add(1)
 				}
 			}
 		}()
 		return client, nil
 	}
-	g, err := NewGossiper(GossipConfig{
-		Tracker: a,
-		Lookup:  func(topology.NodeID) (string, error) { return "mem", nil },
-		Dial:    legacyDial,
-		Clock:   clock.NewVirtual(time.Unix(0, 0)),
-	})
-	if err != nil {
-		t.Fatalf("gossiper: %v", err)
+}
+
+// TestGossipersRefuseNonBinaryPeer: ledger and membership gossip speak only
+// binary frames. Against a peer that refuses the hello or grants nothing, one
+// round counts one gossip error and sends the peer nothing after the hello.
+// The membership exchange fails with ErrClusterFramesRefused and the failure
+// detector charges the peer.
+func TestGossipersRefuseNonBinaryPeer(t *testing.T) {
+	lookup := func(topology.NodeID) (string, error) { return "mem", nil }
+	clk := clock.NewVirtual(time.Unix(0, 0))
+	gossipers := []struct {
+		name string
+		// round runs one gossip round against dial and returns the
+		// registry its gossip_errors counter lives in.
+		round func(t *testing.T, dial dialFunc) *metrics.Registry
+	}{
+		{"ledger", func(t *testing.T, dial dialFunc) *metrics.Registry {
+			reg := metrics.NewRegistry()
+			l, err := ledger.New(ledger.Config{Origin: "A", Clock: clk, Metrics: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := ledger.NewGossiper(ledger.GossipConfig{Ledger: l, Peers: []topology.NodeID{"B"},
+				Lookup: lookup, Dial: dial, Clock: clk})
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.RunOnce()
+			return reg
+		}},
+		{"membership", func(t *testing.T, dial dialFunc) *metrics.Registry {
+			reg := metrics.NewRegistry()
+			tr := newTestTracker(t, "A", "B")
+			g, err := NewGossiper(GossipConfig{Tracker: tr, Lookup: lookup, Dial: dial, Clock: clk, Metrics: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := g.exchange("B"); !errors.Is(err, transport.ErrClusterFramesRefused) {
+				t.Fatalf("exchange error %v, want ErrClusterFramesRefused", err)
+			}
+			g.RunOnce()
+			tr.mu.Lock()
+			defer tr.mu.Unlock()
+			if tr.pending["B"] == 0 {
+				t.Fatal("the failure detector was not charged for the refused exchange")
+			}
+			return reg
+		}},
 	}
-	g.RunOnce()
-	if got := stateOf(t, a, "B"); got != Draining {
-		t.Fatalf("B %v on A after a JSON-fallback exchange, want draining", got)
+	for _, gs := range gossipers {
+		for _, mode := range []string{"refuse", "no-grant"} {
+			t.Run(gs.name+"/"+mode, func(t *testing.T) {
+				var after atomic.Int32
+				var wg sync.WaitGroup
+				reg := gs.round(t, refusingPeer(mode, &after, &wg))
+				wg.Wait()
+				if n := reg.Counter(gs.name + ".gossip_errors").Value(); n != 1 {
+					t.Fatalf("%s.gossip_errors = %d, want 1", gs.name, n)
+				}
+				if n := after.Load(); n != 0 {
+					t.Fatalf("peer received %d messages after refusing the hello, want 0", n)
+				}
+			})
+		}
 	}
 }
 

@@ -1,7 +1,9 @@
 package server_test
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"dvod/internal/client"
@@ -148,5 +150,42 @@ func TestHelloDirect(t *testing.T) {
 	}
 	if m.Type != transport.TypePong {
 		t.Fatalf("reply = %q, want pong", m.Type)
+	}
+}
+
+// TestStrayBinaryFrameGetsError: a peer starts only ledger-sync and
+// member-sync exchanges with a binary frame. Any other frame type, here a
+// merge-info frame, is answered with an error reply, and the connection keeps
+// serving control requests.
+func TestStrayBinaryFrameGetsError(t *testing.T) {
+	lc := newCluster(t, nil)
+	conn, err := transport.Dial(lc.servers[grnet.Patra].Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.RequireClusterFrames(); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.WriteMergeInfoFrame(transport.MergeInfoPayload{Cohort: 1, Role: transport.MergeRoleBase}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := conn.ReadMessage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("unexpected binary frame 0x%02x", transport.FrameMergeInfo)
+	if rerr := transport.AsError(m); rerr == nil || !strings.Contains(rerr.Error(), want) {
+		t.Fatalf("reply %q (%v), want an error naming %q", m.Type, rerr, want)
+	}
+	ping, err := transport.Encode(transport.TypePing, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.WriteMessage(ping); err != nil {
+		t.Fatal(err)
+	}
+	if m, err = conn.ReadMessage(); err != nil || m.Type != transport.TypePong {
+		t.Fatalf("ping after the stray frame: %q, %v", m.Type, err)
 	}
 }

@@ -30,11 +30,13 @@ type peerScript struct {
 }
 
 // fakePeer serves title's true bytes on the cluster.get hop under a script.
-// conns counts the connections it accepted.
+// conns counts the connections it accepted and joins the relay.join
+// subscriptions it was sent (it serves none of them).
 type fakePeer struct {
 	title  media.Title
 	script peerScript
 	conns  atomic.Int32
+	joins  atomic.Int32
 }
 
 // bufStream lets a transport.Conn frame into a buffer.
@@ -101,6 +103,9 @@ func (fp *fakePeer) serve(nc net.Conn, conn int) {
 				return
 			}
 			err = c.WriteClusterFrame(p, body)
+		case transport.TypeRelayJoin:
+			fp.joins.Add(1)
+			return
 		default:
 			return
 		}
@@ -220,5 +225,83 @@ func TestPeerHelloFailures(t *testing.T) {
 				t.Fatalf("%d dials, %d reuses; want 2 and 0", dials, reuses)
 			}
 		})
+	}
+}
+
+// TestRelayUpstreamHelloFailure: a relay cohort whose preferred holder refuses
+// or hangs up on the hello sends it no relay.join. The cohort falls back to
+// the private path once, which fetches every cluster from the other replica,
+// so the viewer still gets the title byte for byte and no lease leaks.
+func TestRelayUpstreamHelloFailure(t *testing.T) {
+	for _, hello := range []string{"refuse", "hangup"} {
+		t.Run(hello, func(t *testing.T) {
+			const numClusters = 4
+			pools := make(map[topology.NodeID]*transport.BufferPool)
+			lc := newCluster(t, map[topology.NodeID]int64{grnet.Patra: clusterBytes},
+				withMerge(numClusters, 0),
+				func(c *server.Config) {
+					c.RelayCohorts = true
+					c.Pool = transport.NewBufferPool(nil)
+					pools[c.Node] = c.Pool
+				})
+			title := media.Title{Name: "upstream", SizeBytes: numClusters * clusterBytes, BitrateMbps: 1.5}
+			lc.addTitle(t, title, grnet.Thessaloniki, grnet.Xanthi)
+			fp := startFakePeer(t, lc, grnet.Thessaloniki, title, peerScript{hello: hello})
+			p, err := client.NewPlayer(grnet.Patra, lc.book)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			stats, err := p.Watch(title.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !stats.Verified || stats.BytesReceived != title.SizeBytes {
+				t.Fatalf("verified=%v bytes=%d", stats.Verified, stats.BytesReceived)
+			}
+			if n := fp.joins.Load(); n != 0 {
+				t.Fatalf("the refusing holder was sent %d relay.joins, want 0", n)
+			}
+			if fp.conns.Load() == 0 {
+				t.Fatal("the relay never dialed the preferred holder")
+			}
+			m := lc.servers[grnet.Patra].Metrics().Snapshot()
+			if got := m.Counters["server.relay_fallbacks"]; got != 1 {
+				t.Fatalf("relay_fallbacks = %d, want 1", got)
+			}
+			waitPoolDrained(t, pools[grnet.Patra], "relay")
+		})
+	}
+}
+
+// TestRelayJoinWithoutHelloRefused: a relay stream is binary, so a JSON
+// relay.join on a connection that never sent a hello gets an error reply and
+// opens no relay session.
+func TestRelayJoinWithoutHelloRefused(t *testing.T) {
+	lc := newCluster(t, nil)
+	title := media.Title{Name: "plain", SizeBytes: 2 * clusterBytes, BitrateMbps: 1.5}
+	lc.addTitle(t, title, grnet.Xanthi)
+	origin := lc.servers[grnet.Xanthi]
+	conn, err := transport.Dial(origin.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	req, err := transport.Encode(transport.TypeRelayJoin, transport.RelayJoinPayload{Title: title.Name})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.WriteMessage(req); err != nil {
+		t.Fatal(err)
+	}
+	m, err := conn.ReadMessage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Type != transport.TypeError {
+		t.Fatalf("reply %q, want error", m.Type)
+	}
+	if got := origin.Metrics().Snapshot().Counters["server.relay_watchers"]; got != 0 {
+		t.Fatalf("relay_watchers = %d, want 0", got)
 	}
 }

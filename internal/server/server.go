@@ -477,14 +477,15 @@ func (s *Server) handleConn(c *transport.Conn) {
 		_ = c.SetReadDeadline(time.Time{})
 		if f != nil {
 			// A peer initiates two kinds of binary frame: ledger and
-			// membership syncs (the gossip anti-entropy exchanges on a
-			// negotiated connection).
+			// membership syncs (the gossip anti-entropy exchanges).
 			var err error
 			switch f.Type {
+			case transport.FrameLedgerSync:
+				err = s.handleLedgerSyncFrame(c, f)
 			case transport.FrameMemberSync:
 				err = s.handleMemberSyncFrame(c, f)
 			default:
-				err = s.handleLedgerSyncFrame(c, f)
+				err = fmt.Errorf("unexpected binary frame 0x%02x", f.Type)
 			}
 			f.Release()
 			if err != nil {
@@ -525,10 +526,6 @@ func (s *Server) dispatch(c *transport.Conn, m transport.Message) error {
 		return s.handleWatch(c, m)
 	case transport.TypeRelayJoin:
 		return s.handleRelay(c, m)
-	case transport.TypeLedgerSync:
-		return s.handleLedgerSync(c, m)
-	case transport.TypeMemberSync:
-		return s.handleMemberSync(c, m)
 	case transport.TypeMemberPingReq:
 		return s.handleMemberPingReq(c, m)
 	default:
@@ -727,31 +724,9 @@ func (s *Server) readPrefixCluster(title string, index int) (*transport.Frame, t
 	return transport.NewLeasedFrame(s.cfg.Pool, buf), payload, true
 }
 
-// handleLedgerSync answers one JSON-framed gossip exchange: merge the peer's
-// delta, reply with ours.
-func (s *Server) handleLedgerSync(c *transport.Conn, m transport.Message) error {
-	if s.cfg.Ledger == nil {
-		return fmt.Errorf("no reservation ledger on %s", s.cfg.Node)
-	}
-	req, err := transport.Decode[transport.LedgerSyncPayload](m)
-	if err != nil {
-		return err
-	}
-	s.cfg.Metrics.Counter("server.ledger_syncs").Inc()
-	resp, err := transport.Encode(transport.TypeLedgerSyncOK, s.cfg.Ledger.HandleSync(req))
-	if err != nil {
-		return err
-	}
-	return c.WriteMessage(resp)
-}
-
-// handleLedgerSyncFrame is the binary-framed twin of handleLedgerSync, used
-// on connections whose hello exchange granted ledger-sync-v1 + cluster
-// frames. The reply goes back on the same framing, flagged as a reply.
+// handleLedgerSyncFrame answers one ledger gossip exchange: merge the peer's
+// delta, reply with ours as a ledger-sync frame flagged as the reply.
 func (s *Server) handleLedgerSyncFrame(c *transport.Conn, f *transport.Frame) error {
-	if f.Type != transport.FrameLedgerSync {
-		return fmt.Errorf("unexpected binary frame 0x%02x", f.Type)
-	}
 	if s.cfg.Ledger == nil {
 		return fmt.Errorf("no reservation ledger on %s", s.cfg.Node)
 	}
@@ -763,28 +738,10 @@ func (s *Server) handleLedgerSyncFrame(c *transport.Conn, f *transport.Frame) er
 	return c.WriteLedgerSyncFrame(s.cfg.Ledger.HandleSync(req), true)
 }
 
-// handleMemberSync answers one membership gossip exchange: merge the peer's
-// view, reply with the merged local view (push-pull anti-entropy, the same
-// shape as the reservation ledger's sync).
-func (s *Server) handleMemberSync(c *transport.Conn, m transport.Message) error {
-	if s.cfg.Members == nil {
-		return fmt.Errorf("no membership view on %s", s.cfg.Node)
-	}
-	req, err := transport.Decode[transport.MemberSyncPayload](m)
-	if err != nil {
-		return err
-	}
-	s.cfg.Metrics.Counter("server.member_syncs").Inc()
-	resp, err := transport.Encode(transport.TypeMemberSyncOK, s.cfg.Members.HandleSync(req))
-	if err != nil {
-		return err
-	}
-	return c.WriteMessage(resp)
-}
-
-// handleMemberSyncFrame is the binary-framed twin of handleMemberSync, used
-// on connections whose hello exchange granted member-sync-v1 + cluster
-// frames. The reply goes back on the same framing, flagged as a reply.
+// handleMemberSyncFrame answers one membership gossip exchange: merge the
+// peer's view, reply with the merged local view as a member-sync frame
+// flagged as the reply (push-pull anti-entropy, the same shape as the
+// reservation ledger's sync).
 func (s *Server) handleMemberSyncFrame(c *transport.Conn, f *transport.Frame) error {
 	if s.cfg.Members == nil {
 		return fmt.Errorf("no membership view on %s", s.cfg.Node)
@@ -794,7 +751,8 @@ func (s *Server) handleMemberSyncFrame(c *transport.Conn, f *transport.Frame) er
 		return err
 	}
 	s.cfg.Metrics.Counter("server.member_syncs").Inc()
-	return c.WriteMemberSyncFrame(s.cfg.Members.HandleSync(req), true)
+	_, err = c.WriteMemberSyncFrame(s.cfg.Members.HandleSync(req), true)
+	return err
 }
 
 // handleMemberPingReq probes a third node on a peer's behalf: the indirect
@@ -1444,10 +1402,12 @@ func (r *relaySource) reopen(index int) error {
 	if err != nil {
 		return err
 	}
-	// Binary framing keeps the relay stream on the kernel-send path at the
-	// origin; a legacy holder refuses the hello and the stream continues on
-	// JSON framing.
-	_, _ = conn.Negotiate()
+	// The relay stream is binary-only, which keeps it on the kernel-send
+	// path at the origin; a holder that does not grant it is not subscribed.
+	if err := conn.RequireClusterFrames(); err != nil {
+		_ = conn.Close()
+		return err
+	}
 	req, err := transport.Encode(transport.TypeRelayJoin, transport.RelayJoinPayload{
 		Title:        r.title.Name,
 		StartCluster: index,
@@ -1469,70 +1429,52 @@ func (r *relaySource) reopen(index int) error {
 }
 
 // readAt consumes the upstream stream until the wanted cluster arrives,
-// skipping control announcements (watch.ok, merge.info, prefix.info) and any
-// clusters before index (the origin streams sequentially from the subscribed
-// position; a jump past already-broadcast clusters discards the overlap).
+// skipping announcements (watch.ok, merge-info and prefix-info frames) and
+// any clusters before index (the origin streams sequentially from the
+// subscribed position; a jump past already-broadcast clusters discards the
+// overlap).
 func (r *relaySource) readAt(index int) (*transport.Frame, transport.ClusterPayload, error) {
 	for {
 		m, f, err := r.conn.ReadFrameOrMessage(r.s.cfg.Pool)
 		if err != nil {
 			return nil, transport.ClusterPayload{}, err
 		}
-		if f != nil {
-			if f.Type != transport.FrameCluster {
-				f.Release() // merge.info / prefix.info announcements
+		if f == nil {
+			switch m.Type {
+			case transport.TypeWatchOK:
 				continue
+			case transport.TypeWatchDone:
+				return nil, transport.ClusterPayload{}, fmt.Errorf("relay upstream finished before cluster %d", index)
+			case transport.TypeError:
+				return nil, transport.ClusterPayload{}, transport.AsError(m)
+			default:
+				return nil, transport.ClusterPayload{}, fmt.Errorf("unexpected relay stream message %q", m.Type)
 			}
-			payload, body, derr := transport.DecodeClusterFrame(f)
-			if derr != nil {
-				f.Release()
-				return nil, transport.ClusterPayload{}, derr
-			}
-			if payload.Index < index {
-				f.Release()
-				continue
-			}
-			if payload.Index > index {
-				f.Release()
-				return nil, transport.ClusterPayload{}, fmt.Errorf("relay stream at cluster %d, want %d", payload.Index, index)
-			}
-			// The frame's pooled payload holds meta + body; the cohort needs
-			// a body-only frame, so the cluster is copied into its own lease.
-			buf := r.s.cfg.Pool.Get(len(body))
-			copy(buf, body)
-			f.Release()
-			r.account(payload)
-			return transport.NewLeasedFrame(r.s.cfg.Pool, buf), payload, nil
 		}
-		switch m.Type {
-		case transport.TypeWatchOK, transport.TypeMergeInfo, transport.TypePrefixInfo:
+		if f.Type != transport.FrameCluster {
+			f.Release() // merge-info / prefix-info announcements
 			continue
-		case transport.TypeWatchDone:
-			return nil, transport.ClusterPayload{}, fmt.Errorf("relay upstream finished before cluster %d", index)
-		case transport.TypeError:
-			return nil, transport.ClusterPayload{}, transport.AsError(m)
-		case transport.TypeCluster:
-			payload, derr := transport.Decode[transport.ClusterPayload](m)
-			if derr != nil {
-				return nil, transport.ClusterPayload{}, derr
-			}
-			bodyFrame, derr := r.conn.ReadBody(payload.Length, r.s.cfg.Pool)
-			if derr != nil {
-				return nil, transport.ClusterPayload{}, derr
-			}
-			if payload.Index < index {
-				bodyFrame.Release()
-				continue
-			}
-			if payload.Index > index {
-				bodyFrame.Release()
-				return nil, transport.ClusterPayload{}, fmt.Errorf("relay stream at cluster %d, want %d", payload.Index, index)
-			}
-			r.account(payload)
-			return bodyFrame, payload, nil
-		default:
-			return nil, transport.ClusterPayload{}, fmt.Errorf("unexpected relay stream message %q", m.Type)
 		}
+		payload, body, derr := transport.DecodeClusterFrame(f)
+		if derr != nil {
+			f.Release()
+			return nil, transport.ClusterPayload{}, derr
+		}
+		if payload.Index < index {
+			f.Release()
+			continue
+		}
+		if payload.Index > index {
+			f.Release()
+			return nil, transport.ClusterPayload{}, fmt.Errorf("relay stream at cluster %d, want %d", payload.Index, index)
+		}
+		// The frame's pooled payload holds meta + body; the cohort needs a
+		// body-only frame, so the cluster is copied into its own lease.
+		buf := r.s.cfg.Pool.Get(len(body))
+		copy(buf, body)
+		f.Release()
+		r.account(payload)
+		return transport.NewLeasedFrame(r.s.cfg.Pool, buf), payload, nil
 	}
 }
 
@@ -1554,6 +1496,10 @@ func (r *relaySource) account(payload transport.ClusterPayload) {
 // downstream cohort aggregates many viewers) but takes no admission grant
 // and is never redirected: the relay already planned this holder.
 func (s *Server) handleRelay(c *transport.Conn, m transport.Message) error {
+	// Refused before the DMA hears of the join: a relay stream is binary.
+	if !c.BinaryFrames() {
+		return fmt.Errorf("relay.join needs %s", transport.CapClusterFrames)
+	}
 	req, err := transport.Decode[transport.RelayJoinPayload](m)
 	if err != nil {
 		return err

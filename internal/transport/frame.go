@@ -35,8 +35,10 @@ const (
 	MaxFramePayload = MaxFrameBytes * 64
 )
 
-// Binary frame type codes. Only bulk cluster data is binary-framed; control
-// traffic stays on the canonical JSON framing.
+// Binary frame type codes. Every server-to-server exchange — cluster data,
+// ledger and member sync, merge and prefix announcements — is binary-framed;
+// the other type codes live beside their codecs. Client requests and the
+// hello exchange stay on the JSON framing.
 const (
 	// FrameCluster carries one cluster: a fixed meta header (see
 	// appendClusterMeta) followed by the cluster's raw bytes. It is used
@@ -45,19 +47,16 @@ const (
 	FrameCluster byte = 0x01
 )
 
-// Capability strings exchanged in the hello handshake.
-const (
-	// CapClusterFrames advertises binary FrameCluster support.
-	CapClusterFrames = "cluster-frames-v1"
-)
+// CapClusterFrames is the one capability of the hello handshake: a peer that
+// grants it speaks every binary frame type of FrameVersion 1.
+const CapClusterFrames = "cluster-frames-v1"
 
 // Hello message types: the connect-time capability exchange. A client that
 // wants binary framing sends TypeHello as its first request; a server that
 // understands it answers TypeHelloOK with the granted version and
-// capabilities. Servers predating the handshake answer TypeError ("unknown
-// message type"), which clients treat as "JSON only" and carry on — the
-// connection stays usable, so old and new peers interoperate in every
-// combination.
+// capabilities. A server predating the handshake answers TypeError ("unknown
+// message type"): a client then carries on in JSON, while a server-to-server
+// connection refuses the peer (RequireClusterFrames).
 const (
 	TypeHello   = "hello"
 	TypeHelloOK = "hello.ok"
@@ -328,6 +327,30 @@ func (c *Conn) buildClusterHeaderLocked(p ClusterPayload, bodyLen int64) ([]byte
 	return scratch, nil
 }
 
+// writeFrame assembles one binary frame of type typ in the connection's
+// scratch buffer (reused across calls) — the header, then the payload
+// appendPayload appends — sends it, and returns the frame's size in bytes.
+func (c *Conn) writeFrame(typ, flags byte, appendPayload func([]byte) ([]byte, error)) (int, error) {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	scratch, err := appendPayload(append(c.wscratch[:0],
+		FrameMagic0, FrameMagic1, FrameVersion, typ, flags,
+		0, 0, 0, 0)) // payload-len placeholder
+	if err != nil {
+		return 0, err
+	}
+	payloadLen := len(scratch) - FrameHeaderLen
+	if payloadLen > MaxFramePayload {
+		return 0, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, payloadLen)
+	}
+	binary.BigEndian.PutUint32(scratch[5:9], uint32(payloadLen))
+	c.wscratch = scratch[:0]
+	if err := c.writeVectoredLocked(scratch); err != nil {
+		return 0, fmt.Errorf("write frame 0x%02x: %w", typ, err)
+	}
+	return len(scratch), nil
+}
+
 // WriteClusterFrame sends one cluster as a binary frame: header and meta are
 // assembled in a per-connection scratch buffer (reused across calls, so the
 // steady state allocates nothing) and the body goes out straight from the
@@ -481,6 +504,28 @@ func (c *Conn) ReadClusterReply(pool *BufferPool) (ClusterPayload, *Frame, error
 	return p, f, nil
 }
 
+// ReadReplyFrame reads the reply leg of a server-to-server sync exchange: a
+// binary frame of type want, or the peer's error frame returned as its error.
+// Any other reply is ErrBadFrame. The payload is allocated unpooled; the
+// caller must Release the returned frame.
+func (c *Conn) ReadReplyFrame(want byte) (*Frame, error) {
+	m, f, err := c.ReadFrameOrMessage(nil)
+	if err != nil {
+		return nil, err
+	}
+	if f == nil {
+		if err := AsError(m); err != nil {
+			return nil, err
+		}
+		return nil, fmt.Errorf("%w: %q where frame 0x%02x was expected", ErrBadFrame, m.Type, want)
+	}
+	if f.Type != want {
+		f.Release()
+		return nil, fmt.Errorf("%w: frame 0x%02x where 0x%02x was expected", ErrBadFrame, f.Type, want)
+	}
+	return f, nil
+}
+
 // readFrameLocked parses a binary frame whose first magic octet has already
 // been consumed. Callers hold rmu.
 func (c *Conn) readFrameLocked(pool *BufferPool) (*Frame, error) {
@@ -526,18 +571,51 @@ func (c *Conn) BinaryFrames() bool { return c.binary.Load() }
 
 // Negotiate performs the client side of the hello handshake: it offers
 // FrameVersion with CapClusterFrames and interprets the reply. It returns
-// true when the server granted binary cluster framing (the connection is
-// marked accordingly). A TypeError reply — what a pre-handshake server sends
-// for the unknown "hello" type — selects the JSON fallback: Negotiate
-// returns false with a nil error and the connection remains usable.
+// true when the server granted binary framing (the connection is marked
+// accordingly). A TypeError reply — what a pre-handshake server sends for the
+// unknown "hello" type — returns false with a nil error, and the connection
+// stays usable for JSON client traffic.
 func (c *Conn) Negotiate() (bool, error) {
-	granted, err := c.NegotiateCaps(CapClusterFrames)
-	return granted[CapClusterFrames], err
+	req, err := Encode(TypeHello, HelloPayload{
+		Version: FrameVersion,
+		Caps:    []string{CapClusterFrames},
+	})
+	if err != nil {
+		return false, err
+	}
+	if err := c.WriteMessage(req); err != nil {
+		return false, err
+	}
+	m, err := c.ReadMessage()
+	if err != nil {
+		return false, err
+	}
+	switch m.Type {
+	case TypeHelloOK:
+		ok, derr := Decode[HelloOKPayload](m)
+		if derr != nil {
+			return false, derr
+		}
+		if ok.Version < 1 || ok.Version > FrameVersion {
+			return false, fmt.Errorf("hello: server granted unusable version %d", ok.Version)
+		}
+		for _, cap := range ok.Caps {
+			if cap == CapClusterFrames {
+				c.EnableBinaryFrames()
+				return true, nil
+			}
+		}
+		return false, nil
+	case TypeError:
+		return false, nil
+	default:
+		return false, fmt.Errorf("hello: unexpected reply %q", m.Type)
+	}
 }
 
-// RequireClusterFrames runs Negotiate on a connection that cannot carry
-// clusters any other way, such as the peer hop: a peer that answers the hello
-// without granting CapClusterFrames fails with ErrClusterFramesRefused.
+// RequireClusterFrames runs Negotiate on a server-to-server connection, which
+// speaks only binary frames: a peer that answers the hello without granting
+// CapClusterFrames fails with ErrClusterFramesRefused.
 func (c *Conn) RequireClusterFrames() error {
 	granted, err := c.Negotiate()
 	if err != nil {
@@ -549,56 +627,10 @@ func (c *Conn) RequireClusterFrames() error {
 	return nil
 }
 
-// NegotiateCaps performs the client side of the hello handshake with an
-// explicit capability offer and returns the granted subset. When
-// CapClusterFrames is granted the connection is marked for binary framing. A
-// TypeError reply — what a pre-handshake server sends for the unknown "hello"
-// type — selects the JSON fallback: NegotiateCaps returns an empty grant with
-// a nil error and the connection remains usable.
-func (c *Conn) NegotiateCaps(caps ...string) (map[string]bool, error) {
-	req, err := Encode(TypeHello, HelloPayload{
-		Version: FrameVersion,
-		Caps:    caps,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := c.WriteMessage(req); err != nil {
-		return nil, err
-	}
-	m, err := c.ReadMessage()
-	if err != nil {
-		return nil, err
-	}
-	switch m.Type {
-	case TypeHelloOK:
-		ok, derr := Decode[HelloOKPayload](m)
-		if derr != nil {
-			return nil, derr
-		}
-		if ok.Version < 1 || ok.Version > FrameVersion {
-			return nil, fmt.Errorf("hello: server granted unusable version %d", ok.Version)
-		}
-		granted := make(map[string]bool, len(ok.Caps))
-		for _, cap := range ok.Caps {
-			granted[cap] = true
-		}
-		if granted[CapClusterFrames] {
-			c.EnableBinaryFrames()
-		}
-		return granted, nil
-	case TypeError:
-		// Legacy peer: no handshake support, stay on JSON.
-		return nil, nil
-	default:
-		return nil, fmt.Errorf("hello: unexpected reply %q", m.Type)
-	}
-}
-
 // AcceptHello performs the server side of the handshake for one received
-// hello message: it intersects the offer with this build's capabilities,
-// enables binary framing on the connection when granted, and writes the
-// hello.ok reply.
+// hello message: it grants CapClusterFrames when offered (any other offered
+// capability is ignored), enables binary framing on the connection when
+// granted, and writes the hello.ok reply.
 func (c *Conn) AcceptHello(m Message) error {
 	offer, err := Decode[HelloPayload](m)
 	if err != nil {
@@ -611,14 +643,10 @@ func (c *Conn) AcceptHello(m Message) error {
 	var granted []string
 	if version >= 1 {
 		for _, cap := range offer.Caps {
-			switch cap {
-			case CapClusterFrames:
-				granted = append(granted, CapClusterFrames)
+			if cap == CapClusterFrames {
+				granted = []string{CapClusterFrames}
 				c.EnableBinaryFrames()
-			case CapLedgerSync:
-				granted = append(granted, CapLedgerSync)
-			case CapMemberSync:
-				granted = append(granted, CapMemberSync)
+				break
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -381,9 +382,10 @@ func TestNegotiateLegacyFallback(t *testing.T) {
 	}
 }
 
-// TestAcceptHelloVersionClamp: a client offering a future version is granted
-// this build's version, and an offer without the cluster cap gets no caps.
-func TestAcceptHelloVersionClamp(t *testing.T) {
+// acceptHello sends offer to a server-side AcceptHello over a pipe and
+// returns its grant plus whether the server enabled binary framing.
+func acceptHello(t *testing.T, offer HelloPayload) (HelloOKPayload, bool) {
+	t.Helper()
 	a, b := pipe()
 	defer a.Close()
 	defer b.Close()
@@ -394,7 +396,7 @@ func TestAcceptHelloVersionClamp(t *testing.T) {
 		}
 		_ = b.AcceptHello(m)
 	}()
-	req, _ := Encode(TypeHello, HelloPayload{Version: 99, Caps: []string{"unknown-cap"}})
+	req, _ := Encode(TypeHello, offer)
 	if err := a.WriteMessage(req); err != nil {
 		t.Fatal(err)
 	}
@@ -406,11 +408,32 @@ func TestAcceptHelloVersionClamp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return ok, b.BinaryFrames()
+}
+
+// TestAcceptHelloVersionClamp: a client offering a future version is granted
+// this build's version, and an offer without the cluster cap gets no caps.
+func TestAcceptHelloVersionClamp(t *testing.T) {
+	ok, enabled := acceptHello(t, HelloPayload{Version: 99, Caps: []string{"unknown-cap"}})
 	if ok.Version != FrameVersion || len(ok.Caps) != 0 {
 		t.Fatalf("grant = %+v", ok)
 	}
-	if b.BinaryFrames() {
+	if enabled {
 		t.Fatal("server enabled binary framing without the capability")
+	}
+}
+
+// TestAcceptHelloGrantsOnlyClusterFrames: cluster-frames-v1 is the one
+// capability. An offer that still lists the retired ledger-sync-v1 and
+// member-sync-v1 strings is granted exactly cluster-frames-v1, not refused.
+func TestAcceptHelloGrantsOnlyClusterFrames(t *testing.T) {
+	ok, enabled := acceptHello(t, HelloPayload{Version: FrameVersion,
+		Caps: []string{CapClusterFrames, "ledger-sync-v1", "member-sync-v1"}})
+	if ok.Version != FrameVersion || !reflect.DeepEqual(ok.Caps, []string{CapClusterFrames}) {
+		t.Fatalf("grant = %+v, want exactly [%s]", ok, CapClusterFrames)
+	}
+	if !enabled {
+		t.Fatal("server did not enable binary framing")
 	}
 }
 

@@ -14,22 +14,15 @@ import (
 // a request/reply pair of identical shape: each side states the newest
 // heartbeat clock it knows per origin (Clocks), the highest reservation row
 // sequence it holds per origin (Have), and the rows it believes the other
-// side is missing. Like cluster data, the exchange rides the negotiated
-// binary framing when the hello handshake granted CapLedgerSync, and falls
-// back to JSON control frames against peers that never negotiated.
+// side is missing. Both legs are binary frames on a connection whose hello
+// granted CapClusterFrames; there is no JSON form.
 const (
-	// TypeLedgerSync is the JSON request type; TypeLedgerSyncOK the reply.
-	TypeLedgerSync   = "ledger.sync"
-	TypeLedgerSyncOK = "ledger.sync.ok"
 	// FrameLedgerSync is the binary frame type code. The reply is the same
 	// frame type with LedgerSyncFlagReply set.
 	FrameLedgerSync byte = 0x03
 	// LedgerSyncFlagReply marks a binary ledger-sync frame as the reply leg
 	// of an exchange.
 	LedgerSyncFlagReply byte = 0x01
-	// CapLedgerSync advertises binary FrameLedgerSync support in the hello
-	// capability exchange.
-	CapLedgerSync = "ledger-sync-v1"
 )
 
 // LedgerRow is one replicated reservation cell: origin's committed bandwidth
@@ -138,32 +131,16 @@ func appendLedgerSyncPayload(dst []byte, p LedgerSyncPayload) ([]byte, error) {
 }
 
 // WriteLedgerSyncFrame sends one sync leg as a binary frame (reply sets
-// LedgerSyncFlagReply). The frame is assembled in the connection's scratch
-// buffer like cluster frames.
+// LedgerSyncFlagReply).
 func (c *Conn) WriteLedgerSyncFrame(p LedgerSyncPayload, reply bool) error {
 	var flags byte
 	if reply {
 		flags = LedgerSyncFlagReply
 	}
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	scratch := append(c.wscratch[:0],
-		FrameMagic0, FrameMagic1, FrameVersion, FrameLedgerSync, flags,
-		0, 0, 0, 0) // payload-len placeholder
-	scratch, err := appendLedgerSyncPayload(scratch, p)
-	if err != nil {
-		return err
-	}
-	payloadLen := len(scratch) - FrameHeaderLen
-	if payloadLen > MaxFramePayload {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, payloadLen)
-	}
-	binary.BigEndian.PutUint32(scratch[5:9], uint32(payloadLen))
-	c.wscratch = scratch[:0]
-	if err := c.writeVectoredLocked(scratch); err != nil {
-		return fmt.Errorf("write ledger sync frame: %w", err)
-	}
-	return nil
+	_, err := c.writeFrame(FrameLedgerSync, flags, func(dst []byte) ([]byte, error) {
+		return appendLedgerSyncPayload(dst, p)
+	})
+	return err
 }
 
 // ledgerCursor walks a binary ledger-sync payload with bounds checking.

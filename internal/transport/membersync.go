@@ -13,9 +13,8 @@ import (
 // (internal/membership, DESIGN.md § "Membership & redirect"). One exchange is
 // a request/reply pair of identical shape carrying (incarnation, heartbeat,
 // state) rows plus the delta-sync bookkeeping scalars (epoch, seq, ack,
-// known). Like ledger sync, the exchange rides the negotiated binary framing
-// when the hello handshake granted CapMemberSync, and falls back to JSON
-// control frames against peers that never negotiated.
+// known). Like ledger sync, both legs are binary frames on a connection whose
+// hello granted CapClusterFrames; there is no JSON form.
 const (
 	// FrameMemberSync is the binary frame type code. The reply is the same
 	// frame type with MemberSyncFlagReply set.
@@ -27,9 +26,6 @@ const (
 	MemberSyncFlagFull byte = 0x02
 	// MemberSyncFlagWantFull carries MemberSyncPayload.WantFull.
 	MemberSyncFlagWantFull byte = 0x04
-	// CapMemberSync advertises binary FrameMemberSync support in the hello
-	// capability exchange.
-	CapMemberSync = "member-sync-v1"
 )
 
 // memberSyncFixed is the fixed-width prefix of a FrameMemberSync payload:
@@ -40,9 +36,8 @@ const memberSyncFixed = 34
 // Per-entry layout: nodeLen(2) node incarnation(8) heartbeat(8) state(1).
 
 // memberStateByte maps a wire state string to its binary code. Unknown
-// strings — states minted by a newer build — encode as Suspect, the same
-// safe degradation membership.parseState applies on the JSON path, so a
-// mixed-version fleet never counts an unknown state as healthy.
+// strings encode as Suspect, the same safe degradation membership.parseState
+// applies, so an unknown state is never counted as healthy.
 func memberStateByte(s string) byte {
 	switch s {
 	case "alive":
@@ -135,29 +130,12 @@ func MemberSyncFlags(p MemberSyncPayload, reply bool) byte {
 }
 
 // WriteMemberSyncFrame sends one sync leg as a binary frame (reply sets
-// MemberSyncFlagReply; Full and WantFull travel as flags too). The frame is
-// assembled in the connection's scratch buffer like cluster frames.
-func (c *Conn) WriteMemberSyncFrame(p MemberSyncPayload, reply bool) error {
-	flags := MemberSyncFlags(p, reply)
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	scratch := append(c.wscratch[:0],
-		FrameMagic0, FrameMagic1, FrameVersion, FrameMemberSync, flags,
-		0, 0, 0, 0) // payload-len placeholder
-	scratch, err := AppendMemberSyncPayload(scratch, p)
-	if err != nil {
-		return err
-	}
-	payloadLen := len(scratch) - FrameHeaderLen
-	if payloadLen > MaxFramePayload {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, payloadLen)
-	}
-	binary.BigEndian.PutUint32(scratch[5:9], uint32(payloadLen))
-	c.wscratch = scratch[:0]
-	if err := c.writeVectoredLocked(scratch); err != nil {
-		return fmt.Errorf("write member sync frame: %w", err)
-	}
-	return nil
+// MemberSyncFlagReply; Full and WantFull travel as flags too) and returns the
+// frame's size in bytes, header included.
+func (c *Conn) WriteMemberSyncFrame(p MemberSyncPayload, reply bool) (int, error) {
+	return c.writeFrame(FrameMemberSync, MemberSyncFlags(p, reply), func(dst []byte) ([]byte, error) {
+		return AppendMemberSyncPayload(dst, p)
+	})
 }
 
 // DecodeMemberSyncFrame parses a FrameMemberSync payload, restoring Full and

@@ -11,8 +11,12 @@ func encodeMemberSyncFrame(t testing.TB, p MemberSyncPayload, reply bool) []byte
 	t.Helper()
 	var buf bytes.Buffer
 	c := NewConn(nopCloser{&buf})
-	if err := c.WriteMemberSyncFrame(p, reply); err != nil {
+	n, err := c.WriteMemberSyncFrame(p, reply)
+	if err != nil {
 		t.Fatalf("write member sync frame: %v", err)
+	}
+	if n != buf.Len() {
+		t.Fatalf("write reported %d bytes, wrote %d", n, buf.Len())
 	}
 	return buf.Bytes()
 }
@@ -158,8 +162,8 @@ func FuzzMemberSyncFrame(f *testing.F) {
 			t.Fatalf("decoded payload fails to re-encode: %v (%+v)", err, p)
 		}
 		p2, err := DecodeMemberSyncFrame(&Frame{
-			Type:  FrameMemberSync,
-			Flags: MemberSyncFlags(p, false),
+			Type:    FrameMemberSync,
+			Flags:   MemberSyncFlags(p, false),
 			Payload: reenc,
 		})
 		if err != nil {

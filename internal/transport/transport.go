@@ -4,11 +4,12 @@
 // verifiable). Two framings share one stream:
 //
 //   - JSON control frames — 4-byte big-endian length, then a JSON Message.
-//     Canonical and always available: requests, replies, errors, and the
-//     hello capability exchange all use it.
-//   - Binary cluster frames — negotiated at connect time via hello/hello.ok,
-//     used only for bulk cluster data (magic | version | type | flags |
-//     payload-len | payload; see frame.go and DESIGN.md § "Wire format").
+//     Canonical and always available: client requests, replies, errors, and
+//     the hello capability exchange all use it.
+//   - Binary frames — negotiated at connect time via hello/hello.ok, used for
+//     cluster data and every server-to-server exchange (magic | version |
+//     type | flags | payload-len | payload; see frame.go and DESIGN.md §
+//     "Wire format").
 //
 // The two are demultiplexed by the first octet: MaxFrameBytes (2^20) keeps
 // the top byte of every JSON length prefix at 0x00, while a binary frame
@@ -29,9 +30,9 @@
 //
 // The cluster body crosses each hop exactly once (disk→buffer, buffer→
 // socket, socket→buffer) with no marshaling and, in steady state, no
-// allocation: both ends lease buffers from a size-classed sync.Pool. On the
-// JSON fallback the same flow runs with a marshaled header frame and a
-// per-cluster allocated body.
+// allocation: both ends lease buffers from a size-classed sync.Pool. On a
+// JSON client connection the same flow runs with a marshaled header frame
+// and a per-cluster allocated body.
 package transport
 
 import (
@@ -90,11 +91,6 @@ const (
 	// front door of the elastic fleet. Clients follow it transparently with
 	// a bounded hop count.
 	TypeWatchRedirect = "watch.redirect"
-	// TypeMemberSync exchanges cluster-membership views between gossipers
-	// (MemberSyncPayload); TypeMemberSyncOK answers with the receiver's
-	// merged view.
-	TypeMemberSync   = "member.sync"
-	TypeMemberSyncOK = "member.sync.ok"
 	// TypeMemberPingReq asks a helper node to probe a third member on the
 	// sender's behalf (MemberPingReqPayload) — the indirect-probing leg of
 	// the failure detector, so one bad link cannot produce a Suspect
