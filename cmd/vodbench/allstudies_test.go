@@ -13,86 +13,62 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"dvod/internal/experiments"
 )
 
-// TestRunAllStudies exercises every study once with a short routing trace.
+// TestRunAllStudies exercises every study once with a short routing trace,
+// then checks that every gated study's written report loads and that its
+// measured rows pass the structural gate against themselves (Ext-20's only
+// logs a failure: see below).
 func TestRunAllStudies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full study sweep")
 	}
 	dir := t.TempDir()
+	o := flags("all")
+	o.Duration = 15 * time.Minute
+	o.ClassMix = "premium:0.2,standard:0.5,background:0.3"
+	o.csvDir, o.outDir = dir, dir
 	var b strings.Builder
-	if err := run(&b, "all", 1, 15*time.Minute, 0.01, "premium:0.2,standard:0.5,background:0.3", dir, filepath.Join(dir, "BENCH_framing.json"), "", filepath.Join(dir, "BENCH_merge.json"), "", filepath.Join(dir, "BENCH_chaos.json"), "", filepath.Join(dir, "BENCH_ledger.json"), "", filepath.Join(dir, "BENCH_churn.json"), "", "", "", filepath.Join(dir, "BENCH_membership.json"), "", filepath.Join(dir, "BENCH_prefix.json"), ""); err != nil {
+	if err := run(&b, o); err != nil {
 		t.Fatalf("run(all): %v", err)
 	}
-	// The CSV exports landed.
-	for _, name := range []string{"routing", "cache", "cluster", "striping",
-		"granularity", "scale", "parallel", "blocking", "placement", "adaptation", "admission", "framing", "merge", "chaos", "ledger", "churn", "contention", "membership", "prefix"} {
-		data, err := os.ReadFile(filepath.Join(dir, name+".csv"))
+	out := b.String()
+	for i, s := range experiments.Studies(o.StudyOptions) {
+		if want := s.Header + "\n"; !strings.Contains(out, want) {
+			t.Errorf("Ext-%d header %q missing", i+1, s.Header)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, s.Name+".csv"))
 		if err != nil {
-			t.Errorf("csv %s: %v", name, err)
+			t.Errorf("csv %s: %v", s.Name, err)
+		} else if !strings.Contains(string(data), ",") {
+			t.Errorf("csv %s looks empty: %q", s.Name, data)
+		}
+		if s.Gate == nil {
 			continue
 		}
-		if !strings.Contains(string(data), ",") {
-			t.Errorf("csv %s looks empty: %q", name, data)
+		data, err = os.ReadFile(filepath.Join(dir, "BENCH_"+s.Name+".json"))
+		if err != nil {
+			t.Errorf("%s baseline: %v", s.Name, err)
+			continue
 		}
-	}
-	out := b.String()
-	for _, want := range []string{
-		"Ext-1", "Ext-2", "Ext-3", "Ext-4", "Ext-5", "Ext-6", "Ext-7", "Ext-8", "Ext-9", "Ext-10", "Ext-11", "Ext-12", "Ext-13", "Ext-14", "Ext-15", "Ext-16", "Ext-17", "Ext-18", "Ext-19", "Ext-20",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %s", want)
+		rows, err := s.Gate.Load(data)
+		if err != nil {
+			t.Errorf("%s baseline: %v", s.Name, err)
+			continue
 		}
-	}
-	// The framing and merge baselines landed as JSON.
-	data, err := os.ReadFile(filepath.Join(dir, "BENCH_framing.json"))
-	if err != nil {
-		t.Fatalf("framing baseline: %v", err)
-	}
-	if !strings.Contains(string(data), `"framing"`) {
-		t.Errorf("framing baseline looks wrong: %q", data)
-	}
-	data, err = os.ReadFile(filepath.Join(dir, "BENCH_merge.json"))
-	if err != nil {
-		t.Fatalf("merge baseline: %v", err)
-	}
-	if !strings.Contains(string(data), `"merge"`) {
-		t.Errorf("merge baseline looks wrong: %q", data)
-	}
-	data, err = os.ReadFile(filepath.Join(dir, "BENCH_chaos.json"))
-	if err != nil {
-		t.Fatalf("chaos baseline: %v", err)
-	}
-	if !strings.Contains(string(data), `"chaos"`) {
-		t.Errorf("chaos baseline looks wrong: %q", data)
-	}
-	data, err = os.ReadFile(filepath.Join(dir, "BENCH_ledger.json"))
-	if err != nil {
-		t.Fatalf("ledger baseline: %v", err)
-	}
-	if !strings.Contains(string(data), `"ledger"`) {
-		t.Errorf("ledger baseline looks wrong: %q", data)
-	}
-	data, err = os.ReadFile(filepath.Join(dir, "BENCH_churn.json"))
-	if err != nil {
-		t.Fatalf("churn baseline: %v", err)
-	}
-	if !strings.Contains(string(data), `"churn"`) {
-		t.Errorf("churn baseline looks wrong: %q", data)
-	}
-	data, err = os.ReadFile(filepath.Join(dir, "BENCH_membership.json"))
-	if err != nil {
-		t.Fatalf("membership baseline: %v", err)
-	}
-	if !strings.Contains(string(data), `"membership"`) {
-		t.Errorf("membership baseline looks wrong: %q", data)
-	}
-	data, err = os.ReadFile(filepath.Join(dir, "BENCH_prefix.json"))
-	if err != nil {
-		t.Fatalf("prefix baseline: %v", err)
-	}
-	if !strings.Contains(string(data), `"prefix"`) {
-		t.Errorf("prefix baseline looks wrong: %q", data)
+		bad := s.Gate.Structural(rows, rows)
+		if s.Name == "prefix" && len(bad) != 0 {
+			// Ext-20's relay cohorts form by wall-clock timing, and on a
+			// loaded machine late joiners miss them often enough that a
+			// full-scale run fails its origin-read cut intermittently. The
+			// toy-scale TestPrefixStudyShape and the CI prefix gate assert it.
+			t.Logf("prefix: measured rows failed the structural gate against themselves: %v", bad)
+			continue
+		}
+		if len(bad) != 0 {
+			t.Errorf("%s: measured rows failed the structural gate against themselves: %v", s.Name, bad)
+		}
 	}
 }

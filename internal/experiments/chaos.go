@@ -280,9 +280,8 @@ func maxArrivalGap(recs []client.ClusterRecord) time.Duration {
 	return max
 }
 
-// ChaosRegression compares a run's defended arms against a baseline and
-// returns one message per regression; an empty slice means the gate passes.
-// Three metrics guard three failure modes, each allowed 20% over baseline
+// The Ext-15 gate compares a run's defended arms against a baseline. Three
+// metrics guard three failure modes, each allowed 20% over baseline
 // plus an absolute slack sized to one unit of scheduler noise:
 //
 //   - FailedRate (slack 0.3/watcher): a watch failing at all means resume or
@@ -294,12 +293,7 @@ func maxArrivalGap(recs []client.ClusterRecord) time.Duration {
 //     here (the stall schedule's ~20 ms MTTR reverts to the full window)
 //     even when no watch fails.
 //
-// It is the gate `vodbench -study chaos -chaos-baseline` runs:
-// ChaosStructural's bounds plus ChaosTiming's. go test calls only the
-// structural half, since wall-clock bounds are not a test verdict.
-func ChaosRegression(current, baseline []ChaosRow) []string {
-	return append(ChaosStructural(current, baseline), ChaosTiming(current, baseline)...)
-}
+// ChaosStructural checks the first, ChaosTiming the other two.
 
 // defendedChaosRows indexes the defended rows by schedule.
 func defendedChaosRows(rows []ChaosRow) map[string]ChaosRow {
@@ -336,10 +330,9 @@ func ChaosStructural(current, baseline []ChaosRow) []string {
 }
 
 // ChaosTiming returns Ext-15's wall-clock bounds: the defended rebuffer rate
-// and MTTR of every schedule the baseline records.
-func ChaosTiming(current, baseline []ChaosRow) []string {
+// and MTTR of every schedule the baseline records. It has no notes.
+func ChaosTiming(current, baseline []ChaosRow) (bad, notes []string) {
 	base := defendedChaosRows(baseline)
-	var bad []string
 	for _, r := range current {
 		b, ok := base[r.Schedule]
 		if r.Mode != "defended" || !ok {
@@ -354,7 +347,7 @@ func ChaosTiming(current, baseline []ChaosRow) []string {
 				r.Schedule, r.MTTRms, b.MTTRms))
 		}
 	}
-	return bad
+	return bad, nil
 }
 
 // FormatChaosStudy renders Ext-15 as an aligned table.

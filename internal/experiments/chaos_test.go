@@ -102,7 +102,7 @@ func TestChaosRegressionGate(t *testing.T) {
 		// No baseline for this schedule: nothing to gate against.
 		{Schedule: "quake", Mode: "defended", FailedRate: 1, RebufferRate: 40, MTTRms: 5000},
 	}
-	if bad := ChaosRegression(ok, baseline); len(bad) != 0 {
+	if bad, _ := regression(t, "chaos", ok, baseline); len(bad) != 0 {
 		t.Fatalf("clean run flagged: %v", bad)
 	}
 	cases := []struct {
@@ -115,7 +115,7 @@ func TestChaosRegressionGate(t *testing.T) {
 		{"mttr", ChaosRow{Schedule: "flap", Mode: "defended", MTTRms: 75}, "MTTR"},
 	}
 	for _, tc := range cases {
-		bad := ChaosRegression([]ChaosRow{tc.row}, baseline)
+		bad, _ := regression(t, "chaos", []ChaosRow{tc.row}, baseline)
 		if len(bad) != 1 || !strings.Contains(bad[0], tc.want) {
 			t.Errorf("%s: gate output %v, want one %q message", tc.name, bad, tc.want)
 		}
@@ -137,7 +137,7 @@ func TestChaosGateHalves(t *testing.T) {
 	if bad := ChaosStructural(slow, baseline); len(bad) != 0 {
 		t.Fatalf("structural half judged rebuffers and MTTR: %v", bad)
 	}
-	if bad := ChaosTiming(slow, baseline); len(bad) != 2 {
+	if bad, _ := ChaosTiming(slow, baseline); len(bad) != 2 {
 		t.Fatalf("timing half: %v, want the rebuffer and MTTR messages", bad)
 	}
 	failing := []ChaosRow{{Schedule: "flap", Mode: "defended", FailedRate: 1}}
@@ -145,7 +145,7 @@ func TestChaosGateHalves(t *testing.T) {
 	if len(bad) != 2 || !strings.Contains(bad[0], "failed-watch") || !strings.Contains(bad[1], "stall") {
 		t.Fatalf("structural half: %v, want the failed rate and the missing stall schedule", bad)
 	}
-	if bad := ChaosTiming(failing, baseline); len(bad) != 0 {
+	if bad, _ := ChaosTiming(failing, baseline); len(bad) != 0 {
 		t.Fatalf("timing half judged the failed-watch rate: %v", bad)
 	}
 }

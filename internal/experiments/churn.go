@@ -215,12 +215,12 @@ func ChurnStudy(cfg ChurnStudyConfig) ([]ChurnRow, error) {
 	return out, nil
 }
 
-// ChurnRegression gates Ext-17 against its committed baseline and returns one
+// ChurnStructural gates Ext-17 against its committed baseline and returns one
 // message per violation; an empty slice passes. The checks are structural —
 // phase presence, zero failed watches, full admit rate, the front door
 // actually bouncing, membership detection actually firing — so the gate is
 // stable on loaded CI machines.
-func ChurnRegression(current, baseline []ChurnRow) []string {
+func ChurnStructural(current, baseline []ChurnRow) []string {
 	var bad []string
 	byPhase := func(rows []ChurnRow, phase string) (ChurnRow, bool) {
 		for _, r := range rows {

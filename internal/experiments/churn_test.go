@@ -48,7 +48,7 @@ func TestChurnStudySmoke(t *testing.T) {
 	if kill.FailedMembers == 0 {
 		t.Fatal("kill phase: survivors never marked the killed node failed")
 	}
-	if got := ChurnRegression(rows, rows); len(got) != 0 {
+	if got := ChurnStructural(rows, rows); len(got) != 0 {
 		t.Fatalf("healthy run failed its own gate: %v", got)
 	}
 	out := FormatChurnStudy(rows)
@@ -84,13 +84,13 @@ func TestChurnRegressionGate(t *testing.T) {
 		{Phase: "drain", Watches: 4, Granted: 4, AdmitRate: 1, Redirects: 4, MeanRedirectHops: 1},
 		{Phase: "kill", Watches: 4, Granted: 4, AdmitRate: 1, FailedMembers: 1},
 	}
-	if got := ChurnRegression(healthy, healthy); len(got) != 0 {
+	if got := ChurnStructural(healthy, healthy); len(got) != 0 {
 		t.Fatalf("healthy rows flagged: %v", got)
 	}
 	broken := func(mutate func([]ChurnRow)) []string {
 		rows := append([]ChurnRow(nil), healthy...)
 		mutate(rows)
-		return ChurnRegression(rows, healthy)
+		return ChurnStructural(rows, healthy)
 	}
 	if got := broken(func(r []ChurnRow) { r[2].Failed = 1 }); len(got) == 0 {
 		t.Fatal("failed drain watch passed the gate")
@@ -104,10 +104,10 @@ func TestChurnRegressionGate(t *testing.T) {
 	if got := broken(func(r []ChurnRow) { r[3].FailedMembers = 0 }); len(got) == 0 {
 		t.Fatal("undetected kill passed the gate")
 	}
-	if got := ChurnRegression(healthy[:3], healthy); len(got) == 0 {
+	if got := ChurnStructural(healthy[:3], healthy); len(got) == 0 {
 		t.Fatal("missing kill phase passed the gate")
 	}
-	if got := ChurnRegression(healthy, nil); len(got) == 0 {
+	if got := ChurnStructural(healthy, nil); len(got) == 0 {
 		t.Fatal("empty baseline passed the gate")
 	}
 }

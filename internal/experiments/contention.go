@@ -25,7 +25,7 @@ import (
 // path, per broker shard count. The committed baseline records the machine's
 // GOMAXPROCS alongside every row because shard scaling is a parallelism
 // effect: on a single-core box every shard count serializes identically, so
-// the regression gate (ContentionRegression) enforces the absolute
+// the timing gate (ContentionTiming) enforces the absolute
 // admissions/sec floor everywhere but only tightens the scaling bound to what
 // the baseline machine actually demonstrated.
 
@@ -268,22 +268,6 @@ func contentionScaling(rows []ContentionRow) (float64, bool) {
 	return rows[len(rows)-1].AdmissionsPerSec / rows[0].AdmissionsPerSec, true
 }
 
-// ContentionRegression gates Ext-18 against its committed baseline:
-// ContentionStructural's bounds plus ContentionTiming's. It returns one bad
-// message per violation (empty bad passes) plus notes the caller must print
-// — warnings about what the gate could not check, so a weakened bound is
-// always loud, never silent. It is the gate `vodbench -study contention
-// -contention-baseline` runs; go test calls only the structural half, since
-// wall-clock rates are not a test verdict.
-func ContentionRegression(current, baseline []ContentionRow) (bad, notes []string) {
-	bad = ContentionStructural(current, baseline)
-	if len(current) == 0 {
-		return bad, nil
-	}
-	timing, notes := ContentionTiming(current, baseline)
-	return append(bad, timing...), notes
-}
-
 // ContentionStructural returns the Ext-18 bounds that hold on any machine:
 // the run produced rows, the baseline has rows and every baseline shard
 // count is still measured, and the concurrent lock-free read path made
@@ -311,9 +295,11 @@ func ContentionStructural(current, baseline []ContentionRow) (bad []string) {
 	return bad
 }
 
-// ContentionTiming returns Ext-18's wall-clock bounds for a non-empty run.
-// Shard scaling is a parallelism effect — a single-core machine runs every
-// shard count at the same rate — so the rate bounds are proc-aware:
+// ContentionTiming returns Ext-18's wall-clock bounds, none for an empty run,
+// plus notes — warnings about what it could not check, so a weakened bound
+// is always loud, never silent. Shard scaling is a parallelism effect — a
+// single-core machine runs every shard count at the same rate — so the rate
+// bounds are proc-aware:
 //
 //   - absolute floor, always enforced: the max-shard cell must clear
 //     ContentionFloorAdmissionsPerSec.
@@ -331,6 +317,9 @@ func ContentionStructural(current, baseline []ContentionRow) (bad []string) {
 //     baseline's. Cross-machine wall-clock comparisons flake, so mismatched
 //     GOMAXPROCS falls back to the absolute floor alone.
 func ContentionTiming(current, baseline []ContentionRow) (bad, notes []string) {
+	if len(current) == 0 {
+		return nil, nil
+	}
 	cur := current[len(current)-1]
 	if cur.AdmissionsPerSec < ContentionFloorAdmissionsPerSec {
 		bad = append(bad, fmt.Sprintf(

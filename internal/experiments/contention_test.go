@@ -86,7 +86,7 @@ func TestContentionRegressionGate(t *testing.T) {
 	}
 	baseline := mk(8, 1e6, 1.8e6, 2.9e6, 3.6e6) // 3.6x on an 8-core box
 	clean := mk(8, 1e6, 1.9e6, 3.0e6, 3.3e6)    // 3.3x ≥ capped bound of 3.0
-	bad, notes := ContentionRegression(clean, baseline)
+	bad, notes := regression(t, "contention", clean, baseline)
 	if len(bad) != 0 {
 		t.Fatalf("clean run flagged: %v", bad)
 	}
@@ -105,7 +105,7 @@ func TestContentionRegressionGate(t *testing.T) {
 		{"missing shard counts", mk(8, 3.6e6), "missing"},
 	}
 	for _, tc := range cases {
-		bad, _ := ContentionRegression(tc.current, baseline)
+		bad, _ := regression(t, "contention", tc.current, baseline)
 		found := false
 		for _, msg := range bad {
 			if strings.Contains(msg, tc.want) {
@@ -122,7 +122,7 @@ func TestContentionRegressionGate(t *testing.T) {
 	for i := range wedged {
 		wedged[i].SnapshotReads = 0
 	}
-	if bad, _ := ContentionRegression(wedged, baseline); len(bad) == 0 {
+	if bad, _ := regression(t, "contention", wedged, baseline); len(bad) == 0 {
 		t.Error("wedged read path accepted")
 	}
 	// Rates are the timing half's alone: the structural half passes a run
@@ -138,14 +138,14 @@ func TestContentionRegressionGate(t *testing.T) {
 	// binds, so flat throughput above it passes even against a strong
 	// multi-core baseline.
 	flatSingleCore := mk(1, 2.5e6, 2.5e6, 2.5e6, 2.5e6)
-	if bad, _ := ContentionRegression(flatSingleCore, baseline); len(bad) != 0 {
+	if bad, _ := regression(t, "contention", flatSingleCore, baseline); len(bad) != 0 {
 		t.Errorf("single-core run flagged on scaling it cannot show: %v", bad)
 	}
 
-	if bad, _ := ContentionRegression(clean, nil); len(bad) == 0 {
+	if bad, _ := regression(t, "contention", clean, nil); len(bad) == 0 {
 		t.Error("empty baseline accepted")
 	}
-	if bad, _ := ContentionRegression(nil, baseline); len(bad) == 0 {
+	if bad, _ := regression(t, "contention", nil, baseline); len(bad) == 0 {
 		t.Error("empty current run accepted")
 	}
 }
@@ -175,7 +175,7 @@ func TestContentionRegressionSingleCoreBaseline(t *testing.T) {
 		mk(1, 2.5e6, 2.5e6, 2.5e6, 2.5e6),
 		mk(8, 3.0e6, 3.1e6, 3.2e6, 3.45e6),
 	} {
-		bad, notes := ContentionRegression(cur, weakBaseline)
+		bad, notes := regression(t, "contention", cur, weakBaseline)
 		if len(bad) != 0 {
 			t.Fatalf("procs=%d run flagged against a single-core baseline: %v", cur[0].Procs, bad)
 		}
@@ -195,7 +195,7 @@ func TestContentionRegressionSingleCoreBaseline(t *testing.T) {
 	// — the self-tightening formula would demand only 0.8x. Instead a
 	// multi-core run below the fixed parallel floor fails.
 	flatMulticore := mk(8, 3.5e6, 3.5e6, 3.5e6, 3.55e6) // 1.01x < 1.1x floor
-	bad, _ := ContentionRegression(flatMulticore, weakBaseline)
+	bad, _ := regression(t, "contention", flatMulticore, weakBaseline)
 	found := false
 	for _, msg := range bad {
 		if strings.Contains(msg, "parallel floor") {
@@ -209,7 +209,7 @@ func TestContentionRegressionSingleCoreBaseline(t *testing.T) {
 	// Modest real scaling above the floor passes: the gate never invents a 3x
 	// demand out of a baseline that could not demonstrate one.
 	modestMulticore := mk(8, 3.0e6, 3.1e6, 3.2e6, 3.45e6) // 1.15x
-	if bad, _ := ContentionRegression(modestMulticore, weakBaseline); len(bad) != 0 {
+	if bad, _ := regression(t, "contention", modestMulticore, weakBaseline); len(bad) != 0 {
 		t.Fatalf("modest scaling flagged against a single-core baseline: %v", bad)
 	}
 }

@@ -80,7 +80,7 @@ type FramingRow struct {
 	FallbackSends int64
 	// Procs is GOMAXPROCS during the run. Cross-framing speedup gates only
 	// bind to the degree the runner can demonstrate them (see
-	// FramingRegression): on one core, delivered MB/s measures total copies
+	// FramingTiming): on one core, delivered MB/s measures total copies
 	// of both directions and the receive side dominates, so the kernel
 	// path's sender-side savings cannot show up as wall-clock throughput.
 	Procs int
@@ -232,7 +232,7 @@ func framingArm(framing string, clusterBytes int64, titleClusters, runs int) (Fr
 	return row, nil
 }
 
-// Ext-13 regression-gate thresholds, shared with cmd/vodbench.
+// Ext-13 regression-gate thresholds, read by FramingTiming.
 const (
 	// FramingKernelSpeedupTarget is the kernel-over-binary delivered-MB/s
 	// ratio expected at the largest cluster size on runners with at least
@@ -255,17 +255,6 @@ const (
 	// topology cannot show.
 	FramingKernelParityFloor = 0.5
 )
-
-// FramingRegression compares a fresh Ext-13 run against the committed
-// baseline and returns one message per violated bound (empty means pass):
-// FramingStructural's bounds plus FramingTiming's. It is the gate
-// `vodbench -study framing -framing-baseline` runs; go test calls only the
-// structural half, since wall-clock ratios are not a test verdict.
-func FramingRegression(current, baseline []FramingRow) (bad, notes []string) {
-	bad = FramingStructural(current, baseline)
-	timing, notes := FramingTiming(current)
-	return append(bad, timing...), notes
-}
 
 // framingCell keys a framing row by arm and cluster size.
 type framingCell struct {
@@ -327,13 +316,13 @@ func FramingStructural(current, baseline []FramingRow) (bad []string) {
 }
 
 // FramingTiming returns Ext-13's wall-clock bound, which is proc-aware like
-// ContentionRegression: at FramingSpeedupMinProcs and above, the kernel arm
+// ContentionTiming: at FramingSpeedupMinProcs and above, the kernel arm
 // must reach FramingKernelSpeedupTarget× the binary arm's MB/s at the
 // largest cluster size; below that the target cannot physically manifest,
 // so the gate prints a loud warning through the returned notes channel and
-// demands only FramingKernelParityFloor× parity. A single-core baseline is
-// never used to tighten bounds.
-func FramingTiming(current []FramingRow) (bad, notes []string) {
+// demands only FramingKernelParityFloor× parity. The bound reads the current
+// run alone: a single-core baseline is never used to tighten it.
+func FramingTiming(current, _ []FramingRow) (bad, notes []string) {
 	cur, maxSize := framingCells(current)
 	k, kok := cur[framingCell{FramingKernel, maxSize}]
 	b, bok := cur[framingCell{FramingBinary, maxSize}]

@@ -80,7 +80,7 @@ func TestFramingRegressionGates(t *testing.T) {
 
 	// Healthy single-core run: parity floor holds, warning is loud, no
 	// violations.
-	bad, notes := FramingRegression(framingFixture(1, 0.9), base)
+	bad, notes := regression(t, "framing", framingFixture(1, 0.9), base)
 	if len(bad) != 0 {
 		t.Fatalf("healthy single-core run flagged: %v", bad)
 	}
@@ -89,16 +89,16 @@ func TestFramingRegressionGates(t *testing.T) {
 	}
 
 	// Single-core run below the parity floor fails.
-	if bad, _ := FramingRegression(framingFixture(1, 0.4), base); len(bad) == 0 {
+	if bad, _ := regression(t, "framing", framingFixture(1, 0.4), base); len(bad) == 0 {
 		t.Fatal("kernel at 0.4x binary passed the single-core parity floor")
 	}
 
 	// Multi-core runs enforce the full speedup target, without a warning.
-	bad, notes = FramingRegression(framingFixture(8, 2.4), base)
+	bad, notes = regression(t, "framing", framingFixture(8, 2.4), base)
 	if len(bad) != 0 || len(notes) != 0 {
 		t.Fatalf("healthy multi-core run: bad=%v notes=%v", bad, notes)
 	}
-	if bad, _ := FramingRegression(framingFixture(8, 1.5), base); len(bad) == 0 {
+	if bad, _ := regression(t, "framing", framingFixture(8, 1.5), base); len(bad) == 0 {
 		t.Fatal("kernel at 1.5x binary passed the multi-core 2x gate")
 	}
 	// The speedup is the timing half's alone: the structural half passes it.
@@ -111,7 +111,7 @@ func TestFramingRegressionGates(t *testing.T) {
 	if runtime.GOOS == "linux" {
 		broken := framingFixture(1, 0.9)
 		broken[2].KernelSends = 0
-		if bad, _ := FramingRegression(broken, base); len(bad) == 0 {
+		if bad, _ := regression(t, "framing", broken, base); len(bad) == 0 {
 			t.Fatal("zero kernel sends passed")
 		}
 	}
@@ -125,10 +125,15 @@ func TestFramingRegressionGates(t *testing.T) {
 
 	// Baseline cells must stay measured.
 	missing := framingFixture(1, 0.9)[:2] // kernel row dropped
-	if bad, _ := FramingRegression(missing, base); len(bad) == 0 {
+	if bad, _ := regression(t, "framing", missing, base); len(bad) == 0 {
 		t.Fatal("missing kernel rows passed")
 	}
-	if bad, _ := FramingRegression(nil, base); len(bad) == 0 {
+	// A baseline promising a framing arm the run does not measure fails.
+	promised := append(framingFixture(1, 0.9), FramingRow{Framing: "quic", ClusterBytes: 64 << 10, MBps: 1})
+	if bad := FramingStructural(framingFixture(1, 0.9), promised); len(bad) != 1 || !strings.Contains(bad[0], "quic@64KiB missing") {
+		t.Fatalf("baseline with an unmeasured quic cell: %v, want one missing-cell message", bad)
+	}
+	if bad, _ := regression(t, "framing", nil, base); len(bad) == 0 {
 		t.Fatal("empty run passed")
 	}
 }

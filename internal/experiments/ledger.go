@@ -240,7 +240,7 @@ func ledgerCell(cfg LedgerStudyConfig, withLedger bool) (LedgerRow, error) {
 	return row, nil
 }
 
-// LedgerRegression gates Ext-16 against its committed baseline and returns
+// LedgerStructural gates Ext-16 against its committed baseline and returns
 // one message per violation; an empty slice passes. The checks are
 // structural, not wall-clock, so the gate is stable on loaded CI machines:
 //
@@ -255,7 +255,7 @@ func ledgerCell(cfg LedgerStudyConfig, withLedger bool) (LedgerRow, error) {
 //   - per-server arm, every watcher granted: blind brokers must keep
 //     admitting — that contrast is the study's claim. Fewer grants means the
 //     workload itself changed and the baseline no longer measures anything.
-func LedgerRegression(current, baseline []LedgerRow) []string {
+func LedgerStructural(current, baseline []LedgerRow) []string {
 	var bad []string
 	byMode := func(rows []LedgerRow, mode string) (LedgerRow, bool) {
 		for _, r := range rows {

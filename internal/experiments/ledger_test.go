@@ -57,8 +57,8 @@ func TestLedgerStudySmoke(t *testing.T) {
 
 func TestLedgerStudyConfigValidation(t *testing.T) {
 	mutations := []func(*LedgerStudyConfig){
-		func(c *LedgerStudyConfig) { c.TrunkMbps = c.BitrateMbps - 1 },   // cannot carry one
-		func(c *LedgerStudyConfig) { c.TrunkMbps = 2 * c.BitrateMbps },   // nothing contended
+		func(c *LedgerStudyConfig) { c.TrunkMbps = c.BitrateMbps - 1 }, // cannot carry one
+		func(c *LedgerStudyConfig) { c.TrunkMbps = 2 * c.BitrateMbps }, // nothing contended
 		func(c *LedgerStudyConfig) { c.TitleClusters = 0 },
 		func(c *LedgerStudyConfig) { c.ClusterBytes = 0 },
 		func(c *LedgerStudyConfig) { c.Drag = 0 },
@@ -87,7 +87,7 @@ func TestLedgerRegressionGate(t *testing.T) {
 		{Mode: "per-server", Watchers: 2, Granted: 2, OversubscribedLinkSeconds: 3},
 		{Mode: "ledger", Watchers: 2, Granted: 1, Rejected: 1},
 	}
-	if bad := LedgerRegression(ok, baseline); len(bad) != 0 {
+	if bad := LedgerStructural(ok, baseline); len(bad) != 0 {
 		t.Fatalf("clean run flagged: %v", bad)
 	}
 	cases := []struct {
@@ -112,7 +112,7 @@ func TestLedgerRegressionGate(t *testing.T) {
 		}, "per-server arm missing"},
 	}
 	for _, tc := range cases {
-		bad := LedgerRegression(tc.rows, baseline)
+		bad := LedgerStructural(tc.rows, baseline)
 		found := false
 		for _, msg := range bad {
 			if strings.Contains(msg, tc.want) {
@@ -123,7 +123,7 @@ func TestLedgerRegressionGate(t *testing.T) {
 			t.Errorf("%s: gate output %v, want a %q message", tc.name, bad, tc.want)
 		}
 	}
-	if bad := LedgerRegression(ok, nil); len(bad) == 0 {
+	if bad := LedgerStructural(ok, nil); len(bad) == 0 {
 		t.Error("empty baseline accepted")
 	}
 }

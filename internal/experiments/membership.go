@@ -391,13 +391,13 @@ func MembershipStudy(cfg MembershipStudyConfig) ([]MembershipRow, error) {
 	return rows, nil
 }
 
-// MembershipRegression checks the structural Ext-19 invariants and the
+// MembershipStructural checks the structural Ext-19 invariants and the
 // current rows against a baseline. The checks are structural — convergence
 // and detection finished, delta cut steady bytes by at least 5x where both
 // modes ran, zero false Failed verdicts anywhere — so the gate is stable on
 // loaded CI machines; the baseline comparison allows 1.5x drift on the byte
 // rate before failing.
-func MembershipRegression(current, baseline []MembershipRow) []string {
+func MembershipStructural(current, baseline []MembershipRow) []string {
 	var problems []string
 	fail := func(format string, args ...any) {
 		problems = append(problems, fmt.Sprintf(format, args...))

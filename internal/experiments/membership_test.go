@@ -66,7 +66,7 @@ func TestMembershipStudySmall(t *testing.T) {
 	if full.FalseFailed != 0 || delta.FalseFailed != 0 {
 		t.Fatalf("false Failed verdicts: full=%d delta=%d", full.FalseFailed, delta.FalseFailed)
 	}
-	if problems := MembershipRegression(rows, rows); len(problems) != 0 {
+	if problems := MembershipStructural(rows, rows); len(problems) != 0 {
 		t.Fatalf("self-baseline regression: %v", problems)
 	}
 }
@@ -96,7 +96,7 @@ func TestMembershipRegressionFlagsBrokenRows(t *testing.T) {
 		{Nodes: 64, Mode: "full", Converged: true, Detected: true, ConvergeRounds: 10, SteadyBytesPerRound: 10000},
 		{Nodes: 64, Mode: "delta", Converged: true, Detected: true, ConvergeRounds: 12, SteadyBytesPerRound: 1000},
 	}
-	if problems := MembershipRegression(good, good); len(problems) != 0 {
+	if problems := MembershipStructural(good, good); len(problems) != 0 {
 		t.Fatalf("clean rows flagged: %v", problems)
 	}
 	bad := []MembershipRow{
@@ -104,7 +104,7 @@ func TestMembershipRegressionFlagsBrokenRows(t *testing.T) {
 		{Nodes: 64, Mode: "delta", Converged: true, Detected: false, ConvergeRounds: 30,
 			SteadyBytesPerRound: 9000, FalseFailed: 1},
 	}
-	problems := MembershipRegression(bad, good)
+	problems := MembershipStructural(bad, good)
 	wantHits := []string{"never detected", "false Failed", "not 5x", "over 2x", "regressed past 1.5x"}
 	for _, want := range wantHits {
 		found := false
@@ -118,7 +118,7 @@ func TestMembershipRegressionFlagsBrokenRows(t *testing.T) {
 			t.Fatalf("gate missed %q in %v", want, problems)
 		}
 	}
-	if problems := MembershipRegression(good, nil); len(problems) == 0 {
+	if problems := MembershipStructural(good, nil); len(problems) == 0 {
 		t.Fatal("empty baseline not flagged")
 	}
 }

@@ -73,14 +73,14 @@ func TestMergeGateHalves(t *testing.T) {
 		}
 	}
 	base := rows(100, 11) // 12x saving
-	if bad := MergeRegression(base, base); len(bad) != 0 {
+	if bad, _ := regression(t, "merge", base, base); len(bad) != 0 {
 		t.Fatalf("baseline against itself: %v", bad)
 	}
 	drifted := rows(200, 11) // 6x saving
 	if bad := MergeStructural(drifted, base); len(bad) != 0 {
 		t.Fatalf("structural half judged the saving: %v", bad)
 	}
-	if bad := MergeTiming(drifted, base); len(bad) != 1 {
+	if bad, _ := MergeTiming(drifted, base); len(bad) != 1 {
 		t.Fatalf("timing half: %v, want the saving drift", bad)
 	}
 	if bad := MergeStructural(rows(100, 0), base); len(bad) != 1 {

@@ -103,7 +103,7 @@ type PrefixRow struct {
 	RelayUpstreams int64
 	RelayFallbacks int64
 	// Procs is GOMAXPROCS during the run; the startup-latency gate only binds
-	// where the runner can demonstrate it (see PrefixRegression).
+	// where the runner can demonstrate it (see PrefixTiming).
 	Procs int
 }
 
@@ -269,7 +269,7 @@ func percentileFloat(sorted []float64, p float64) float64 {
 	return sorted[idx]
 }
 
-// Ext-20 regression-gate thresholds, shared with cmd/vodbench.
+// Ext-20 regression-gate thresholds, read by PrefixStructural and PrefixTiming.
 const (
 	// PrefixOriginReadCutTarget is the minimum origin-read reduction the
 	// prefix+relay arm must show over the baseline arm of the SAME run: five
@@ -287,17 +287,6 @@ const (
 	// a local disk read replacing a remote round trip.
 	PrefixStartupCutTarget = 2.0
 )
-
-// PrefixRegression compares a fresh Ext-20 run against the committed baseline
-// and returns one message per violated bound (empty means pass):
-// PrefixStructural's bounds plus PrefixTiming's. It is the gate
-// `vodbench -study prefix -prefix-baseline` runs; go test calls only the
-// structural half, since wall-clock ratios are not a test verdict.
-func PrefixRegression(current, baseline []PrefixRow) (bad, notes []string) {
-	bad = PrefixStructural(current, baseline)
-	timing, notes := PrefixTiming(current)
-	return append(bad, timing...), notes
-}
 
 // prefixArms indexes rows by arm.
 func prefixArms(rows []PrefixRow) map[string]PrefixRow {
@@ -377,8 +366,9 @@ func PrefixStructural(current, baseline []PrefixRow) (bad []string) {
 // time-to-first-cluster is scheduler queueing (the prefix arms do pure CPU
 // work while baseline sessions sleep in remote fetches, so the prefix arms
 // can even look slower), and the zero-remote-startup count is the
-// instant-start proof that still binds.
-func PrefixTiming(current []PrefixRow) (bad, notes []string) {
+// instant-start proof that still binds. The bound reads the current run
+// alone.
+func PrefixTiming(current, _ []PrefixRow) (bad, notes []string) {
 	cur := prefixArms(current)
 	base, bok := cur[PrefixArmBaseline]
 	relay, rok := cur[PrefixArmRelay]

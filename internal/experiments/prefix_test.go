@@ -122,20 +122,25 @@ func TestPrefixRegressionGates(t *testing.T) {
 	// dropped entirely with a loud warning — even a startup inversion (the
 	// CPU-bound prefix arms measuring slower than baseline) must pass, since
 	// single-core time-to-first-cluster is scheduler queueing.
-	bad, notes := PrefixRegression(prefixFixture(1, 10, 10.0), base)
+	bad, notes := regression(t, "prefix", prefixFixture(1, 10, 10.0), base)
 	if len(bad) != 0 {
 		t.Fatalf("healthy single-core run flagged: %v", bad)
 	}
 	if len(notes) == 0 || !strings.Contains(notes[0], "WARNING") {
 		t.Fatalf("single-core run must carry a loud warning, got %v", notes)
 	}
+	// The warning is the timing half's: on Procs 1 rows it binds nothing
+	// and says so.
+	if bad, notes := PrefixTiming(base, base); len(bad) != 0 || len(notes) != 1 || !strings.Contains(notes[0], "WARNING") {
+		t.Fatalf("single-core timing half: bad=%v notes=%v, want one WARNING note", bad, notes)
+	}
 
 	// Multi-core runs enforce the halving target, without a warning.
-	bad, notes = PrefixRegression(prefixFixture(8, 10, 0.4), base)
+	bad, notes = regression(t, "prefix", prefixFixture(8, 10, 0.4), base)
 	if len(bad) != 0 || len(notes) != 0 {
 		t.Fatalf("healthy multi-core run: bad=%v notes=%v", bad, notes)
 	}
-	if bad, _ := PrefixRegression(prefixFixture(8, 10, 0.8), base); len(bad) == 0 {
+	if bad, _ := regression(t, "prefix", prefixFixture(8, 10, 0.8), base); len(bad) == 0 {
 		t.Fatal("0.8x startup passed the multi-core halving gate")
 	}
 	// The halving is the timing half's alone: the structural half passes it.
@@ -144,42 +149,42 @@ func TestPrefixRegressionGates(t *testing.T) {
 	}
 
 	// Origin-read cut below 5x fails everywhere.
-	if bad, _ := PrefixRegression(prefixFixture(1, 3, 0.9), base); len(bad) == 0 {
+	if bad, _ := regression(t, "prefix", prefixFixture(1, 3, 0.9), base); len(bad) == 0 {
 		t.Fatal("3x read cut passed the 5x gate")
 	}
 	// A cut >20% below the committed baseline's fails even above 5x.
-	if bad, _ := PrefixRegression(prefixFixture(1, 6, 0.9), prefixFixture(1, 12, 0.9)); len(bad) == 0 {
+	if bad, _ := regression(t, "prefix", prefixFixture(1, 6, 0.9), prefixFixture(1, 12, 0.9)); len(bad) == 0 {
 		t.Fatal("6x cut passed against a committed 12x baseline")
 	}
 
 	// Remote startups on a prefix arm are the tier not working.
 	broken := prefixFixture(1, 10, 0.9)
 	broken[2].StartupRemoteFetches = 3
-	if bad, _ := PrefixRegression(broken, base); len(bad) == 0 {
+	if bad, _ := regression(t, "prefix", broken, base); len(bad) == 0 {
 		t.Fatal("remote startups on the relay arm passed")
 	}
 	// So are relay fallbacks on a healthy origin, or zero upstreams.
 	broken = prefixFixture(1, 10, 0.9)
 	broken[2].RelayFallbacks = 1
-	if bad, _ := PrefixRegression(broken, base); len(bad) == 0 {
+	if bad, _ := regression(t, "prefix", broken, base); len(bad) == 0 {
 		t.Fatal("relay fallbacks passed")
 	}
 	broken = prefixFixture(1, 10, 0.9)
 	broken[2].RelayUpstreams = 0
-	if bad, _ := PrefixRegression(broken, base); len(bad) == 0 {
+	if bad, _ := regression(t, "prefix", broken, base); len(bad) == 0 {
 		t.Fatal("zero upstreams passed")
 	}
 	// A baseline arm that never paid remote startups measured the wrong thing.
 	broken = prefixFixture(1, 10, 0.9)
 	broken[0].StartupRemoteFetches = 0
-	if bad, _ := PrefixRegression(broken, base); len(bad) == 0 {
+	if bad, _ := regression(t, "prefix", broken, base); len(bad) == 0 {
 		t.Fatal("remote-free baseline arm passed")
 	}
 
-	if bad, _ := PrefixRegression(prefixFixture(1, 10, 0.9)[:2], base); len(bad) == 0 {
+	if bad, _ := regression(t, "prefix", prefixFixture(1, 10, 0.9)[:2], base); len(bad) == 0 {
 		t.Fatal("missing relay arm passed")
 	}
-	if bad, _ := PrefixRegression(nil, base); len(bad) == 0 {
+	if bad, _ := regression(t, "prefix", nil, base); len(bad) == 0 {
 		t.Fatal("empty run passed")
 	}
 }
