@@ -166,8 +166,6 @@ type Service struct {
 	epochs  map[NodeID]uint64
 	hbStop  chan struct{}
 	hbDone  chan struct{}
-	pfStop  chan struct{}
-	pfDone  chan struct{}
 	started bool
 	closed  bool
 }
@@ -235,8 +233,6 @@ func New(spec TopologySpec, opts ...Option) (*Service, error) {
 		epochs:    make(map[NodeID]uint64),
 		hbStop:    make(chan struct{}),
 		hbDone:    make(chan struct{}),
-		pfStop:    make(chan struct{}),
-		pfDone:    make(chan struct{}),
 	}
 	if o.prefixBudgetBytes > 0 {
 		svc.prefixes = make(map[NodeID]*prefix.Manager, g.NumNodes())
@@ -351,7 +347,6 @@ func (s *Service) buildNodeStack(node NodeID) error {
 		brk, err = admission.New(admission.Config{
 			Node:         node,
 			CapacityMbps: o.admissionMbps,
-			Shards:       o.admissionShards,
 			Snapshot:     d.Snapshot,
 			Ledger:       led,
 			Clock:        o.clock,
@@ -368,15 +363,11 @@ func (s *Service) buildNodeStack(node NodeID) error {
 		// epochs is touched nowhere else.
 		s.epochs[node]++
 		tr, err = membership.New(membership.Config{
-			Self:          node,
-			Seeds:         d.Graph().Nodes(),
-			SuspectRounds: o.membershipSuspectRounds,
-			FailRounds:    o.membershipFailRounds,
-			ProbeFanout:   o.membershipProbeFanout,
-			FullSyncEvery: o.membershipFullSyncEvery,
-			Epoch:         s.epochs[node],
-			OnEvent:       s.memberEventHook(led),
-			Metrics:       reg,
+			Self:    node,
+			Seeds:   d.Graph().Nodes(),
+			Epoch:   s.epochs[node],
+			OnEvent: s.memberEventHook(led),
+			Metrics: reg,
 		})
 		if err != nil {
 			return err
@@ -392,7 +383,7 @@ func (s *Service) buildNodeStack(node NodeID) error {
 		FrontDoor: o.frontDoor,
 		Resident:  dma.Resident,
 		Members:   memberViewFn(tr),
-		Load:      s.brokerLoadFn(brk),
+		Load:      s.brokerLoad,
 		Health:    healthFn(s.scores),
 	})
 	if err != nil {
@@ -439,7 +430,6 @@ func (s *Service) buildNodeStack(node NodeID) error {
 		gsp, err := ledger.NewGossiper(ledger.GossipConfig{
 			Ledger:   led,
 			PeersFn:  s.ledgerPeersFn(node),
-			Fanout:   o.ledgerFanout,
 			Lookup:   s.book.Lookup,
 			Dial:     s.gossipDialer(node),
 			Interval: o.ledgerInterval,
@@ -453,14 +443,12 @@ func (s *Service) buildNodeStack(node NodeID) error {
 	}
 	if tr != nil {
 		mg, err := membership.NewGossiper(membership.GossipConfig{
-			Tracker:         tr,
-			Fanout:          o.membershipFanout,
-			ExchangeTimeout: o.membershipExchangeTimeout,
-			Lookup:          s.book.Lookup,
-			Dial:            s.gossipDialer(node),
-			Interval:        o.membershipInterval,
-			Clock:           o.clock,
-			Metrics:         reg,
+			Tracker:  tr,
+			Lookup:   s.book.Lookup,
+			Dial:     s.gossipDialer(node),
+			Interval: o.membershipInterval,
+			Clock:    o.clock,
+			Metrics:  reg,
 		})
 		if err != nil {
 			return err
@@ -518,19 +506,16 @@ func (s *Service) ledgerPeersFn(self NodeID) func() []NodeID {
 	}
 }
 
-// brokerLoadFn adapts the brokers to the director's load hook: committed
-// over capacity for every broker in the fleet (0 for unknown nodes).
-func (s *Service) brokerLoadFn(own *admission.Broker) func(NodeID) float64 {
-	_ = own
-	return func(n NodeID) float64 {
-		s.mu.Lock()
-		brk := s.brokers[n]
-		s.mu.Unlock()
-		if brk == nil || brk.CapacityMbps() <= 0 {
-			return 0
-		}
-		return brk.CommittedMbps() / brk.CapacityMbps()
+// brokerLoad is the director's load hook: committed over capacity for any
+// broker in the fleet (0 for unknown nodes).
+func (s *Service) brokerLoad(n NodeID) float64 {
+	s.mu.Lock()
+	brk := s.brokers[n]
+	s.mu.Unlock()
+	if brk == nil || brk.CapacityMbps() <= 0 {
+		return 0
 	}
+	return brk.CommittedMbps() / brk.CapacityMbps()
 }
 
 // memberViewFn adapts an optional tracker to the director's members hook.
@@ -591,11 +576,7 @@ func (s *Service) memberProbe(self NodeID) func(NodeID, string) error {
 			return err
 		}
 		defer conn.Close()
-		timeout := s.opts.membershipExchangeTimeout
-		if timeout <= 0 {
-			timeout = membership.DefaultExchangeTimeout
-		}
-		_ = conn.SetDeadline(time.Now().Add(timeout))
+		_ = conn.SetDeadline(time.Now().Add(membership.DefaultExchangeTimeout))
 		m, err := transport.Encode(transport.TypePing, nil)
 		if err != nil {
 			return err
@@ -680,37 +661,15 @@ func (s *Service) Start() error {
 	} else {
 		close(s.hbDone)
 	}
-	if s.opts.prefixEpoch > 0 && s.prefixes != nil {
-		go s.prefixEpochLoop()
-	} else {
-		close(s.pfDone)
-	}
 	s.started = true
 	return nil
 }
 
-// prefixEpochLoop re-solves every node's prefix knapsack on the configured
-// epoch, jittered ±25% so a fleet of services does not re-replicate in
-// lockstep. Deterministic tests drive epochs through PrefixResolve instead.
-func (s *Service) prefixEpochLoop() {
-	defer close(s.pfDone)
-	rng := rand.New(rand.NewSource(s.opts.faultSeed ^ 0x70666978)) // "pfix"
-	for {
-		select {
-		case <-s.opts.clock.After(faults.Jitter(s.opts.prefixEpoch, 0.25, rng)):
-			_ = s.PrefixResolve()
-		case <-s.pfStop:
-			return
-		}
-	}
-}
-
 // PrefixResolve drives one synchronous prefix epoch on every live node:
 // popularity is snapshotted, the knapsack re-solved, and the pinned prefixes
-// re-replicated to match. Studies and tests on a virtual clock use it instead
-// of waiting out WithPrefixEpoch intervals. It returns the first
-// re-replication error (later nodes still resolve). No-op without
-// WithPrefixBudget.
+// re-replicated to match. It is the only way an epoch runs: callers decide
+// when popularity has shifted enough. It returns the first re-replication
+// error (later nodes still resolve). No-op without WithPrefixBudget.
 func (s *Service) PrefixResolve() error {
 	var firstErr error
 	for _, node := range s.db.Graph().Nodes() {
@@ -830,7 +789,7 @@ func (s *Service) AddServer(node NodeID, links []LinkSpec) error {
 			return fmt.Errorf("dvod: join %s: %w", node, err)
 		}
 	}
-	if _, err := s.db.SetGraph(g, now); err != nil {
+	if _, err := s.db.SetGraph(g); err != nil {
 		return fmt.Errorf("dvod: join %s: %w", node, err)
 	}
 	s.mu.Lock()
@@ -1047,12 +1006,12 @@ func (s *Service) FinishDrain(node NodeID) error {
 		s.poller.RemoveAgent(node)
 	}
 	closeErr := srv.Close()
-	if err := s.db.UnregisterServer(node, now); err != nil {
+	if err := s.db.UnregisterServer(node); err != nil {
 		return err
 	}
 	if g, err := s.db.Graph().WithoutNode(node); err == nil {
 		if g.Validate() == nil {
-			if _, err := s.db.SetGraph(g, now); err != nil {
+			if _, err := s.db.SetGraph(g); err != nil {
 				return err
 			}
 		}
@@ -1089,10 +1048,6 @@ func (s *Service) Close() error {
 	if s.started && s.health != nil {
 		close(s.hbStop)
 		<-s.hbDone
-	}
-	if s.started && s.opts.prefixEpoch > 0 && s.prefixes != nil {
-		close(s.pfStop)
-		<-s.pfDone
 	}
 	if s.poller != nil {
 		s.poller.Stop()
@@ -1391,23 +1346,13 @@ type options struct {
 	faultSeed          int64
 	noDefense          bool
 	admissionMbps      float64
-	admissionShards    int
 	noLedger           bool
 	ledgerInterval     time.Duration
-	ledgerFanout       int
 	membershipInterval time.Duration
-	// WAN-tuning knobs of the membership plane (zero = membership defaults).
-	membershipFanout          int
-	membershipSuspectRounds   int
-	membershipFailRounds      int
-	membershipProbeFanout     int
-	membershipFullSyncEvery   int
-	membershipExchangeTimeout time.Duration
-	frontDoor                 bool
-	dataDir                   string
-	prefixBudgetBytes         int64
-	prefixEpoch               time.Duration
-	relayCohorts              bool
+	frontDoor          bool
+	dataDir            string
+	prefixBudgetBytes  int64
+	relayCohorts       bool
 }
 
 type diskShape struct {
@@ -1456,35 +1401,16 @@ func (o options) validate() error {
 		return fmt.Errorf("dvod: negative merge window %d", o.mergeWindow)
 	case o.admissionMbps < 0:
 		return fmt.Errorf("dvod: negative admission capacity %v", o.admissionMbps)
-	case o.admissionShards < 0:
-		return fmt.Errorf("dvod: negative admission shard count %d", o.admissionShards)
 	case o.ledgerInterval <= 0:
 		return fmt.Errorf("dvod: bad ledger gossip interval %v", o.ledgerInterval)
-	case o.ledgerFanout < 0:
-		return fmt.Errorf("dvod: negative ledger fan-out %d", o.ledgerFanout)
 	case o.membershipInterval < 0:
 		return fmt.Errorf("dvod: negative membership interval %v", o.membershipInterval)
-	case o.membershipFanout < 0:
-		return fmt.Errorf("dvod: negative membership fan-out %d", o.membershipFanout)
-	case o.membershipExchangeTimeout < 0:
-		return fmt.Errorf("dvod: negative membership exchange timeout %v", o.membershipExchangeTimeout)
-	case o.membershipSuspectRounds < 0 || o.membershipFailRounds < 0:
-		return fmt.Errorf("dvod: negative membership windows %d/%d",
-			o.membershipSuspectRounds, o.membershipFailRounds)
-	case o.membershipFullSyncEvery < 0:
-		return fmt.Errorf("dvod: negative membership full-sync period %d", o.membershipFullSyncEvery)
 	}
 	if o.noLedger && o.admissionMbps <= 0 {
 		return errors.New("dvod: WithoutLedger needs WithAdmission")
 	}
 	if o.prefixBudgetBytes < 0 {
 		return fmt.Errorf("dvod: negative prefix budget %d", o.prefixBudgetBytes)
-	}
-	if o.prefixEpoch < 0 {
-		return fmt.Errorf("dvod: negative prefix epoch %v", o.prefixEpoch)
-	}
-	if o.prefixEpoch > 0 && o.prefixBudgetBytes <= 0 {
-		return errors.New("dvod: WithPrefixEpoch needs WithPrefixBudget")
 	}
 	if o.relayCohorts && o.mergeWindow <= 0 {
 		return errors.New("dvod: WithCohortRelay needs WithMergeWindow")
@@ -1610,15 +1536,6 @@ func WithAdmission(capacityMbps float64) Option {
 	return func(o *options) { o.admissionMbps = capacityMbps }
 }
 
-// WithAdmissionShards sets each broker's link-reservation and shared-group
-// shard count (default admission.DefaultShards). One shard reproduces the
-// historical single-lock broker for contention studies; more shards spread
-// reservation-map locking across cores under heavy watch setup/teardown.
-// Requires WithAdmission.
-func WithAdmissionShards(n int) Option {
-	return func(o *options) { o.admissionShards = n }
-}
-
 // WithLedgerGossipInterval tunes the reservation ledger's anti-entropy
 // cadence (default ledger.DefaultGossipInterval, 250 ms). The lease TTL
 // scales with it (40 rounds), so slower gossip also means slower reclaim
@@ -1632,15 +1549,6 @@ func WithLedgerGossipInterval(d time.Duration) Option {
 // Ext-16 study's control arm; requires WithAdmission.
 func WithoutLedger() Option {
 	return func(o *options) { o.noLedger = true }
-}
-
-// WithLedgerFanout sets the reservation ledger's rumor-mongering width: how
-// many peers each anti-entropy round push-pulls with (default
-// ledger.DefaultFanout, 2). One reproduces the historical single-peer walk;
-// higher values trade per-round dials for faster convergence on large
-// fleets.
-func WithLedgerFanout(n int) Option {
-	return func(o *options) { o.ledgerFanout = n }
 }
 
 // WithMembership runs the SWIM-style gossip membership layer on every node:
@@ -1661,51 +1569,6 @@ func WithMembership(interval time.Duration) Option {
 	}
 }
 
-// WithMembershipWindows sets the failure-detection windows in gossip rounds:
-// suspect consecutive failed contacts trigger the indirect probe whose
-// failure marks a member Suspect, and fail−suspect further unrefuted rounds
-// make it Failed. Zeroes keep the defaults (3 and 6). WAN fleets with lossy
-// links run wider windows (e.g. 4/12) to trade detection latency for a lower
-// false-suspicion rate; the Lifeguard local-health multiplier stretches
-// whichever windows are set when the observer itself is struggling.
-func WithMembershipWindows(suspect, fail int) Option {
-	return func(o *options) {
-		o.membershipSuspectRounds = suspect
-		o.membershipFailRounds = fail
-	}
-}
-
-// WithMembershipFanout sets how many rotation peers each membership gossip
-// round exchanges with (default membership.DefaultFanout, 2). Detection
-// retries and Failed-member redials ride on top of this.
-func WithMembershipFanout(n int) Option {
-	return func(o *options) { o.membershipFanout = n }
-}
-
-// WithMembershipIndirectProbes sets how many live helpers are asked (via
-// member.ping-req) before a quiet member is marked Suspect. Zero keeps the
-// default (3); negative disables indirect probing, convicting on direct
-// failures alone — the pre-WAN behavior.
-func WithMembershipIndirectProbes(k int) Option {
-	return func(o *options) { o.membershipProbeFanout = k }
-}
-
-// WithMembershipFullSyncEvery sets the delta-sync anti-entropy safety net:
-// every nth exchange with one peer ships the full membership view even when
-// the delta would be smaller (default 32). Lower values trade bytes for
-// faster repair after lost updates.
-func WithMembershipFullSyncEvery(n int) Option {
-	return func(o *options) { o.membershipFullSyncEvery = n }
-}
-
-// WithMembershipExchangeTimeout bounds one membership exchange's or indirect
-// probe's socket I/O (default membership.DefaultExchangeTimeout, 2 s).
-// Exchanges within a round run concurrently, so a round facing stalled peers
-// costs one timeout, not one per peer.
-func WithMembershipExchangeTimeout(d time.Duration) Option {
-	return func(o *options) { o.membershipExchangeTimeout = d }
-}
-
 // WithPrefixBudget gives every video server a prefix replication tier: a
 // dedicated local store of budgetBytes onto which the server pins the first
 // K(title) clusters of popular titles, K chosen per title by a knapsack over
@@ -1713,18 +1576,9 @@ func WithMembershipExchangeTimeout(d time.Duration) Option {
 // leading clusters straight off local disk — zero cross-network round trips
 // at startup — while the VRA plans only the tail, and late joiners' merge
 // patches come from the prefix instead of origin reads. Re-solve epochs run
-// on WithPrefixEpoch, or explicitly via Service.PrefixResolve. Disabled by
-// default.
+// when Service.PrefixResolve is called. Disabled by default.
 func WithPrefixBudget(budgetBytes int64) Option {
 	return func(o *options) { o.prefixBudgetBytes = budgetBytes }
-}
-
-// WithPrefixEpoch runs the prefix knapsack re-solve on the given cadence
-// (jittered ±25%), re-replicating the delta as popularity shifts. Requires
-// WithPrefixBudget. Without it, prefixes change only when Service.
-// PrefixResolve is called — the deterministic mode studies use.
-func WithPrefixEpoch(d time.Duration) Option {
-	return func(o *options) { o.prefixEpoch = d }
 }
 
 // WithCohortRelay lets a server whose merge cohort streams a non-resident

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"dvod/internal/clock"
 	"dvod/internal/metrics"
 	"dvod/internal/topology"
 )
@@ -156,25 +155,6 @@ func TestSessionCap(t *testing.T) {
 	b.Release(g1)
 	if _, err := b.Admit(Request{Class: Premium, BitrateMbps: 1}); err != nil {
 		t.Fatalf("after release: %v", err)
-	}
-}
-
-func TestTokenBucketRateLimit(t *testing.T) {
-	vc := clock.NewVirtual(t0)
-	b := newBroker(t, Config{CapacityMbps: 100, SessionsPerSec: 1, SessionBurst: 2, Clock: vc})
-	for i := 0; i < 2; i++ {
-		if _, err := b.Admit(Request{Class: Premium, BitrateMbps: 1}); err != nil {
-			t.Fatalf("burst admit %d: %v", i, err)
-		}
-	}
-	_, err := b.Admit(Request{Class: Premium, BitrateMbps: 1})
-	var rej *RejectedError
-	if !errors.As(err, &rej) || rej.Reason != ReasonRate {
-		t.Fatalf("bucket empty: %v", err)
-	}
-	vc.Advance(time.Second)
-	if _, err := b.Admit(Request{Class: Premium, BitrateMbps: 1}); err != nil {
-		t.Fatalf("after refill: %v", err)
 	}
 }
 

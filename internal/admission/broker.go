@@ -7,7 +7,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dvod/internal/clock"
 	"dvod/internal/ledger"
@@ -22,8 +21,6 @@ type Reason string
 const (
 	// ReasonSessions: the concurrent-session cap is reached.
 	ReasonSessions Reason = "sessions"
-	// ReasonRate: the session-setup token bucket is empty.
-	ReasonRate Reason = "rate"
 	// ReasonCapacity: the node cannot commit the bitrate within the
 	// class's share, even after every allowed degradation step.
 	ReasonCapacity Reason = "capacity"
@@ -144,10 +141,6 @@ type Config struct {
 	CapacityMbps float64
 	// MaxSessions caps concurrent admitted sessions; zero defaults to 64.
 	MaxSessions int
-	// SessionsPerSec rate-limits session setup through a token bucket;
-	// zero disables the bucket. SessionBurst defaults to max(1, rate).
-	SessionsPerSec float64
-	SessionBurst   int
 	// Shards is the link-reservation and shared-group shard count; zero
 	// defaults to DefaultShards. More shards reduce lock contention on the
 	// per-link reservation maps under concurrent watch setup/teardown.
@@ -168,7 +161,7 @@ type Config struct {
 	// the local reservation at least as early as the gossiped one (the
 	// conservative direction). Nil keeps the broker purely per-server.
 	Ledger *ledger.Ledger
-	// Clock drives the token bucket and queue deadlines; nil is wall time.
+	// Clock drives queue deadlines; nil is wall time.
 	Clock clock.Clock
 	// Metrics receives per-class admitted/degraded/queued/rejected
 	// counters and committed-bandwidth gauges; nil allocates a private
@@ -253,10 +246,10 @@ func (a *atomicMbps) tryAddBounded(delta, bound float64) bool {
 // There is no broker-wide mutex. Node-level aggregates (committed Mbps,
 // session count, grant IDs) are atomics with CAS-bounded updates; per-link
 // reservations and shared groups live in hash shards with per-shard locks;
-// the token bucket and the queue-wakeup channel each sit behind their own
-// small mutex. Admission is optimistic: a request takes its session slot and
-// committed bandwidth with bounded CAS steps, then reserves its links one
-// shard at a time, rolling everything back if any step refuses. Transient
+// the queue-wakeup channel sits behind its own small mutex. Admission is
+// optimistic: a request takes its session slot and committed bandwidth with
+// bounded CAS steps, then reserves its links one shard at a time, rolling
+// everything back if any step refuses. Transient
 // holds from a request that later rolls back can only make a concurrent
 // admission more conservative, never oversubscribe, and every rollback
 // signals queued AdmitWait callers to re-check. See DESIGN.md "Concurrency
@@ -270,9 +263,6 @@ type Broker struct {
 
 	links  []*linkShard
 	shared []*sharedShard
-
-	bucketMu sync.Mutex
-	bucket   *tokenBucket
 
 	// counts maps Class → *classTally; configured classes are preloaded,
 	// unknown rejected classes are added on first account.
@@ -322,7 +312,6 @@ func New(cfg Config) (*Broker, error) {
 		cfg:         cfg,
 		links:       make([]*linkShard, cfg.Shards),
 		shared:      make([]*sharedShard, cfg.Shards),
-		bucket:      newTokenBucket(cfg.SessionsPerSec, cfg.SessionBurst, cfg.Clock.Now()),
 		changed:     make(chan struct{}),
 		gCommitted:  cfg.Metrics.Gauge("admission.committed_mbps"),
 		gSessions:   cfg.Metrics.Gauge("admission.sessions"),
@@ -432,7 +421,7 @@ func (b *Broker) tally(c Class) *classTally {
 // *RejectedError wrapping ErrRejected. It never queues. Safe for concurrent
 // use.
 func (b *Broker) Admit(req Request) (*Grant, error) {
-	g, err := b.tryAdmit(req, true)
+	g, err := b.tryAdmit(req)
 	if err != nil {
 		b.account(req.Class, err, false)
 		return nil, err
@@ -445,10 +434,10 @@ func (b *Broker) Admit(req Request) (*Grant, error) {
 }
 
 // AdmitWait decides one request, waiting up to the class's QueueWindow for
-// freed capacity or a rate token when the first attempt fails for a
-// recoverable reason (sessions, rate, capacity). Link rejections do not
-// queue: the route itself lacks headroom and a different replica should be
-// tried instead. Safe for concurrent use.
+// freed capacity when the first attempt fails for a recoverable reason
+// (sessions, capacity). Link rejections do not queue: the route itself lacks
+// headroom and a different replica should be tried instead. Safe for
+// concurrent use.
 func (b *Broker) AdmitWait(req Request) (*Grant, error) {
 	class, _, err := b.policyFor(req.Class)
 	if err != nil {
@@ -457,7 +446,7 @@ func (b *Broker) AdmitWait(req Request) (*Grant, error) {
 	}
 	req.Class = class
 	pol := b.cfg.Classes[class]
-	g, err := b.tryAdmit(req, true)
+	g, err := b.tryAdmit(req)
 	if err == nil {
 		b.account(class, nil, false)
 		if g.Degraded {
@@ -470,28 +459,19 @@ func (b *Broker) AdmitWait(req Request) (*Grant, error) {
 		b.account(class, err, false)
 		return nil, err
 	}
-	// Rate and sessions rejections happen before (or at) the bucket, so no
-	// token was consumed and retries must still take one; capacity
-	// rejections already spent this request's token.
-	needToken := rej.Reason == ReasonRate || rej.Reason == ReasonSessions
 	deadline := b.cfg.Clock.Now().Add(pol.QueueWindow)
 	for {
 		wait := b.waitChan()
-		tokenIn := b.nextTokenIn()
 		remaining := deadline.Sub(b.cfg.Clock.Now())
 		if remaining <= 0 {
 			b.account(class, err, true)
 			return nil, err
 		}
-		pause := remaining
-		if needToken && tokenIn > 0 && tokenIn < pause {
-			pause = tokenIn
-		}
 		select {
 		case <-wait:
-		case <-b.cfg.Clock.After(pause):
+		case <-b.cfg.Clock.After(remaining):
 		}
-		g, err = b.tryAdmit(req, needToken)
+		g, err = b.tryAdmit(req)
 		if err == nil {
 			b.account(class, nil, true)
 			if g.Degraded {
@@ -503,9 +483,6 @@ func (b *Broker) AdmitWait(req Request) (*Grant, error) {
 			b.account(class, err, true)
 			return nil, err
 		}
-		if needToken && rej.Reason != ReasonRate && rej.Reason != ReasonSessions {
-			needToken = false
-		}
 	}
 }
 
@@ -514,11 +491,9 @@ func (b *Broker) AdmitWait(req Request) (*Grant, error) {
 // link reservations become the group's, later sessions with the same key
 // attach to the live reservation committing no additional bandwidth (the
 // delivery they share is already paid for — this is how stream-merging
-// cohorts are accounted). Attaching still occupies a session slot but takes
-// no setup token: joining a running stream does no new disk or route setup
-// work, which is what the bucket protects. The reservation is returned when
-// the last group member releases its grant. An empty key degenerates to
-// AdmitWait. Safe for concurrent use.
+// cohorts are accounted). Attaching still occupies a session slot. The
+// reservation is returned when the last group member releases its grant. An
+// empty key degenerates to AdmitWait. Safe for concurrent use.
 func (b *Broker) AdmitWaitShared(req Request, key string) (*Grant, error) {
 	if key == "" {
 		return b.AdmitWait(req)
@@ -735,27 +710,6 @@ func (b *Broker) takeSessionSlot() bool {
 	}
 }
 
-// takeBucketToken consumes one setup token. A disabled bucket (rate <= 0) is
-// checked without the bucket lock — rate is immutable after New.
-func (b *Broker) takeBucketToken() bool {
-	if b.bucket.rate <= 0 {
-		return true
-	}
-	b.bucketMu.Lock()
-	defer b.bucketMu.Unlock()
-	return b.bucket.take(b.cfg.Clock.Now())
-}
-
-// nextTokenIn reports how long until a setup token is available.
-func (b *Broker) nextTokenIn() time.Duration {
-	if b.bucket.rate <= 0 {
-		return 0
-	}
-	b.bucketMu.Lock()
-	defer b.bucketMu.Unlock()
-	return b.bucket.nextToken(b.cfg.Clock.Now())
-}
-
 // waitChan returns the current wakeup channel queued admits select on.
 func (b *Broker) waitChan() chan struct{} {
 	b.waitMu.Lock()
@@ -771,17 +725,16 @@ func (b *Broker) signalChanged() {
 	b.waitMu.Unlock()
 }
 
-// tryAdmit is one non-blocking admission attempt. takeToken is false when a
-// queued retry has already consumed its token.
+// tryAdmit is one non-blocking admission attempt.
 //
-// The attempt is optimistic: it claims the session slot, then a token, then
-// CAS-adds the rate into the committed total bounded by the class cap, then
-// reserves each route link under its shard lock — and rolls back everything
+// The attempt is optimistic: it claims the session slot, then CAS-adds the
+// rate into the committed total bounded by the class cap, then reserves each
+// route link under its shard lock — and rolls back everything
 // claimed so far whenever a later step refuses. A transient hold can briefly
 // make a concurrent request see less capacity (the conservative direction);
 // rollbacks signal queued admits so nobody waits on capacity that a failed
 // attempt gave back.
-func (b *Broker) tryAdmit(req Request, takeToken bool) (*Grant, error) {
+func (b *Broker) tryAdmit(req Request) (*Grant, error) {
 	class, pol, err := b.policyFor(req.Class)
 	if err != nil {
 		return nil, err
@@ -799,11 +752,6 @@ func (b *Broker) tryAdmit(req Request, takeToken bool) (*Grant, error) {
 	}
 	if !b.takeSessionSlot() {
 		return nil, &RejectedError{Class: class, Reason: ReasonSessions, NeededMbps: req.BitrateMbps}
-	}
-	if takeToken && !b.takeBucketToken() {
-		b.sessions.Add(-1)
-		b.signalChanged()
-		return nil, &RejectedError{Class: class, Reason: ReasonRate, NeededMbps: req.BitrateMbps}
 	}
 	classCap := pol.MaxShare * b.cfg.CapacityMbps
 	factors := append([]float64{1}, pol.DegradeSteps...)

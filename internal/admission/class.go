@@ -1,11 +1,11 @@
 // Package admission implements per-server admission control and class-aware
 // bandwidth management — the control-plane layer the paper leaves to "best
 // effort". Each video server runs a bandwidth Broker that tracks committed
-// megabits per node and per emulated link, limits the session setup rate with
-// a token bucket, and applies a per-user-class policy: premium sessions may
-// commit the whole node capacity, while lower classes are capped below it
-// (trunk reservation), queue briefly for freed capacity, and fall back to a
-// reduced bitrate before being rejected outright. The design follows the
+// megabits per node and per emulated link and applies a per-user-class
+// policy: premium sessions may commit the whole node capacity, while lower
+// classes are capped below it (trunk reservation), queue briefly for freed
+// capacity, and fall back to a reduced bitrate before being rejected
+// outright. The design follows the
 // class-based bandwidth management literature on distributed VoD (see
 // PAPERS.md): admission plus reservation is what keeps a saturated plant
 // degrading gracefully instead of uniformly.
@@ -63,7 +63,7 @@ type Policy struct {
 	// rate does not fit (e.g. {0.75, 0.5}). Empty means never degrade.
 	DegradeSteps []float64
 	// QueueWindow is how long AdmitWait may hold a request waiting for
-	// capacity or a rate token before rejecting it. Zero means reject
+	// capacity or a session slot before rejecting it. Zero means reject
 	// immediately.
 	QueueWindow time.Duration
 }

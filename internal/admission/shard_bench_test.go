@@ -37,9 +37,7 @@ func benchGraph(b *testing.B, n int) (*topology.Graph, []topology.LinkID) {
 // BenchmarkShardedAdmission measures the full admit-then-release cycle under
 // parallel load, per shard count — the contention profile the Ext-18 study
 // commits as BENCH_contention.json. Each worker admits over a distinct spoke
-// link so shard locks actually spread; the token bucket is disabled
-// (SessionsPerSec=0) so the benchmark measures the reservation path, not the
-// pacing policy.
+// link so shard locks actually spread.
 func BenchmarkShardedAdmission(b *testing.B) {
 	g, links := benchGraph(b, 64)
 	snap, err := topology.NewSnapshot(g, nil)

@@ -232,6 +232,20 @@ func (p *Player) ListTitles() ([]transport.TitleInfo, error) {
 	return payload.Titles, nil
 }
 
+// Holders asks the home server which replicas hold the title, with the
+// title's size and cluster layout.
+func (p *Player) Holders(title string) (transport.HoldersOKPayload, error) {
+	req, err := transport.Encode(transport.TypeHolders, transport.HoldersPayload{Title: title})
+	if err != nil {
+		return transport.HoldersOKPayload{}, err
+	}
+	m, err := p.call(req)
+	if err != nil {
+		return transport.HoldersOKPayload{}, err
+	}
+	return transport.Decode[transport.HoldersOKPayload](m)
+}
+
 // ClusterRecord describes one delivered cluster.
 type ClusterRecord struct {
 	Index     int

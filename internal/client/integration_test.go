@@ -118,20 +118,13 @@ func TestClientEndToEnd(t *testing.T) {
 	if tail.BytesReceived != 37 {
 		t.Fatalf("tail bytes = %d", tail.BytesReceived)
 	}
-	// Holders + parallel fetch (single holder).
+	// Holders (single holder).
 	info, err := p.Holders("feature")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(info.Holders) != 1 || info.Holders[0] != grnet.Xanthi {
 		t.Fatalf("holders = %v", info.Holders)
-	}
-	par, err := p.WatchParallel("feature")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !par.Verified || par.BytesReceived != 5*1024+37 {
-		t.Fatalf("parallel stats = %+v", par)
 	}
 }
 
@@ -167,8 +160,5 @@ func TestClientErrors(t *testing.T) {
 	}
 	if _, err := p.Holders("ghost"); err == nil {
 		t.Fatal("unknown holders accepted")
-	}
-	if _, err := p.WatchParallel("ghost"); err == nil {
-		t.Fatal("unknown parallel title accepted")
 	}
 }

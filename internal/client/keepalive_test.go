@@ -146,19 +146,6 @@ func TestPlayerReusesHomeConnection(t *testing.T) {
 	if n := mixed.dials(); n != 1 {
 		t.Fatalf("titles, watch, holders, seek, titles dialed %d times, want 1", n)
 	}
-	// The parallel fetcher pools its per-holder connection the same way.
-	for range 2 {
-		par, err := q.WatchParallel("feature")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !par.Verified {
-			t.Fatal("parallel delivery not verified")
-		}
-	}
-	if n := mixed.dials(); n != 2 {
-		t.Fatalf("two parallel fetches from one holder took %d dials in all, want 2 (home + holder)", n)
-	}
 }
 
 // TestPlayerRedialsAfterServerIdleTimeout: the home hangs up on the idle

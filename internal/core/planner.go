@@ -5,8 +5,6 @@ import (
 	"fmt"
 
 	"dvod/internal/db"
-	"dvod/internal/media"
-	"dvod/internal/striping"
 	"dvod/internal/topology"
 )
 
@@ -179,102 +177,4 @@ func (p *Planner) PlanBandwidth(home topology.NodeID, title string, bitrateMbps 
 		return Decision{}, fmt.Errorf("plan health view: %w", err)
 	}
 	return SelectWithQoS(p.selector, snap, home, candidates, bitrateMbps)
-}
-
-// ClusterDecision is one cluster's delivery decision within a session.
-type ClusterDecision struct {
-	// Cluster is the zero-based cluster index.
-	Cluster int
-	// Offset and Length locate the cluster's bytes within the title.
-	Offset, Length int64
-	// Decision is the selection made at this cluster boundary.
-	Decision Decision
-	// Switched is true when the server differs from the previous
-	// cluster's (the paper's mid-stream re-routing event).
-	Switched bool
-}
-
-// Session delivers one title to one client cluster by cluster, re-running
-// the planner at every boundary — the paper's continuous re-evaluation: "if
-// the optimal server changes due to the change of certain network features
-// during the downloading of a certain cluster, then the next cluster will be
-// requested by the new optimal server".
-type Session struct {
-	planner *Planner
-	home    topology.NodeID
-	title   media.Title
-	layout  striping.Layout
-
-	next      int
-	last      *Decision
-	decisions []ClusterDecision
-	switches  int
-}
-
-// NewSession starts a session for the title with the given cluster size.
-// Cluster boundaries follow the striping layout, so delivery clusters and
-// storage stripes coincide (the paper couples the two through c).
-func NewSession(p *Planner, home topology.NodeID, t media.Title, clusterBytes int64) (*Session, error) {
-	if p == nil {
-		return nil, errors.New("session: nil planner")
-	}
-	layout, err := striping.NewLayout(t, clusterBytes, 1)
-	if err != nil {
-		return nil, err
-	}
-	if !p.db.Graph().HasNode(home) {
-		return nil, fmt.Errorf("session: %w: %s", topology.ErrNodeUnknown, home)
-	}
-	return &Session{planner: p, home: home, title: t, layout: layout}, nil
-}
-
-// Title returns the session's title.
-func (s *Session) Title() media.Title { return s.title }
-
-// Home returns the client's home server.
-func (s *Session) Home() topology.NodeID { return s.home }
-
-// NumClusters returns the total clusters to deliver.
-func (s *Session) NumClusters() int { return s.layout.NumParts() }
-
-// Done reports whether every cluster has been planned.
-func (s *Session) Done() bool { return s.next >= s.layout.NumParts() }
-
-// PlanNext plans the delivery of the next cluster using the current network
-// state and advances the session. It fails without advancing when no server
-// can provide the title right now.
-func (s *Session) PlanNext() (ClusterDecision, error) {
-	if s.Done() {
-		return ClusterDecision{}, errors.New("session: all clusters planned")
-	}
-	dec, err := s.planner.Plan(s.home, s.title.Name)
-	if err != nil {
-		return ClusterDecision{}, err
-	}
-	off, length, err := s.layout.PartRange(s.next)
-	if err != nil {
-		return ClusterDecision{}, err
-	}
-	cd := ClusterDecision{
-		Cluster:  s.next,
-		Offset:   off,
-		Length:   length,
-		Decision: dec,
-	}
-	if s.last != nil && s.last.Server != dec.Server {
-		cd.Switched = true
-		s.switches++
-	}
-	s.last = &dec
-	s.decisions = append(s.decisions, cd)
-	s.next++
-	return cd, nil
-}
-
-// Switches returns how many mid-stream server switches occurred so far.
-func (s *Session) Switches() int { return s.switches }
-
-// Decisions returns a copy of the per-cluster decisions made so far.
-func (s *Session) Decisions() []ClusterDecision {
-	return append([]ClusterDecision(nil), s.decisions...)
 }

@@ -136,69 +136,19 @@ func TestPlannerAvailabilityFilter(t *testing.T) {
 	}
 }
 
-func TestSessionLifecycle(t *testing.T) {
-	// 1000-byte title, 300-byte clusters → 4 clusters.
-	title := movie(1000)
-	_, p := plannerFixture(t, grnet.At10am, title, grnet.Thessaloniki, grnet.Xanthi)
-	s, err := NewSession(p, grnet.Patra, title, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.NumClusters() != 4 || s.Done() {
-		t.Fatalf("NumClusters = %d, Done = %v", s.NumClusters(), s.Done())
-	}
-	if s.Title().Name != "movie" || s.Home() != grnet.Patra {
-		t.Fatal("accessors wrong")
-	}
-	for i := range 4 {
-		cd, err := s.PlanNext()
-		if err != nil {
-			t.Fatalf("PlanNext(%d): %v", i, err)
-		}
-		if cd.Cluster != i {
-			t.Fatalf("cluster = %d, want %d", cd.Cluster, i)
-		}
-		if cd.Decision.Server != grnet.Thessaloniki {
-			t.Fatalf("cluster %d server = %s", i, cd.Decision.Server)
-		}
-		if cd.Switched {
-			t.Fatalf("cluster %d reported a switch under static conditions", i)
-		}
-	}
-	if !s.Done() || s.Switches() != 0 {
-		t.Fatalf("Done = %v, Switches = %d", s.Done(), s.Switches())
-	}
-	if len(s.Decisions()) != 4 {
-		t.Fatalf("Decisions = %d", len(s.Decisions()))
-	}
-	if _, err := s.PlanNext(); err == nil {
-		t.Fatal("PlanNext after completion accepted")
-	}
-	// Last cluster covers the 100-byte tail.
-	last := s.Decisions()[3]
-	if last.Offset != 900 || last.Length != 100 {
-		t.Fatalf("tail cluster = %+v", last)
-	}
-}
-
-// TestSessionMidStreamSwitch replays the paper's scenario: conditions change
-// between clusters (8am → 10am), so the optimal server flips from the 8am
-// best (Thessaloniki via Ioannina, per the corrected Experiment A) to the
-// 10am best... which is also Thessaloniki — so instead we flip the traffic
-// the other way round to force a switch to Xanthi.
+// TestSessionMidStreamSwitch replays the paper's re-plan at a cluster
+// boundary: a session plans each cluster with Planner.Plan, and when the
+// Ioannina and Athens links congest between two clusters, the next cluster
+// comes from Xanthi instead of Thessaloniki.
 func TestSessionMidStreamSwitch(t *testing.T) {
-	title := movie(600) // 2 clusters of 300
+	title := movie(600)
 	d, p := plannerFixture(t, grnet.At10am, title, grnet.Thessaloniki, grnet.Xanthi)
-	s, err := NewSession(p, grnet.Patra, title, 300)
+	first, err := p.Plan(grnet.Patra, title.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cd0, err := s.PlanNext()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cd0.Decision.Server != grnet.Thessaloniki {
-		t.Fatalf("cluster 0 server = %s", cd0.Decision.Server)
+	if first.Server != grnet.Thessaloniki {
+		t.Fatalf("cluster 0 server = %s, want Thessaloniki", first.Server)
 	}
 	// Congest the Ioannina path (both its links to full) so Xanthi wins.
 	for _, pair := range [][2]topology.NodeID{
@@ -215,61 +165,11 @@ func TestSessionMidStreamSwitch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cd1, err := s.PlanNext()
+	next, err := p.Plan(grnet.Patra, title.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cd1.Decision.Server != grnet.Xanthi {
-		t.Fatalf("cluster 1 server = %s, want Xanthi after congestion", cd1.Decision.Server)
-	}
-	if !cd1.Switched || s.Switches() != 1 {
-		t.Fatalf("switch not recorded: %+v, switches=%d", cd1, s.Switches())
-	}
-}
-
-func TestNewSessionValidation(t *testing.T) {
-	title := movie(1000)
-	_, p := plannerFixture(t, grnet.At8am, title, grnet.Xanthi)
-	if _, err := NewSession(nil, grnet.Patra, title, 100); err == nil {
-		t.Fatal("nil planner accepted")
-	}
-	if _, err := NewSession(p, grnet.Patra, title, 0); err == nil {
-		t.Fatal("zero cluster accepted")
-	}
-	if _, err := NewSession(p, "U99", title, 100); err == nil {
-		t.Fatal("unknown home accepted")
-	}
-	if _, err := NewSession(p, grnet.Patra, media.Title{}, 100); err == nil {
-		t.Fatal("invalid title accepted")
-	}
-}
-
-func TestSessionPlanNextFailureDoesNotAdvance(t *testing.T) {
-	title := movie(600)
-	d, p := plannerFixture(t, grnet.At8am, title, grnet.Xanthi)
-	s, err := NewSession(p, grnet.Patra, title, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Remove the only holder: planning fails, session stays at cluster 0.
-	if err := d.SetHolding(grnet.Xanthi, title.Name, false, t0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.PlanNext(); !errors.Is(err, ErrNoCandidates) {
-		t.Fatalf("error = %v", err)
-	}
-	if s.Done() || len(s.Decisions()) != 0 {
-		t.Fatal("failed PlanNext advanced the session")
-	}
-	// Holder comes back: planning resumes at cluster 0.
-	if err := d.SetHolding(grnet.Xanthi, title.Name, true, t0); err != nil {
-		t.Fatal(err)
-	}
-	cd, err := s.PlanNext()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cd.Cluster != 0 {
-		t.Fatalf("resumed at cluster %d, want 0", cd.Cluster)
+	if next.Server != grnet.Xanthi {
+		t.Fatalf("cluster 1 server = %s, want Xanthi after congestion", next.Server)
 	}
 }

@@ -9,9 +9,7 @@
 //     and the SNMP statistics module.
 //
 // The VRA reads both: candidate servers from the full-access side and link
-// weights from the limited-access side. Change events are published to
-// subscribers so the continuous re-evaluation loop can react to updates
-// without polling.
+// weights from the limited-access side, afresh on every request.
 //
 // # Concurrency model
 //
@@ -20,9 +18,9 @@
 // atomic.Pointer. Link statistics live in link-hashed shards with per-shard
 // writer locks, and every statistics mutation rebuilds and republishes the
 // topology snapshot copy-on-write (serialized by a publish lock so a stale
-// rebuild can never overwrite a fresher one). The rarely-touched admin plane
-// (server registry, event subscribers) keeps a single mutex. See DESIGN.md
-// "Concurrency model & sharding".
+// rebuild can never overwrite a fresher one). The rarely-touched server
+// registry keeps a single mutex. See DESIGN.md "Concurrency model &
+// sharding".
 package db
 
 import (
@@ -71,45 +69,6 @@ type LinkStats struct {
 	UpdatedAt   time.Time       `json:"updatedAt"`
 }
 
-// EventKind labels change notifications.
-type EventKind int
-
-// The change-event kinds.
-const (
-	EventServerRegistered EventKind = iota + 1
-	EventLinkStatsUpdated
-	EventHoldingChanged
-	EventServerUnregistered
-	EventTopologyChanged
-)
-
-// String names the event kind.
-func (k EventKind) String() string {
-	switch k {
-	case EventServerRegistered:
-		return "server-registered"
-	case EventLinkStatsUpdated:
-		return "link-stats-updated"
-	case EventHoldingChanged:
-		return "holding-changed"
-	case EventServerUnregistered:
-		return "server-unregistered"
-	case EventTopologyChanged:
-		return "topology-changed"
-	default:
-		return fmt.Sprintf("EventKind(%d)", int(k))
-	}
-}
-
-// Event is one change notification. Event values are immutable.
-type Event struct {
-	Kind  EventKind
-	Node  topology.NodeID // server events
-	Link  topology.LinkID // link events
-	Title string          // holding events
-	At    time.Time
-}
-
 // statShard is one link-hashed slice of the SNMP statistics. mu guards the
 // map; readers that need point lookups take it briefly, while the planning
 // hot path reads the published snapshot instead and never touches it.
@@ -143,12 +102,9 @@ type DB struct {
 	snap   atomic.Pointer[topology.Snapshot]
 	snapMu sync.Mutex
 
-	// adminMu guards the cold admin plane: the server registry and the
-	// event-subscriber table.
+	// adminMu guards the cold admin plane: the server registry.
 	adminMu sync.RWMutex
 	servers map[topology.NodeID]ServerEntry
-	subs    map[int]chan Event
-	nextSub int
 }
 
 // New builds a database over the boot topology with DefaultStatShards
@@ -160,7 +116,6 @@ func New(g *topology.Graph) *DB {
 		catalog: catalog.New(),
 		shards:  make([]*statShard, DefaultStatShards),
 		servers: make(map[topology.NodeID]ServerEntry),
-		subs:    make(map[int]chan Event),
 	}
 	for i := range d.shards {
 		d.shards[i] = &statShard{stats: make(map[topology.LinkID]LinkStats)}
@@ -190,9 +145,8 @@ func (d *DB) GraphVersion() uint64 { return d.version.Load() }
 // graph must already be validated; the DB treats it as immutable from here
 // on. Link statistics for links absent from the new graph are retained but
 // filtered out of snapshots until (if ever) the link returns. The network
-// snapshot is republished over the new graph before the topology-changed
-// event fires.
-func (d *DB) SetGraph(g *topology.Graph, at time.Time) (uint64, error) {
+// snapshot is republished over the new graph before SetGraph returns.
+func (d *DB) SetGraph(g *topology.Graph) (uint64, error) {
 	if g == nil {
 		return 0, errors.New("db: nil graph")
 	}
@@ -202,7 +156,6 @@ func (d *DB) SetGraph(g *topology.Graph, at time.Time) (uint64, error) {
 	d.graph.Store(g)
 	v := d.version.Add(1)
 	d.publishSnapshot()
-	d.publish(Event{Kind: EventTopologyChanged, At: at})
 	return v, nil
 }
 
@@ -224,14 +177,13 @@ func (d *DB) RegisterServer(node topology.NodeID, description string, at time.Ti
 	}
 	d.servers[node] = ServerEntry{Node: node, Description: description, RegisteredAt: at}
 	d.adminMu.Unlock()
-	d.publish(Event{Kind: EventServerRegistered, Node: node, At: at})
 	return nil
 }
 
 // UnregisterServer removes a server's registration — the completion of a
 // graceful drain. Unknown nodes error. Safe for concurrent use (admin-plane
 // lock).
-func (d *DB) UnregisterServer(node topology.NodeID, at time.Time) error {
+func (d *DB) UnregisterServer(node topology.NodeID) error {
 	d.adminMu.Lock()
 	if _, ok := d.servers[node]; !ok {
 		d.adminMu.Unlock()
@@ -239,7 +191,6 @@ func (d *DB) UnregisterServer(node topology.NodeID, at time.Time) error {
 	}
 	delete(d.servers, node)
 	d.adminMu.Unlock()
-	d.publish(Event{Kind: EventServerUnregistered, Node: node, At: at})
 	return nil
 }
 
@@ -291,7 +242,6 @@ func (d *DB) UpsertLinkStats(id topology.LinkID, usedMbps float64, at time.Time)
 	}
 	s.mu.Unlock()
 	d.publishSnapshot()
-	d.publish(Event{Kind: EventLinkStatsUpdated, Link: id, At: at})
 	return nil
 }
 
@@ -327,15 +277,11 @@ func (d *DB) AllLinkStats() []LinkStats {
 	return out
 }
 
-// SetHolding records that a node stores (or no longer stores) a title,
-// updating the full-access catalog and notifying subscribers. Safe for
-// concurrent use (delegates to the sharded catalog).
+// SetHolding records that a node stores (or no longer stores) a title in
+// the full-access catalog. Holdings carry no timestamp, so at is not
+// stored. Safe for concurrent use (delegates to the sharded catalog).
 func (d *DB) SetHolding(node topology.NodeID, title string, holds bool, at time.Time) error {
-	if err := d.catalog.SetHolding(node, title, holds); err != nil {
-		return err
-	}
-	d.publish(Event{Kind: EventHoldingChanged, Node: node, Title: title, At: at})
-	return nil
+	return d.catalog.SetHolding(node, title, holds)
 }
 
 // Snapshot returns the current published network snapshot: the latest link
@@ -395,41 +341,4 @@ func (d *DB) StaleLinks(now time.Time, maxAge time.Duration) []topology.LinkID {
 		}
 	}
 	return out
-}
-
-// Subscribe registers a change-event channel with the given buffer size and
-// returns it with a cancel function. Events that would block a full
-// subscriber are dropped (slow consumers must size their buffers). Safe for
-// concurrent use (admin-plane lock).
-func (d *DB) Subscribe(buffer int) (<-chan Event, func()) {
-	if buffer < 1 {
-		buffer = 1
-	}
-	ch := make(chan Event, buffer)
-	d.adminMu.Lock()
-	id := d.nextSub
-	d.nextSub++
-	d.subs[id] = ch
-	d.adminMu.Unlock()
-	cancel := func() {
-		d.adminMu.Lock()
-		if _, ok := d.subs[id]; ok {
-			delete(d.subs, id)
-			close(ch)
-		}
-		d.adminMu.Unlock()
-	}
-	return ch, cancel
-}
-
-// publish delivers an event to all subscribers without blocking.
-func (d *DB) publish(ev Event) {
-	d.adminMu.RLock()
-	defer d.adminMu.RUnlock()
-	for _, ch := range d.subs {
-		select {
-		case ch <- ev:
-		default:
-		}
-	}
 }

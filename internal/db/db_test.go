@@ -172,67 +172,3 @@ func TestSetHoldingUpdatesCatalog(t *testing.T) {
 		t.Fatal("SetHolding accepted unknown title")
 	}
 }
-
-func TestSubscribeReceivesEvents(t *testing.T) {
-	d := newDB(t)
-	ch, cancel := d.Subscribe(10)
-	defer cancel()
-	if err := d.RegisterServer(grnet.Patra, "", t0); err != nil {
-		t.Fatal(err)
-	}
-	id := topology.MakeLinkID(grnet.Patra, grnet.Athens)
-	if err := d.UpsertLinkStats(id, 0.5, t0.Add(time.Minute)); err != nil {
-		t.Fatal(err)
-	}
-	ev1 := <-ch
-	if ev1.Kind != EventServerRegistered || ev1.Node != grnet.Patra {
-		t.Fatalf("event 1 = %+v", ev1)
-	}
-	ev2 := <-ch
-	if ev2.Kind != EventLinkStatsUpdated || ev2.Link != id {
-		t.Fatalf("event 2 = %+v", ev2)
-	}
-}
-
-func TestSubscribeCancelCloses(t *testing.T) {
-	d := newDB(t)
-	ch, cancel := d.Subscribe(1)
-	cancel()
-	cancel() // idempotent
-	if _, ok := <-ch; ok {
-		t.Fatal("channel not closed after cancel")
-	}
-	// Publishing after cancel must not panic.
-	if err := d.RegisterServer(grnet.Patra, "", t0); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSubscribeSlowConsumerDoesNotBlock(t *testing.T) {
-	d := newDB(t)
-	_, cancel := d.Subscribe(0) // min buffer of 1, never drained
-	defer cancel()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := range 10 {
-			_ = d.RegisterServer(grnet.Nodes()[i%6], "", t0)
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("publisher blocked on full subscriber")
-	}
-}
-
-func TestEventKindString(t *testing.T) {
-	if EventServerRegistered.String() != "server-registered" ||
-		EventLinkStatsUpdated.String() != "link-stats-updated" ||
-		EventHoldingChanged.String() != "holding-changed" {
-		t.Fatal("kind strings wrong")
-	}
-	if EventKind(99).String() == "" {
-		t.Fatal("unknown kind produced empty string")
-	}
-}

@@ -9,15 +9,13 @@ import (
 )
 
 // TestSetGraphSwapsAtomically pins the elastic-topology contract: SetGraph
-// installs a validated view, bumps the version, and publishes a topology
-// event; stale or invalid graphs are rejected without disturbing the view.
+// installs a validated view and bumps the version; stale or invalid graphs
+// are rejected without disturbing the view.
 func TestSetGraphSwapsAtomically(t *testing.T) {
 	d := newDB(t)
 	if d.GraphVersion() != 1 {
 		t.Fatalf("boot graph version = %d, want 1", d.GraphVersion())
 	}
-	events, cancel := d.Subscribe(8)
-	defer cancel()
 
 	grown := d.Graph().Clone()
 	if err := grown.AddNode("U9"); err != nil {
@@ -26,7 +24,7 @@ func TestSetGraphSwapsAtomically(t *testing.T) {
 	if _, err := grown.AddLink("U9", grnet.Athens, 2); err != nil {
 		t.Fatal(err)
 	}
-	v, err := d.SetGraph(grown, t0)
+	v, err := d.SetGraph(grown)
 	if err != nil {
 		t.Fatalf("SetGraph: %v", err)
 	}
@@ -36,16 +34,8 @@ func TestSetGraphSwapsAtomically(t *testing.T) {
 	if !d.Graph().HasNode("U9") {
 		t.Fatal("swapped view is missing the joined node")
 	}
-	select {
-	case ev := <-events:
-		if ev.Kind != EventTopologyChanged {
-			t.Fatalf("event kind = %v, want topology-changed", ev.Kind)
-		}
-	default:
-		t.Fatal("no event published for the swap")
-	}
 
-	if _, err := d.SetGraph(nil, t0); err == nil {
+	if _, err := d.SetGraph(nil); err == nil {
 		t.Fatal("nil graph accepted")
 	}
 	disconnected := topology.NewGraph()
@@ -55,7 +45,7 @@ func TestSetGraphSwapsAtomically(t *testing.T) {
 	if err := disconnected.AddNode("X2"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.SetGraph(disconnected, t0); err == nil {
+	if _, err := d.SetGraph(disconnected); err == nil {
 		t.Fatal("invalid graph accepted")
 	}
 	if d.GraphVersion() != 2 || !d.Graph().HasNode("U9") {
@@ -82,7 +72,7 @@ func TestSnapshotFiltersDepartedLinks(t *testing.T) {
 	if err != nil {
 		t.Fatalf("WithoutNode: %v", err)
 	}
-	if _, err := d.SetGraph(shrunk, t0); err != nil {
+	if _, err := d.SetGraph(shrunk); err != nil {
 		t.Fatalf("SetGraph shrink: %v", err)
 	}
 	// Before the fix, NewSnapshot rejected the retained stats of departed
@@ -99,7 +89,7 @@ func TestSnapshotFiltersDepartedLinks(t *testing.T) {
 	}
 
 	// The node rejoins: its link's retained stats surface again.
-	if _, err := d.SetGraph(full, t0); err != nil {
+	if _, err := d.SetGraph(full); err != nil {
 		t.Fatalf("SetGraph regrow: %v", err)
 	}
 	snap, err = d.Snapshot()
@@ -114,13 +104,13 @@ func TestSnapshotFiltersDepartedLinks(t *testing.T) {
 // TestUnregisterServer pins the drain-completion path.
 func TestUnregisterServer(t *testing.T) {
 	d := newDB(t)
-	if err := d.UnregisterServer(grnet.Patra, t0); !errors.Is(err, ErrServerUnknown) {
+	if err := d.UnregisterServer(grnet.Patra); !errors.Is(err, ErrServerUnknown) {
 		t.Fatalf("unregister of unknown = %v, want ErrServerUnknown", err)
 	}
 	if err := d.RegisterServer(grnet.Patra, "Patra VoD", t0); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.UnregisterServer(grnet.Patra, t0); err != nil {
+	if err := d.UnregisterServer(grnet.Patra); err != nil {
 		t.Fatalf("UnregisterServer: %v", err)
 	}
 	if _, err := d.Server(grnet.Patra); !errors.Is(err, ErrServerUnknown) {

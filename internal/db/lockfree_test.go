@@ -167,7 +167,7 @@ func TestSnapshotSeesLatestPublish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.SetGraph(g2, time.Unix(2, 0)); err != nil {
+	if _, err := d.SetGraph(g2); err != nil {
 		t.Fatal(err)
 	}
 	snap, err = d.Snapshot()

@@ -188,8 +188,10 @@ func (c *membershipCell) round() {
 			}
 			req := tr.SyncFor(peer)
 			c.charge(req)
-			reply := c.trackers[peer].HandleSync(req)
-			if c.rng.Float64() < c.lossOf(peer, id) {
+			// A refused request fails the contact like a lost reply; the
+			// loss draw comes first so the rng sequence is unchanged.
+			reply, err := c.trackers[peer].HandleSync(req)
+			if c.rng.Float64() < c.lossOf(peer, id) || err != nil {
 				tr.ReportContactFailed(peer)
 				continue
 			}

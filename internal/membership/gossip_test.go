@@ -43,7 +43,11 @@ func serveMember(target *Tracker, reachable func(topology.NodeID) bool) dialFunc
 					if derr != nil {
 						return
 					}
-					if _, err := server.WriteMemberSyncFrame(target.HandleSync(req), true); err != nil {
+					reply, herr := target.HandleSync(req)
+					if herr != nil {
+						return
+					}
+					if _, err := server.WriteMemberSyncFrame(reply, true); err != nil {
 						return
 					}
 					continue

@@ -297,10 +297,10 @@ type Tracker struct {
 	rotor topology.NodeID
 	// lhm is the Lifeguard local-health multiplier; okRound / failRound
 	// count this round's contact outcomes feeding it.
-	lhm      int
-	okRound  int
+	lhm       int
+	okRound   int
 	failRound int
-	alive    int
+	alive     int
 }
 
 // New validates the configuration and builds a tracker. Self starts Alive at
@@ -743,22 +743,6 @@ func (t *Tracker) PlanContactsWithin(fanout int, allowed func(topology.NodeID) b
 	return picks
 }
 
-// Sync builds a full-view payload — the legacy exchange shape, still used by
-// tests and as the explicit full-sync leg.
-func (t *Tracker) Sync() transport.MemberSyncPayload {
-	t.mu.Lock()
-	p := transport.MemberSyncPayload{
-		From:  t.self,
-		Epoch: t.epoch,
-		Seq:   t.useq,
-		Full:  true,
-		Known: len(t.members),
-	}
-	p.Members = t.rowsLocked(0)
-	t.mu.Unlock()
-	return p
-}
-
 // SyncFor builds the request leg of one exchange with peer: a delta of the
 // rows the peer has not acknowledged, or a full view on first contact, after
 // a restart or mismatch, or on the periodic safety net.
@@ -772,34 +756,35 @@ func (t *Tracker) SyncFor(peer topology.NodeID) transport.MemberSyncPayload {
 // HandleSync is the receiving side of one exchange: fold the sender's rows
 // and ack bookkeeping, reply with our delta against what the sender has
 // confirmed (or a full view when the protocol demands one). The sender's
-// contact doubles as liveness evidence for it.
-func (t *Tracker) HandleSync(req transport.MemberSyncPayload) transport.MemberSyncPayload {
+// contact doubles as liveness evidence for it. Every tracker names itself
+// and an epoch of at least 1 in each leg it builds, so a request without a
+// sender, from this node itself, or at epoch 0 is malformed and refused
+// without touching the view.
+func (t *Tracker) HandleSync(req transport.MemberSyncPayload) (transport.MemberSyncPayload, error) {
+	switch {
+	case req.From == "" || req.From == t.self:
+		return transport.MemberSyncPayload{}, fmt.Errorf("membership: member sync from %q to %s", req.From, t.self)
+	case req.Epoch == 0:
+		return transport.MemberSyncPayload{}, fmt.Errorf("membership: member sync from %s at epoch 0", req.From)
+	}
 	var events []Event
 	t.mu.Lock()
-	var ps *peerSync
-	if req.From != "" && req.From != t.self {
-		ps = t.peerStateLocked(req.From)
-		t.applyPeerMetaLocked(ps, req)
-		t.contactLocked(req.From)
-		t.okRound++
-	}
+	ps := t.peerStateLocked(req.From)
+	t.applyPeerMetaLocked(ps, req)
+	t.contactLocked(req.From)
+	t.okRound++
 	events = t.mergeLocked(req.Members, events)
-	var reply transport.MemberSyncPayload
-	if ps != nil {
-		// Merged through the sender's snapshot: echo its Seq as our Ack.
-		if req.Seq > ps.peerSeq {
-			ps.peerSeq = req.Seq
-		}
-		t.mismatchLocked(ps, req)
-		reply = t.buildSyncLocked(ps)
-	} else {
-		reply = t.fullPayloadLocked()
+	// Merged through the sender's snapshot: echo its Seq as our Ack.
+	if req.Seq > ps.peerSeq {
+		ps.peerSeq = req.Seq
 	}
+	t.mismatchLocked(ps, req)
+	reply := t.buildSyncLocked(ps)
 	t.publishLocked()
 	t.mu.Unlock()
 	t.emit(events)
 	t.reg.Counter("membership.handled_syncs").Inc()
-	return reply
+	return reply, nil
 }
 
 // MergeReply folds the reply leg of an exchange this node initiated: merge
@@ -813,29 +798,10 @@ func (t *Tracker) MergeReply(peer topology.NodeID, reply transport.MemberSyncPay
 	t.contactLocked(peer)
 	t.okRound++
 	events = t.mergeLocked(reply.Members, events)
-	if reply.Epoch != 0 {
-		if reply.Seq > ps.peerSeq {
-			ps.peerSeq = reply.Seq
-		}
-		t.mismatchLocked(ps, reply)
+	if reply.Seq > ps.peerSeq {
+		ps.peerSeq = reply.Seq
 	}
-	t.publishLocked()
-	t.mu.Unlock()
-	t.emit(events)
-}
-
-// Merge folds one received view into the local one under the precedence
-// rules, emitting events for every transition it causes. The sender's
-// contact is liveness evidence; no delta bookkeeping is touched (Merge is
-// the protocol-agnostic half of HandleSync/MergeReply, and what legacy
-// full-view exchanges use).
-func (t *Tracker) Merge(p transport.MemberSyncPayload) {
-	var events []Event
-	t.mu.Lock()
-	if p.From != "" && p.From != t.self {
-		t.contactLocked(p.From)
-	}
-	events = t.mergeLocked(p.Members, events)
+	t.mismatchLocked(ps, reply)
 	t.publishLocked()
 	t.mu.Unlock()
 	t.emit(events)
@@ -852,15 +818,10 @@ func (t *Tracker) peerStateLocked(peer topology.NodeID) *peerSync {
 }
 
 // applyPeerMetaLocked folds a payload's epoch/ack scalars into the peer
-// state. An epoch change (peer restart, or first typed contact) resets the
-// delta bookkeeping: the peer lost its acks, so nothing we think it
-// confirmed can be trusted, and it must receive a full view.
+// state. An epoch change (peer restart, or first contact) resets the delta
+// bookkeeping: the peer lost its acks, so nothing we think it confirmed can
+// be trusted, and it must receive a full view.
 func (t *Tracker) applyPeerMetaLocked(ps *peerSync, p transport.MemberSyncPayload) {
-	if p.Epoch == 0 {
-		// Legacy peer: no delta protocol; always answer with full views.
-		ps.needFull = true
-		return
-	}
 	if ps.epoch != p.Epoch {
 		*ps = peerSync{epoch: p.Epoch, needFull: true}
 		t.reg.Counter("membership.epoch_resets").Inc()
@@ -918,18 +879,6 @@ func (t *Tracker) buildSyncLocked(ps *peerSync) transport.MemberSyncPayload {
 	}
 	t.reg.Counter("membership.rows_out").Add(int64(len(p.Members)))
 	return p
-}
-
-// fullPayloadLocked is Sync without the lock.
-func (t *Tracker) fullPayloadLocked() transport.MemberSyncPayload {
-	return transport.MemberSyncPayload{
-		From:    t.self,
-		Epoch:   t.epoch,
-		Seq:     t.useq,
-		Full:    true,
-		Known:   len(t.members),
-		Members: t.rowsLocked(0),
-	}
 }
 
 // rowsLocked renders the members whose rows were touched after floor,

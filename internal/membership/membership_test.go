@@ -19,11 +19,25 @@ func newTestTracker(t *testing.T, self topology.NodeID, seeds ...topology.NodeID
 	return tr
 }
 
-// syncPair runs one full push-pull exchange a→b and folds the reply back
-// into a, exactly like one gossip round does over the wire.
-func syncPair(a, b *Tracker) {
-	reply := b.HandleSync(a.Sync())
-	a.Merge(reply)
+// syncPair runs one push-pull exchange a→b and folds the reply back into a,
+// exactly like one gossip round does over the wire.
+func syncPair(t *testing.T, a, b *Tracker) {
+	t.Helper()
+	reply, err := b.HandleSync(a.SyncFor(b.Self()))
+	if err != nil {
+		t.Fatalf("%s handles %s's sync: %v", b.Self(), a.Self(), err)
+	}
+	a.MergeReply(b.Self(), reply)
+}
+
+// push delivers p to tr as the request leg of an exchange from p.From at
+// epoch 1, the way a peer's gossip reaches it.
+func push(t *testing.T, tr *Tracker, p transport.MemberSyncPayload) {
+	t.Helper()
+	p.Epoch = 1
+	if _, err := tr.HandleSync(p); err != nil {
+		t.Fatalf("%s handles %s's sync: %v", tr.Self(), p.From, err)
+	}
 }
 
 // failNode drives tr's failure detector against n exactly like rounds of
@@ -79,7 +93,7 @@ func TestMergePrecedence(t *testing.T) {
 	tr := newTestTracker(t, "A", "B")
 
 	// Higher incarnation replaces everything.
-	tr.Merge(transport.MemberSyncPayload{From: "B", Members: []transport.MemberEntry{
+	push(t, tr, transport.MemberSyncPayload{From: "B", Members: []transport.MemberEntry{
 		{Node: "B", Incarnation: 3, Heartbeat: 5, State: "alive"},
 	}})
 	if got, _ := tr.Member("B"); got.Incarnation != 3 || got.Heartbeat != 5 {
@@ -87,14 +101,14 @@ func TestMergePrecedence(t *testing.T) {
 	}
 
 	// Equal incarnation: the worse state wins…
-	tr.Merge(transport.MemberSyncPayload{From: "C", Members: []transport.MemberEntry{
+	push(t, tr, transport.MemberSyncPayload{From: "C", Members: []transport.MemberEntry{
 		{Node: "B", Incarnation: 3, Heartbeat: 4, State: "suspect"},
 	}})
 	if got := stateOf(t, tr, "B"); got != Suspect {
 		t.Fatalf("B state %v after worse-state merge, want suspect", got)
 	}
 	// …and a better state at the same incarnation cannot undo it.
-	tr.Merge(transport.MemberSyncPayload{From: "C", Members: []transport.MemberEntry{
+	push(t, tr, transport.MemberSyncPayload{From: "C", Members: []transport.MemberEntry{
 		{Node: "B", Incarnation: 3, Heartbeat: 9, State: "alive"},
 	}})
 	if got := stateOf(t, tr, "B"); got != Suspect {
@@ -102,7 +116,7 @@ func TestMergePrecedence(t *testing.T) {
 	}
 
 	// A higher incarnation from B itself (refutation) revives it.
-	tr.Merge(transport.MemberSyncPayload{From: "B", Members: []transport.MemberEntry{
+	push(t, tr, transport.MemberSyncPayload{From: "B", Members: []transport.MemberEntry{
 		{Node: "B", Incarnation: 4, Heartbeat: 1, State: "alive"},
 	}})
 	if got := stateOf(t, tr, "B"); got != Alive {
@@ -110,7 +124,7 @@ func TestMergePrecedence(t *testing.T) {
 	}
 
 	// Stale lower incarnation is ignored entirely.
-	tr.Merge(transport.MemberSyncPayload{From: "C", Members: []transport.MemberEntry{
+	push(t, tr, transport.MemberSyncPayload{From: "C", Members: []transport.MemberEntry{
 		{Node: "B", Incarnation: 2, Heartbeat: 100, State: "failed"},
 	}})
 	if got, _ := tr.Member("B"); got.State != Alive || got.Incarnation != 4 {
@@ -131,10 +145,10 @@ func TestMergeCommutes(t *testing.T) {
 	}
 	ab := newTestTracker(t, "A")
 	ba := newTestTracker(t, "A")
-	ab.Merge(views[0])
-	ab.Merge(views[1])
-	ba.Merge(views[1])
-	ba.Merge(views[0])
+	push(t, ab, views[0])
+	push(t, ab, views[1])
+	push(t, ba, views[1])
+	push(t, ba, views[0])
 	for _, n := range []topology.NodeID{"B", "C"} {
 		x, _ := ab.Member(n)
 		y, _ := ba.Member(n)
@@ -155,14 +169,14 @@ func TestMixedVersionStateDegradesToSuspect(t *testing.T) {
 		}
 	}
 	tr := newTestTracker(t, "A", "B")
-	tr.Merge(transport.MemberSyncPayload{From: "C", Members: []transport.MemberEntry{
+	push(t, tr, transport.MemberSyncPayload{From: "C", Members: []transport.MemberEntry{
 		{Node: "B", Incarnation: 7, Heartbeat: 1, State: "quarantined-v9"},
 	}})
 	if got := stateOf(t, tr, "B"); got != Suspect {
 		t.Fatalf("B %v after merging an unknown future state, want the suspect degradation", got)
 	}
 	// And the degraded entry still obeys the usual refutation rules.
-	tr.Merge(transport.MemberSyncPayload{From: "B", Members: []transport.MemberEntry{
+	push(t, tr, transport.MemberSyncPayload{From: "B", Members: []transport.MemberEntry{
 		{Node: "B", Incarnation: 8, Heartbeat: 1, State: "alive"},
 	}})
 	if got := stateOf(t, tr, "B"); got != Alive {
@@ -272,14 +286,14 @@ func TestFailedVerdictIsRefutable(t *testing.T) {
 		t.Fatalf("new: %v", err)
 	}
 	b := newTestTracker(t, "B", "A")
-	syncPair(a, b)
+	syncPair(t, a, b)
 	failNode(t, a, "B")
 	if got := stateOf(t, a, "B"); got != Failed {
 		t.Fatalf("B %v on A, want failed", got)
 	}
 	// The partition heals: one full exchange carries the verdict to B, B
 	// refutes, and the reply revives it on A.
-	syncPair(a, b)
+	syncPair(t, a, b)
 	if got := stateOf(t, a, "B"); got != Alive {
 		t.Fatalf("B %v on A after refutation, want alive", got)
 	}
@@ -312,8 +326,8 @@ func TestSteadyGossipKeepsAlive(t *testing.T) {
 	for round := 0; round < 5*DefaultFailRounds; round++ {
 		a.Beat()
 		b.Beat()
-		syncPair(a, b)
-		syncPair(b, a)
+		syncPair(t, a, b)
+		syncPair(t, b, a)
 	}
 	if got := stateOf(t, a, "B"); got != Alive {
 		t.Fatalf("B %v on A after steady gossip, want alive", got)
@@ -328,7 +342,7 @@ func TestRefutationSpreads(t *testing.T) {
 	b := newTestTracker(t, "B", "A")
 	// A learns B's real (incarnation 1) entry, so the later fail verdict is
 	// at an incarnation B must actually outbid to refute.
-	syncPair(a, b)
+	syncPair(t, a, b)
 	failNode(t, a, "B")
 	if got := stateOf(t, a, "B"); got != Failed {
 		t.Fatalf("B %v on A, want failed", got)
@@ -336,12 +350,12 @@ func TestRefutationSpreads(t *testing.T) {
 	// The partition heals: one exchange B→A carries the fail rumor to B,
 	// which refutes with a higher incarnation; the reply revives B on A.
 	before, _ := b.Member("B")
-	syncPair(b, a)
+	syncPair(t, b, a)
 	after, _ := b.Member("B")
 	if after.Incarnation <= before.Incarnation {
 		t.Fatalf("B did not bump incarnation refuting (%d → %d)", before.Incarnation, after.Incarnation)
 	}
-	syncPair(a, b)
+	syncPair(t, a, b)
 	if got := stateOf(t, a, "B"); got != Alive {
 		t.Fatalf("B %v on A after refutation round-trip, want alive", got)
 	}
@@ -399,10 +413,17 @@ func TestDeltaSyncProtocol(t *testing.T) {
 	a := newTestTracker(t, "A", "B")
 	b := newTestTracker(t, "B", "A")
 
+	handle := func(y *Tracker, req transport.MemberSyncPayload) transport.MemberSyncPayload {
+		t.Helper()
+		reply, err := y.HandleSync(req)
+		if err != nil {
+			t.Fatalf("%s handles %s's sync: %v", y.Self(), req.From, err)
+		}
+		return reply
+	}
 	exchange := func(x, y *Tracker, peerOfX, peerOfY topology.NodeID) transport.MemberSyncPayload {
 		req := x.SyncFor(peerOfX)
-		reply := y.HandleSync(req)
-		x.MergeReply(peerOfX, reply)
+		x.MergeReply(peerOfX, handle(y, req))
 		return req
 	}
 
@@ -410,7 +431,7 @@ func TestDeltaSyncProtocol(t *testing.T) {
 	if !first.Full || len(first.Members) != 2 {
 		t.Fatalf("first leg %+v, want a full 2-row view", first)
 	}
-	reply := b.HandleSync(first)
+	reply := handle(b, first)
 	if !reply.Full {
 		t.Fatalf("first reply %+v, want full (B never heard from A either)", reply)
 	}
@@ -427,12 +448,12 @@ func TestDeltaSyncProtocol(t *testing.T) {
 	if len(steady.Members) != 0 {
 		t.Fatalf("steady delta carries %d rows, want 0 (nothing changed)", len(steady.Members))
 	}
-	b.HandleSync(steady)
+	handle(b, steady)
 
 	// One local change on B travels as a one-row delta to A.
 	b.SetLocalState(Draining)
 	req := a.SyncFor("B")
-	reply = b.HandleSync(req)
+	reply = handle(b, req)
 	if reply.Full {
 		t.Fatalf("post-change reply went full: %+v", reply)
 	}
@@ -446,7 +467,7 @@ func TestDeltaSyncProtocol(t *testing.T) {
 
 	// A view-count mismatch triggers the want-full fallback.
 	mismatch := transport.MemberSyncPayload{From: "A", Epoch: a.Epoch(), Seq: 1, Known: 5}
-	if got := b.HandleSync(mismatch); !got.WantFull {
+	if got := handle(b, mismatch); !got.WantFull {
 		t.Fatalf("reply %+v, want WantFull after a larger-view claim", got)
 	}
 
@@ -456,29 +477,9 @@ func TestDeltaSyncProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restart B: %v", err)
 	}
-	a.MergeReply("B", b2.HandleSync(a.SyncFor("B")))
+	a.MergeReply("B", handle(b2, a.SyncFor("B")))
 	if leg := a.SyncFor("B"); !leg.Full {
 		t.Fatalf("leg after B's epoch change %+v, want full", leg)
-	}
-}
-
-// TestLegacyPeerGetsFullViews pins the mixed-fleet fallback: a peer whose
-// payloads carry no epoch (an old build) is served full views forever, and
-// merging its full view still works.
-func TestLegacyPeerGetsFullViews(t *testing.T) {
-	a := newTestTracker(t, "A", "B")
-	legacy := transport.MemberSyncPayload{From: "B", Members: []transport.MemberEntry{
-		{Node: "A", Incarnation: 1, Heartbeat: 1, State: "alive"},
-		{Node: "B", Incarnation: 1, Heartbeat: 5, State: "alive"},
-	}}
-	for i := 0; i < 3; i++ {
-		reply := a.HandleSync(legacy)
-		if !reply.Full || len(reply.Members) != 2 {
-			t.Fatalf("reply %d to a legacy peer: %+v, want a full view every time", i, reply)
-		}
-	}
-	if got, _ := a.Member("B"); got.Heartbeat != 5 {
-		t.Fatalf("legacy view not merged: %+v", got)
 	}
 }
 
@@ -493,12 +494,12 @@ func TestDrainAndLeaveAnnouncements(t *testing.T) {
 	}
 
 	b.SetLocalState(Draining)
-	syncPair(a, b)
+	syncPair(t, a, b)
 	if got := stateOf(t, a, "B"); got != Draining {
 		t.Fatalf("B %v on A after drain announcement, want draining", got)
 	}
 	// The drain event reaches a third party transitively through A.
-	syncPair(c, a)
+	syncPair(t, c, a)
 	if got := stateOf(t, c, "B"); got != Draining {
 		t.Fatalf("B %v on C, want draining", got)
 	}
@@ -513,7 +514,7 @@ func TestDrainAndLeaveAnnouncements(t *testing.T) {
 	}
 
 	b.SetLocalState(Left)
-	syncPair(a, b)
+	syncPair(t, a, b)
 	if got := stateOf(t, a, "B"); got != Left {
 		t.Fatalf("B %v on A after leave announcement, want left", got)
 	}
@@ -548,7 +549,7 @@ func TestRotationFairness(t *testing.T) {
 	// A new member whose ID sorts before the whole pool joins mid-cycle
 	// (after the cursor passed "C"): the next full cycle must still visit
 	// all six peers exactly once each.
-	tr.Merge(transport.MemberSyncPayload{From: "AA", Members: []transport.MemberEntry{
+	push(t, tr, transport.MemberSyncPayload{From: "AA", Members: []transport.MemberEntry{
 		{Node: "AA", Incarnation: 1, Heartbeat: 1, State: "alive"},
 	}})
 	tr.PlanContacts(1) // advance to D

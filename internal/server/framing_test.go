@@ -9,6 +9,8 @@ import (
 	"dvod/internal/client"
 	"dvod/internal/grnet"
 	"dvod/internal/media"
+	"dvod/internal/membership"
+	"dvod/internal/server"
 	"dvod/internal/topology"
 	"dvod/internal/transport"
 )
@@ -154,11 +156,22 @@ func TestHelloDirect(t *testing.T) {
 }
 
 // TestStrayBinaryFrameGetsError: a peer starts only ledger-sync and
-// member-sync exchanges with a binary frame. Any other frame type, here a
-// merge-info frame, is answered with an error reply, and the connection keeps
-// serving control requests.
+// member-sync exchanges with a binary frame, and a member sync names its
+// sender, another node, and an epoch of at least 1. Any other frame type
+// (here a merge-info frame), and a member sync without a sender, from the
+// server itself or at epoch 0, is answered with an error reply that leaves
+// the member view untouched, and the connection keeps serving control
+// requests.
 func TestStrayBinaryFrameGetsError(t *testing.T) {
-	lc := newCluster(t, nil)
+	trackers := make(map[topology.NodeID]*membership.Tracker)
+	lc := newCluster(t, nil, func(c *server.Config) {
+		tr, err := membership.New(membership.Config{Self: c.Node, Seeds: grnet.Nodes()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		trackers[c.Node] = tr
+		c.Members = tr
+	})
 	conn, err := transport.Dial(lc.servers[grnet.Patra].Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -167,25 +180,50 @@ func TestStrayBinaryFrameGetsError(t *testing.T) {
 	if err := conn.RequireClusterFrames(); err != nil {
 		t.Fatal(err)
 	}
-	if err := conn.WriteMergeInfoFrame(transport.MergeInfoPayload{Cohort: 1, Role: transport.MergeRoleBase}); err != nil {
-		t.Fatal(err)
+	rows := []transport.MemberEntry{{Node: grnet.Xanthi, Incarnation: 9, State: "failed"}}
+	for _, tc := range []struct {
+		name  string
+		write func() error
+		want  string
+	}{
+		{"merge-info frame", func() error {
+			return conn.WriteMergeInfoFrame(transport.MergeInfoPayload{Cohort: 1, Role: transport.MergeRoleBase})
+		}, fmt.Sprintf("unexpected binary frame 0x%02x", transport.FrameMergeInfo)},
+		{"member sync without a sender", func() error {
+			_, err := conn.WriteMemberSyncFrame(transport.MemberSyncPayload{Epoch: 1, Members: rows}, false)
+			return err
+		}, "member sync from \"\""},
+		{"member sync from the server itself", func() error {
+			_, err := conn.WriteMemberSyncFrame(transport.MemberSyncPayload{From: grnet.Patra, Epoch: 1, Members: rows}, false)
+			return err
+		}, "member sync from \"" + string(grnet.Patra) + "\""},
+		{"member sync at epoch 0", func() error {
+			_, err := conn.WriteMemberSyncFrame(transport.MemberSyncPayload{From: grnet.Athens, Members: rows}, false)
+			return err
+		}, "epoch 0"},
+	} {
+		if err := tc.write(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		m, err := conn.ReadMessage()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if rerr := transport.AsError(m); rerr == nil || !strings.Contains(rerr.Error(), tc.want) {
+			t.Fatalf("%s: reply %q (%v), want an error naming %q", tc.name, m.Type, rerr, tc.want)
+		}
+		ping, err := transport.Encode(transport.TypePing, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.WriteMessage(ping); err != nil {
+			t.Fatal(err)
+		}
+		if m, err = conn.ReadMessage(); err != nil || m.Type != transport.TypePong {
+			t.Fatalf("ping after the %s: %q, %v", tc.name, m.Type, err)
+		}
 	}
-	m, err := conn.ReadMessage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fmt.Sprintf("unexpected binary frame 0x%02x", transport.FrameMergeInfo)
-	if rerr := transport.AsError(m); rerr == nil || !strings.Contains(rerr.Error(), want) {
-		t.Fatalf("reply %q (%v), want an error naming %q", m.Type, rerr, want)
-	}
-	ping, err := transport.Encode(transport.TypePing, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := conn.WriteMessage(ping); err != nil {
-		t.Fatal(err)
-	}
-	if m, err = conn.ReadMessage(); err != nil || m.Type != transport.TypePong {
-		t.Fatalf("ping after the stray frame: %q, %v", m.Type, err)
+	if m, ok := trackers[grnet.Patra].Member(grnet.Xanthi); !ok || m.State != membership.Alive {
+		t.Fatalf("Xanthi on Patra after refused syncs: %+v, want alive", m)
 	}
 }

@@ -77,42 +77,3 @@ type errMismatch struct {
 func (e errMismatch) Error() string {
 	return e.title + ": byte count mismatch"
 }
-
-// TestConcurrentParallelWatchers mixes sequential and parallel fetching
-// against the same replicas.
-func TestConcurrentParallelWatchers(t *testing.T) {
-	lc := newCluster(t, nil)
-	title := media.Title{Name: "mixed", SizeBytes: 6 * clusterBytes, BitrateMbps: 1.5}
-	lc.addTitle(t, title, grnet.Thessaloniki, grnet.Xanthi)
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for i := range 8 {
-		wg.Add(1)
-		go func(parallel bool) {
-			defer wg.Done()
-			p, err := client.NewPlayer(grnet.Patra, lc.book)
-			if err != nil {
-				errs <- err
-				return
-			}
-			var stats client.PlaybackStats
-			if parallel {
-				stats, err = p.WatchParallel("mixed")
-			} else {
-				stats, err = p.Watch("mixed")
-			}
-			if err != nil {
-				errs <- err
-				return
-			}
-			if !stats.Verified {
-				errs <- errMismatch{"mixed", stats.BytesReceived, title.SizeBytes}
-			}
-		}(i%2 == 0)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Errorf("mixed watch: %v", err)
-	}
-}

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dvod/internal/client"
 	"dvod/internal/core"
@@ -143,8 +144,16 @@ func TestRemoteWatchSendsEveryOriginClusterByKernel(t *testing.T) {
 	if dials, _ := peerConnCounters(lc, grnet.Patra); dials != 1 {
 		t.Fatalf("16 remote clusters took %d peer dials, want 1", dials)
 	}
-	origin := lc.servers[grnet.Thessaloniki].Metrics().Snapshot()
-	kernel, fallback := origin.Counters["server.kernel_sends"], origin.Counters["server.fallback_sends"]
+	// The player can hold the last cluster before the origin counts its last
+	// send, so wait, bounded, until all 16 sends are counted.
+	var kernel, fallback int64
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		origin := lc.servers[grnet.Thessaloniki].Metrics().Snapshot()
+		kernel, fallback = origin.Counters["server.kernel_sends"], origin.Counters["server.fallback_sends"]
+		if kernel+fallback >= 16 || time.Now().After(deadline) {
+			break
+		}
+	}
 	if runtime.GOOS == "linux" {
 		if kernel != 16 || fallback != 0 {
 			t.Fatalf("origin sent %d by kernel, %d by copy; want 16 and 0", kernel, fallback)

@@ -173,9 +173,10 @@ type Director interface {
 }
 
 // MemberView answers membership gossip (implemented by membership.Tracker):
-// merge the remote view, return the merged local view.
+// merge the remote view, return the merged local view, or refuse a
+// malformed request.
 type MemberView interface {
-	HandleSync(req transport.MemberSyncPayload) transport.MemberSyncPayload
+	HandleSync(req transport.MemberSyncPayload) (transport.MemberSyncPayload, error)
 }
 
 // Server is one running video server node.
@@ -750,8 +751,12 @@ func (s *Server) handleMemberSyncFrame(c *transport.Conn, f *transport.Frame) er
 	if err != nil {
 		return err
 	}
+	reply, err := s.cfg.Members.HandleSync(req)
+	if err != nil {
+		return err
+	}
 	s.cfg.Metrics.Counter("server.member_syncs").Inc()
-	_, err = c.WriteMemberSyncFrame(s.cfg.Members.HandleSync(req), true)
+	_, err = c.WriteMemberSyncFrame(reply, true)
 	return err
 }
 
@@ -983,7 +988,7 @@ func (s *Server) admitWatch(c *transport.Conn, req transport.WatchPayload, title
 		return nil, false, err
 	}
 	switch rej.Reason {
-	case admission.ReasonSessions, admission.ReasonRate:
+	case admission.ReasonSessions:
 		s.cfg.Metrics.Counter("server.watch_busy").Inc()
 		return nil, true, c.WriteErrorCode(rej.Error(), transport.CodeBusy)
 	default:

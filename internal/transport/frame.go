@@ -122,7 +122,7 @@ type Frame struct {
 
 	// File-backed body (NewFileFrame): the bytes live in [foff, foff+fsize)
 	// of file instead of Payload, so a writer can hand them to the kernel
-	// send path (sendfile/splice) without a userspace copy. done releases
+	// send path (sendfile) without a userspace copy. done releases
 	// the underlying pin (disk.FileRef.Close) on the final Release.
 	file  *os.File
 	foff  int64
@@ -377,9 +377,8 @@ func (c *Conn) WriteClusterFrame(p ClusterPayload, body []byte) error {
 //
 //   - binary framing + file-backed body: the frame header (and any queued
 //     control frames) go out in one writev, then the body travels file→socket
-//     inside the kernel via sendfile(2) — or splice(2) through the
-//     connection's pipe when sendfile is not applicable — and never enters Go
-//     userspace. Returns kernel = true.
+//     inside the kernel via sendfile(2) and never enters Go userspace.
+//     Returns kernel = true.
 //   - binary framing + byte-backed body, or a file-backed body the platform
 //     or stream cannot kernel-send (non-TCP test pipes, !linux builds): the
 //     pooled-buffer copy path of WriteClusterFrame. Returns kernel = false.

@@ -3,92 +3,13 @@
 package transport
 
 import (
-	"bytes"
 	"io"
-	"sync"
-	"syscall"
 	"testing"
 )
 
-// TestSpliceBodyTCP drives the splice leg directly against a real socket.
-// In production splice only runs when sendfile reports unsupported (which a
-// file → TCP transfer never does), so this is the only coverage the pipe
-// fill/drain loop gets.
-func TestSpliceBodyTCP(t *testing.T) {
-	cliNC, srvNC := tcpPair(t)
-	c := NewConn(srvNC)
-
-	size := 1 << 20 // bigger than the 64 KiB default pipe: forces refills
-	data := make([]byte, size)
-	for i := range data {
-		data[i] = byte(i*13 + 5)
-	}
-	f, off := bodyFile(t, data)
-
-	var got bytes.Buffer
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, _ = io.Copy(&got, cliNC)
-	}()
-
-	c.wmu.Lock()
-	sc := srvNC.(syscall.Conn)
-	rc, err := sc.SyscallConn()
-	if err != nil {
-		c.wmu.Unlock()
-		t.Fatalf("SyscallConn: %v", err)
-	}
-	c.ks.rc, c.ks.rcOK = rc, true
-	c.ks.spStep = c.spliceStep
-	kernel, err := c.spliceBodyLocked(f, off, int64(size))
-	c.wmu.Unlock()
-	if err != nil {
-		t.Fatalf("spliceBodyLocked: %v", err)
-	}
-	if !kernel {
-		t.Fatal("splice reported unsupported for file → TCP")
-	}
-	srvNC.Close()
-	wg.Wait()
-	if !bytes.Equal(got.Bytes(), data) {
-		t.Fatalf("spliced %d bytes, want %d byte-equal", got.Len(), size)
-	}
-	if !c.ks.hasPipe {
-		t.Fatal("splice ran without creating the staging pipe")
-	}
-	c.Close()
-	if c.ks.hasPipe {
-		t.Fatal("Close left the staging pipe open")
-	}
-}
-
-// TestSpliceTruncatedFile: a body shorter than the announced size must fail
-// loudly, not hang or silently under-deliver.
-func TestSpliceTruncatedFile(t *testing.T) {
-	cliNC, srvNC := tcpPair(t)
-	c := NewConn(srvNC)
-	data := make([]byte, 4<<10)
-	f, off := bodyFile(t, data)
-	go func() { _, _ = io.Copy(io.Discard, cliNC) }()
-
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	rc, err := srvNC.(syscall.Conn).SyscallConn()
-	if err != nil {
-		t.Fatalf("SyscallConn: %v", err)
-	}
-	c.ks.rc, c.ks.rcOK = rc, true
-	c.ks.spStep = c.spliceStep
-	// Announce twice the bytes the file holds.
-	if _, err := c.spliceBodyLocked(f, off, int64(2*len(data))); err != io.ErrUnexpectedEOF {
-		t.Fatalf("splice past EOF: err = %v, want io.ErrUnexpectedEOF", err)
-	}
-}
-
-// TestSendfileTruncatedFile: same contract on the sendfile leg, through the
-// public entry point.
+// TestSendfileTruncatedFile: a body shorter than the announced size must
+// fail loudly (the frame header already promised the bytes), not hang or
+// report success.
 func TestSendfileTruncatedFile(t *testing.T) {
 	cliNC, srvNC := tcpPair(t)
 	c := NewConn(srvNC)

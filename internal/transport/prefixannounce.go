@@ -82,22 +82,6 @@ func appendPrefixAnnounceFrame(dst []byte, p PrefixAnnouncePayload) ([]byte, err
 	return dst, nil
 }
 
-// WritePrefixAnnounceFrame sends one prefix announcement as a binary frame
-// (together with any queued control frames, in one writev).
-func (c *Conn) WritePrefixAnnounceFrame(p PrefixAnnouncePayload) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	scratch, err := appendPrefixAnnounceFrame(c.wscratch[:0], p)
-	if err != nil {
-		return err
-	}
-	c.wscratch = scratch[:0]
-	if err := c.writeVectoredLocked(scratch); err != nil {
-		return fmt.Errorf("write prefix-announce frame: %w", err)
-	}
-	return nil
-}
-
 // QueuePrefixAnnounceFrame frames one prefix announcement into the
 // connection's write queue instead of writing it, so it rides the next
 // cluster frame's writev exactly as the queued watch.ok does.

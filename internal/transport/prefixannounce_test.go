@@ -5,6 +5,15 @@ import (
 	"testing"
 )
 
+// sendPrefixAnnounce queues p and flushes the queue: the server queues the
+// announcement so it rides the first cluster frame's writev.
+func sendPrefixAnnounce(c *Conn, p PrefixAnnouncePayload) error {
+	if err := c.QueuePrefixAnnounceFrame(p); err != nil {
+		return err
+	}
+	return c.Flush()
+}
+
 func TestPrefixAnnounceFrameRoundTrip(t *testing.T) {
 	c, _ := newFrameConn()
 	for _, want := range []PrefixAnnouncePayload{
@@ -13,7 +22,7 @@ func TestPrefixAnnounceFrameRoundTrip(t *testing.T) {
 		{PrefixClusters: 512, StartupRTTs: 1, RelayTail: true},
 		{PrefixClusters: 1<<31 - 1, StartupRTTs: 0xFFFF},
 	} {
-		if err := c.WritePrefixAnnounceFrame(want); err != nil {
+		if err := sendPrefixAnnounce(c, want); err != nil {
 			t.Fatal(err)
 		}
 		m, f, err := c.ReadFrameOrMessage(nil)
@@ -41,8 +50,8 @@ func TestPrefixAnnounceFrameWriteValidation(t *testing.T) {
 		{StartupRTTs: -1},
 		{StartupRTTs: 0x10000},
 	} {
-		if err := c.WritePrefixAnnounceFrame(bad); !errors.Is(err, ErrBadFrame) {
-			t.Fatalf("WritePrefixAnnounceFrame(%+v) = %v, want ErrBadFrame", bad, err)
+		if err := c.QueuePrefixAnnounceFrame(bad); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("QueuePrefixAnnounceFrame(%+v) = %v, want ErrBadFrame", bad, err)
 		}
 	}
 }
@@ -80,7 +89,7 @@ func FuzzPrefixAnnounceFrame(f *testing.F) {
 			return
 		}
 		c, _ := newFrameConn()
-		if werr := c.WritePrefixAnnounceFrame(p); werr != nil {
+		if werr := sendPrefixAnnounce(c, p); werr != nil {
 			t.Fatalf("decoded payload %+v does not re-encode: %v", p, werr)
 		}
 		_, rt, rerr := c.ReadFrameOrMessage(nil)

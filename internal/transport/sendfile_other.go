@@ -8,9 +8,6 @@ import "os"
 // state for.
 type kernelState struct{}
 
-// close has nothing to release off Linux.
-func (kernelState) close() {}
-
 // sendBodyLocked always reports no kernel path off Linux, so
 // WriteClusterBody streams file-backed bodies through the pooled-buffer
 // copy — byte-identical wire output, one copy more.

@@ -108,8 +108,8 @@ type Message struct {
 // Error codes carried by ErrorPayload.Code, letting clients branch on
 // machine-readable failure classes without parsing messages.
 const (
-	// CodeBusy: the server is at its concurrent-session or setup-rate
-	// limit; the client should retry later or at another replica.
+	// CodeBusy: the server is at its concurrent-session limit; the client
+	// should retry later or at another replica.
 	CodeBusy = "busy"
 )
 
@@ -326,22 +326,16 @@ type Conn struct {
 	// the backing capacity survives). Both guarded by wmu.
 	wvecBack [][]byte
 	wvecIO   net.Buffers
-	// ks holds the platform kernel-send state (Linux: the lazily created
-	// splice pipe; elsewhere: empty). Guarded by wmu.
+	// ks holds the platform kernel-send state (Linux: the bound RawConn and
+	// the in-flight sendfile transfer; elsewhere: empty). Guarded by wmu.
 	ks kernelState
 }
 
 // NewConn wraps a stream (net.Conn or net.Pipe end).
 func NewConn(rw io.ReadWriteCloser) *Conn { return &Conn{rw: rw} }
 
-// Close closes the underlying stream (and the splice pipe, if the kernel
-// send path created one).
-func (c *Conn) Close() error {
-	c.wmu.Lock()
-	c.ks.close()
-	c.wmu.Unlock()
-	return c.rw.Close()
-}
+// Close closes the underlying stream.
+func (c *Conn) Close() error { return c.rw.Close() }
 
 // SetReadDeadline forwards to the underlying stream when it supports
 // deadlines (net.Conn does; in-memory test pipes may not, in which case this
