@@ -540,19 +540,12 @@ func healthFn(scores *faults.HealthScores) func(NodeID) float64 {
 // else's dials toward it refuse).
 func (s *Service) gossipDialer(self NodeID) func(NodeID, string) (*transport.Conn, error) {
 	return func(peer NodeID, addr string) (*transport.Conn, error) {
-		inj := s.injector
-		if inj == nil {
-			return transport.Dial(addr)
+		if inj := s.injector; inj != nil {
+			if err := inj.DialError(self, nil); err != nil {
+				return nil, err
+			}
 		}
-		if err := inj.DialError(self, nil); err != nil {
-			return nil, err
-		}
-		if err := inj.DialError(peer, nil); err != nil {
-			return nil, err
-		}
-		return transport.DialWith(addr, func(rw io.ReadWriteCloser) io.ReadWriteCloser {
-			return inj.WrapStream(peer, nil, rw)
-		})
+		return s.injector.Dial(peer, nil, addr)
 	}
 }
 
@@ -1295,12 +1288,7 @@ func (s *Service) WatchDialer(home NodeID) func(addr string) (*transport.Conn, e
 	}
 	inj := s.injector
 	return func(addr string) (*transport.Conn, error) {
-		if err := inj.DialError(home, nil); err != nil {
-			return nil, err
-		}
-		return transport.DialWith(addr, func(rw io.ReadWriteCloser) io.ReadWriteCloser {
-			return inj.WrapStream(home, nil, rw)
-		})
+		return inj.Dial(home, nil, addr)
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 //	magic(8) "DVODBLK1" | size(8, big-endian) | size bytes of block data
 //
 // Block data therefore starts at blockHeaderLen, which is also the offset a
-// kernel-path sender (sendfile/splice) must begin its transfer at — see
+// kernel-path sender (sendfile) must begin its transfer at — see
 // FileRef.
 const (
 	blockMagic     = "DVODBLK1"
@@ -153,8 +153,8 @@ func readBlockInto(b *block, id BlockID, diskID string, dst []byte) error {
 
 // FileRef is a pinned zero-copy handle on one block file: the open
 // descriptor plus the byte range [Offset, Offset+Size) holding the block's
-// data. The kernel delivery path hands it to sendfile(2)/splice(2) so the
-// bytes travel disk→socket without entering Go userspace.
+// data. The kernel delivery path hands it to sendfile(2) so the bytes
+// travel disk→socket without entering Go userspace.
 //
 // The descriptor is shared with every other reader of the block; holders
 // must only use positioned I/O (ReadAt, sendfile with an explicit offset)

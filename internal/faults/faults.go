@@ -5,12 +5,12 @@
 // Injection side: a declarative Plan schedules faults ("at T, fail X for D")
 // — link flaps and partitions, peer death and byte-stalls, slow / stalling /
 // short-reading disks — and an Injector armed with the plan applies them to
-// the running stack through small hooks: DialError and WrapStream on the
-// live transport path, ReadInterceptor on disk arrays, SyncNetwork on the
-// emulated netsim plane. The plan is seed-pinned: the sequence of
-// activation/deactivation events (Events) is a pure function of the plan, so
-// the same plan and seed reproduce the identical event sequence run after
-// run — a flaky production failure becomes a regression test.
+// the running stack through small hooks: Dial (DialError, then WrapStream)
+// on the live transport path, and ReadInterceptor on disk arrays. The plan
+// is seed-pinned: the sequence of activation/deactivation events (Events)
+// is a pure function of the plan, so the same plan and seed reproduce the
+// identical event sequence run after run — a flaky production failure
+// becomes a regression test.
 //
 // Defense side (the other files of this package): jittered exponential
 // Backoff, per-peer circuit breakers (BreakerSet), per-session RetryBudget,
@@ -31,8 +31,8 @@ import (
 	"dvod/internal/clock"
 	"dvod/internal/disk"
 	"dvod/internal/metrics"
-	"dvod/internal/netsim"
 	"dvod/internal/topology"
+	"dvod/internal/transport"
 )
 
 // Kind names a fault class.
@@ -41,8 +41,7 @@ type Kind string
 // The fault taxonomy (see DESIGN.md § "Failure model").
 const (
 	// KindLinkDown takes a network link down: live streams whose route
-	// crosses it are cut, new dials across it fail, and the emulated plane's
-	// link capacity drops to zero (SyncNetwork).
+	// crosses it are cut and new dials across it fail.
 	KindLinkDown Kind = "link.down"
 	// KindPeerDown kills a peer from the network's point of view: its live
 	// streams are cut and new dials to it fail.
@@ -214,15 +213,12 @@ type Injector struct {
 	stop    chan struct{}
 	rng     *rand.Rand
 	streams map[*faultyStream]struct{}
-	// netApplied tracks which link.down plan entries are currently applied
-	// to a synced netsim network, keyed by plan index.
-	netApplied map[int]bool
 }
 
 // NewInjector validates the plan and builds an injector. The seed pins every
 // randomized choice the injector makes (short-read truncation points), and
-// the clock decides which plane it runs in: clock.Wall for live TCP
-// deployments, a clock.Virtual shared with netsim for the emulated plane.
+// the clock times the fault windows: clock.Wall for live TCP deployments, a
+// clock.Virtual for runs that step time by hand.
 // reg receives the faults.injected_total counter; nil allocates a private
 // registry.
 func NewInjector(plan Plan, seed int64, clk clock.Clock, reg *metrics.Registry) (*Injector, error) {
@@ -237,16 +233,15 @@ func NewInjector(plan Plan, seed int64, clk clock.Clock, reg *metrics.Registry) 
 	}
 	events := append([]Event(nil), plan.Events...)
 	i := &Injector{
-		plan:       events,
-		seed:       seed,
-		clk:        clk,
-		reg:        reg,
-		injected:   reg.Counter("faults.injected_total"),
-		log:        materializeLog(events),
-		stop:       make(chan struct{}),
-		rng:        rand.New(rand.NewSource(seed)),
-		streams:    make(map[*faultyStream]struct{}),
-		netApplied: make(map[int]bool),
+		plan:     events,
+		seed:     seed,
+		clk:      clk,
+		reg:      reg,
+		injected: reg.Counter("faults.injected_total"),
+		log:      materializeLog(events),
+		stop:     make(chan struct{}),
+		rng:      rand.New(rand.NewSource(seed)),
+		streams:  make(map[*faultyStream]struct{}),
 	}
 	return i, nil
 }
@@ -426,6 +421,23 @@ func (i *Injector) WrapStream(peer topology.NodeID, path []topology.LinkID, rw i
 	return f
 }
 
+// Dial connects to peer at addr over the route crossing path with the
+// injector interposed: a fault refusing the route fails the dial before it
+// connects (DialError), and the connection's byte stream is wrapped
+// (WrapStream) so a later fault can cut or stall it. A nil injector dials
+// plainly, so callers need no armed-plan check of their own.
+func (i *Injector) Dial(peer topology.NodeID, path []topology.LinkID, addr string) (*transport.Conn, error) {
+	if i == nil {
+		return transport.Dial(addr)
+	}
+	if err := i.DialError(peer, path); err != nil {
+		return nil, err
+	}
+	return transport.DialWith(addr, func(rw io.ReadWriteCloser) io.ReadWriteCloser {
+		return i.WrapStream(peer, path, rw)
+	})
+}
+
 // forget drops a closed stream from the cut set.
 func (i *Injector) forget(f *faultyStream) {
 	i.mu.Lock()
@@ -512,41 +524,6 @@ func (i *Injector) ReadInterceptor(node topology.NodeID) disk.ReadInterceptor {
 		}
 		return disk.ReadFault{}
 	}
-}
-
-// SyncNetwork applies the plan's link.down state to an emulated network at
-// its current instant: links whose fault window covers n.Now() go down,
-// links whose window has closed come back. The emulated plane has no
-// background goroutines, so the experiment loop calls this after each
-// advance; the injector and network must share the same virtual clock
-// timeline (Start the injector at the network's start instant).
-func (i *Injector) SyncNetwork(n *netsim.Network) error {
-	el, running := i.elapsed()
-	if !running {
-		return nil
-	}
-	for idx, e := range i.plan {
-		if e.Kind != KindLinkDown {
-			continue
-		}
-		active := el >= e.At && el < e.At+e.For
-		i.mu.Lock()
-		applied := i.netApplied[idx]
-		i.mu.Unlock()
-		if active == applied {
-			continue
-		}
-		if err := n.SetLinkDown(e.Link, active); err != nil {
-			return err
-		}
-		i.mu.Lock()
-		i.netApplied[idx] = active
-		i.mu.Unlock()
-		if active {
-			i.injected.Inc()
-		}
-	}
-	return nil
 }
 
 // faultyStream is the injector's wrapper around one live connection.

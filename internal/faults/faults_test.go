@@ -2,6 +2,7 @@ package faults
 
 import (
 	"errors"
+	"net"
 	"reflect"
 	"testing"
 	"time"
@@ -137,6 +138,75 @@ func TestDialErrorWindows(t *testing.T) {
 	inj.Stop()
 	if err := inj.DialError("B", []topology.LinkID{link}); err != nil {
 		t.Fatalf("post-stop dial error: %v", err)
+	}
+}
+
+// TestInjectorDial: a nil injector dials plainly. An armed one refuses a
+// route under an active fault without connecting, and wraps what it does
+// dial, so a fault that activates later cuts the live stream.
+func TestInjectorDial(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 4)
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted <- c
+		}
+	}()
+	addr := ln.Addr().String()
+
+	var none *Injector
+	c, err := none.Dial("B", nil, addr)
+	if err != nil {
+		t.Fatalf("nil injector: %v", err)
+	}
+	_ = c.Close()
+	_ = (<-accepted).Close()
+
+	vc := clock.NewVirtual(time.Unix(0, 0))
+	var plan Plan
+	plan.FailPeer(10*time.Millisecond, 10*time.Millisecond, "B")
+	inj := mustInjector(t, plan, 1, vc)
+	if err := inj.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer inj.Stop()
+	live, err := inj.Dial("B", nil, addr)
+	if err != nil {
+		t.Fatalf("t=0 dial: %v", err)
+	}
+	defer live.Close()
+	peer := <-accepted
+	defer peer.Close()
+	readErr := make(chan error, 1)
+	go func() {
+		_, err := live.ReadMessage()
+		readErr <- err
+	}()
+
+	vc.Advance(15 * time.Millisecond) // peer.down is active
+	if _, err := inj.Dial("B", nil, addr); !errors.Is(err, ErrInjected) {
+		t.Fatalf("t=15ms: want injected refusal, got %v", err)
+	}
+	select {
+	case <-accepted:
+		t.Fatal("a refused dial connected")
+	case <-time.After(50 * time.Millisecond):
+	}
+	select {
+	case err := <-readErr:
+		if err == nil {
+			t.Fatal("read on a cut stream succeeded")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the dialed stream was not cut when peer.down activated")
 	}
 }
 

@@ -134,26 +134,22 @@ func (r *Registry) Window() int { return r.cfg.Window }
 // used when a cohort is created; an existing cohort keeps reading through
 // the source of its base session.
 func (r *Registry) Join(title string, numClusters, start int, src Source) (*Sub, error) {
-	return r.JoinSource(title, numClusters, start, src, nil)
+	return r.JoinSourceHold(title, numClusters, start, src, nil, 0)
 }
 
-// JoinSource is Join with a source-cleanup hook: closeSrc is invoked exactly
-// once, when the cohort pump exits, IF this call created the cohort. When
-// the session attaches to an existing cohort instead, src is unused and
-// closeSrc is never invoked — a source holding real resources (the
-// relay-cohort upstream connection) must therefore acquire them lazily on
-// its first read.
-func (r *Registry) JoinSource(title string, numClusters, start int, src Source, closeSrc func()) (*Sub, error) {
-	return r.JoinSourceHold(title, numClusters, start, src, closeSrc, 0)
-}
-
-// JoinSourceHold is JoinSource with an aggregation hold-down: when this call
-// creates the cohort, its pump waits hold before the first source read, so
-// near-simultaneous joiners (a flash crowd of downstream relay servers, say)
-// all attach at the base position with zero patch clusters — the batching
-// idea from the VoD literature. The hold delays only the shared stream's
-// first cluster, never a session's locally-served prefix, and a hold of zero
-// starts the pump immediately.
+// JoinSourceHold is Join with a source-cleanup hook and an aggregation
+// hold-down. closeSrc (may be nil) is invoked exactly once, when the cohort
+// pump exits, IF this call created the cohort. When the session attaches to
+// an existing cohort instead, src is unused and closeSrc is never invoked —
+// a source holding real resources (the relay-cohort upstream connection)
+// must therefore acquire them lazily on its first read.
+//
+// When this call creates the cohort, its pump waits hold before the first
+// source read, so near-simultaneous joiners (a flash crowd of downstream
+// relay servers, say) all attach at the base position with zero patch
+// clusters — the batching idea from the VoD literature. The hold delays only
+// the shared stream's first cluster, never a session's locally-served
+// prefix, and a hold of zero starts the pump immediately.
 //
 // The hold is paid only where batching paid last time: when the title's
 // last held cohort ended with a single subscriber, the pump starts at once

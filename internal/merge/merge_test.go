@@ -692,7 +692,7 @@ func TestMergeSoloVerdictIsPerTitle(t *testing.T) {
 }
 
 // TestMergeZeroHoldStartsImmediately pins the hold-down's no-op contract: a
-// zero hold must not delay the pump (JoinSource always passes zero).
+// zero hold must not delay the pump (Join always passes zero).
 func TestMergeZeroHoldStartsImmediately(t *testing.T) {
 	const clusters = 4
 	pool := transport.NewBufferPool(nil)

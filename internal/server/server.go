@@ -114,9 +114,9 @@ type Config struct {
 	// VRA's link weights. May be nil.
 	Health *faults.HealthScores
 	// Ledger optionally serves this node's replica of the gossip-replicated
-	// reservation ledger: peers' ledger.sync exchanges (JSON or binary
-	// framing) are merged and answered here, alongside the broker that reads
-	// the replica before granting. Nil refuses ledger.sync requests.
+	// reservation ledger: peers' ledger-sync frames are merged and answered
+	// here, alongside the broker that reads the replica before granting. Nil
+	// refuses ledger.sync requests.
 	Ledger *ledger.Ledger
 	// DisableDefense switches off the self-healing delivery path — per-peer
 	// circuit breakers, hedged fetches, and per-session retry budgets —
@@ -569,7 +569,7 @@ func (s *Server) handleHolders(c *transport.Conn, m transport.Message) error {
 	if err != nil {
 		return err
 	}
-	layout, err := striping.NewLayout(title, s.cfg.ClusterBytes, 1)
+	numClusters, err := s.numClusters(title)
 	if err != nil {
 		return err
 	}
@@ -578,7 +578,7 @@ func (s *Server) handleHolders(c *transport.Conn, m transport.Message) error {
 		SizeBytes:    title.SizeBytes,
 		BitrateMbps:  title.BitrateMbps,
 		ClusterBytes: s.cfg.ClusterBytes,
-		NumClusters:  layout.NumParts(),
+		NumClusters:  numClusters,
 		Holders:      holders,
 	})
 	if err != nil {
@@ -605,7 +605,7 @@ func (s *Server) handleClusterGet(c *transport.Conn, m transport.Message) error 
 
 // sendCluster writes one cluster on the negotiated framing via
 // transport.WriteClusterBody: file-backed bodies go out on the kernel path
-// (sendfile/splice) when the platform and stream support it, byte-backed or
+// (sendfile) when the platform and stream support it, byte-backed or
 // refused bodies through the pooled copy, JSON framing as msgType + raw
 // body. Delivery volume is charged to the bytes-out/frames-out counters
 // either way, and each send lands in server.kernel_sends or
@@ -632,17 +632,36 @@ func (s *Server) sendCluster(c *transport.Conn, msgType string, payload transpor
 	return nil
 }
 
-// readLocalCluster fetches one resident cluster from the local array as a
-// transport frame the caller must Release. When the block has a file (a
-// file-backed array, or any array on Linux) and no fault interceptor is
-// armed, the frame pins the block's descriptor (disk.FileRef) and carries no
-// bytes at all — sendCluster streams it with sendfile. Otherwise the part is
-// copied into a pool-leased buffer.
+// numClusters is how many delivery clusters title has at this server's
+// cluster size.
+func (s *Server) numClusters(title media.Title) (int, error) {
+	layout, err := striping.NewLayout(title, s.cfg.ClusterBytes, 1)
+	if err != nil {
+		return 0, err
+	}
+	return layout.NumParts(), nil
+}
+
+// readLocalCluster fetches one cluster of a DMA-resident title from the
+// local array (see readStored), charged to server.disk_reads/disk_bytes.
 func (s *Server) readLocalCluster(title string, index int) (*transport.Frame, transport.ClusterPayload, error) {
 	layout, ok := s.cfg.Cache.Layout(title)
 	if !ok {
 		return nil, transport.ClusterPayload{}, fmt.Errorf("title %q not resident on %s", title, s.cfg.Node)
 	}
+	return s.readStored(s.cfg.Array, layout, title, index, "server.disk_reads", "server.disk_bytes")
+}
+
+// readStored reads one stored cluster of title, laid out on arr by layout —
+// the DMA's array or the prefix store's — as a transport frame the caller
+// must Release, and charges the caller's reads/bytes counter pair. These
+// count disk work, distinct from the per-client frames_out / bytes_out pair:
+// merged fan-out multiplies deliveries, not reads. When the block has a file
+// (a file-backed array, or any array on Linux) and no fault interceptor is
+// armed, the frame pins the block's descriptor (disk.FileRef) and carries no
+// bytes at all — sendCluster streams it with sendfile, moving the same bytes
+// off the same disk. Otherwise the part is copied into a pool-leased buffer.
+func (s *Server) readStored(arr *disk.Array, layout striping.Layout, title string, index int, reads, bytes string) (*transport.Frame, transport.ClusterPayload, error) {
 	off, length, err := layout.PartRange(index)
 	if err != nil {
 		return nil, transport.ClusterPayload{}, err
@@ -654,75 +673,30 @@ func (s *Server) readLocalCluster(title string, index int) (*transport.Frame, tr
 		Length: length,
 		Source: s.cfg.Node,
 	}
-	// Disk-side accounting, distinct from the per-client frames_out /
-	// bytes_out pair: merged fan-out multiplies deliveries, not reads. The
-	// kernel path moves the same bytes off the same disk, so it charges the
-	// same counters.
-	if ref, ok := striping.PartFileRef(s.cfg.Array, layout, index); ok {
-		if ref.Size() == length {
-			s.cfg.Metrics.Counter("server.disk_reads").Inc()
-			s.cfg.Metrics.Counter("server.disk_bytes").Add(length)
-			return transport.NewFileFrame(ref.File(), ref.Offset(), ref.Size(), ref.Close), payload, nil
+	var frame *transport.Frame
+	if ref, ok := striping.PartFileRef(arr, layout, index); ok && ref.Size() == length {
+		frame = transport.NewFileFrame(ref.File(), ref.Offset(), ref.Size(), ref.Close)
+	} else {
+		if ok {
+			// A stored size disagreeing with the layout is store corruption;
+			// release the pin and let the copy path surface the typed error.
+			ref.Close()
 		}
-		// A stored size disagreeing with the layout is store corruption;
-		// release the pin and let the copy path surface the typed error.
-		ref.Close()
-	}
-	buf := s.cfg.Pool.Get(int(length))
-	n, err := striping.ReadPartInto(s.cfg.Array, layout, index, buf)
-	if err != nil {
-		s.cfg.Pool.Put(buf)
-		return nil, transport.ClusterPayload{}, fmt.Errorf("read cluster %d of %q: %w", index, title, err)
-	}
-	if int64(n) != length {
-		s.cfg.Pool.Put(buf)
-		return nil, transport.ClusterPayload{}, fmt.Errorf("cluster %d of %q: read %d bytes, layout says %d", index, title, n, length)
-	}
-	s.cfg.Metrics.Counter("server.disk_reads").Inc()
-	s.cfg.Metrics.Counter("server.disk_bytes").Add(length)
-	return transport.NewLeasedFrame(s.cfg.Pool, buf), payload, nil
-}
-
-// readPrefixCluster serves one cluster from the pinned prefix store — the
-// prefix tier's twin of readLocalCluster, with the same kernel-path
-// preference (a prefix block with a file goes out via sendfile). It reports
-// ok=false on any miss or error: a racing epoch shrink may free a block
-// between the lookup and the read, and the caller then falls through to the
-// normal delivery path instead of failing the session.
-func (s *Server) readPrefixCluster(title string, index int) (*transport.Frame, transport.ClusterPayload, bool) {
-	e, ok := s.cfg.Prefix.Lookup(title, index)
-	if !ok {
-		return nil, transport.ClusterPayload{}, false
-	}
-	off, length, err := e.Layout.PartRange(index)
-	if err != nil {
-		return nil, transport.ClusterPayload{}, false
-	}
-	payload := transport.ClusterPayload{
-		Title:  title,
-		Index:  index,
-		Offset: off,
-		Length: length,
-		Source: s.cfg.Node,
-	}
-	arr := s.cfg.Prefix.Array()
-	if ref, ok := striping.PartFileRef(arr, e.Layout, index); ok {
-		if ref.Size() == length {
-			s.cfg.Metrics.Counter("server.prefix_reads").Inc()
-			s.cfg.Metrics.Counter("server.prefix_bytes").Add(length)
-			return transport.NewFileFrame(ref.File(), ref.Offset(), ref.Size(), ref.Close), payload, true
+		buf := s.cfg.Pool.Get(int(length))
+		n, err := striping.ReadPartInto(arr, layout, index, buf)
+		if err != nil {
+			s.cfg.Pool.Put(buf)
+			return nil, transport.ClusterPayload{}, fmt.Errorf("read cluster %d of %q: %w", index, title, err)
 		}
-		ref.Close()
+		if int64(n) != length {
+			s.cfg.Pool.Put(buf)
+			return nil, transport.ClusterPayload{}, fmt.Errorf("cluster %d of %q: read %d bytes, layout says %d", index, title, n, length)
+		}
+		frame = transport.NewLeasedFrame(s.cfg.Pool, buf)
 	}
-	buf := s.cfg.Pool.Get(int(length))
-	n, err := striping.ReadPartInto(arr, e.Layout, index, buf)
-	if err != nil || int64(n) != length {
-		s.cfg.Pool.Put(buf)
-		return nil, transport.ClusterPayload{}, false
-	}
-	s.cfg.Metrics.Counter("server.prefix_reads").Inc()
-	s.cfg.Metrics.Counter("server.prefix_bytes").Add(length)
-	return transport.NewLeasedFrame(s.cfg.Pool, buf), payload, true
+	s.cfg.Metrics.Counter(reads).Inc()
+	s.cfg.Metrics.Counter(bytes).Add(length)
+	return frame, payload, nil
 }
 
 // handleLedgerSyncFrame answers one ledger gossip exchange: merge the peer's
@@ -837,21 +811,70 @@ func (s *Server) handleWatch(c *transport.Conn, m transport.Message) error {
 			return c.WriteMessage(resp)
 		}
 	}
-	title, err := s.cfg.DB.Catalog().Title(req.Title)
+	title, numClusters, err := s.sessionTitle(req.Title, req.StartCluster)
 	if err != nil {
 		return err
 	}
 	// Admission control runs before any cache mutation: a refused session
 	// must leave no trace in the DMA's popularity counts.
-	grant, rejected, err := s.admitWatch(c, req, title)
+	grant, rejected, err := s.admitWatch(c, req, title, numClusters)
 	if err != nil || rejected {
 		return err
 	}
+	ws := &watchSession{grant: grant}
 	if grant != nil {
 		defer s.cfg.Broker.Release(grant)
+		ws.planRate = grant.BitrateMbps
 	}
-	// The DMA counts this request and may admit or evict titles; mirror
-	// the outcome into the shared database so every planner sees it.
+	err = s.serveSession(c, title, numClusters, req.StartCluster, ws, func(outcome cache.Outcome) error {
+		if outcome.Admitted {
+			s.cfg.Metrics.Counter("server.dma_admissions").Inc()
+		}
+		if outcome.Hit {
+			s.cfg.Metrics.Counter("server.dma_hits").Inc()
+		}
+		if s.cfg.Prefix == nil {
+			return nil
+		}
+		return s.queuePrefixInfo(c, title.Name, numClusters, req.StartCluster)
+	})
+	if err != nil {
+		return err
+	}
+	s.cfg.Metrics.Counter("server.watches").Inc()
+	return nil
+}
+
+// sessionTitle resolves the title a session names and its cluster count, and
+// checks the start cluster. Both entry points call it before admission and
+// before the DMA hears of the session, so a malformed request leaves no
+// trace: no popularity point, no admission or eviction.
+func (s *Server) sessionTitle(name string, start int) (media.Title, int, error) {
+	title, err := s.cfg.DB.Catalog().Title(name)
+	if err != nil {
+		return media.Title{}, 0, err
+	}
+	numClusters, err := s.numClusters(title)
+	if err != nil {
+		return media.Title{}, 0, err
+	}
+	if start < 0 || start >= numClusters {
+		return media.Title{}, 0, fmt.Errorf("start cluster %d outside [0, %d)", start, numClusters)
+	}
+	return title, numClusters, nil
+}
+
+// serveSession is the one body every session runs, a player's watch and a
+// downstream relay's relay.join alike, once its entry point has resolved the
+// title and (for a watch) admitted it. The DMA counts the request and may
+// admit or evict titles; the outcome is mirrored into the shared database so
+// every planner sees it. Then watch.ok is queued — with the grant's fields
+// when the session holds one — and announce runs with the DMA outcome: the
+// entry point's own counters and queued announcements go there. The session
+// gets its retry budget, [start, numClusters) goes out through the one
+// stream loop, and watch.done closes the session.
+func (s *Server) serveSession(c *transport.Conn, title media.Title, numClusters, start int, ws *watchSession,
+	announce func(cache.Outcome) error) error {
 	outcome, err := s.cfg.Cache.OnRequest(title)
 	if err != nil {
 		return fmt.Errorf("dma: %w", err)
@@ -866,32 +889,18 @@ func (s *Server) handleWatch(c *transport.Conn, m transport.Message) error {
 		if err := s.cfg.DB.SetHolding(s.cfg.Node, title.Name, true, now); err != nil {
 			return err
 		}
-		s.cfg.Metrics.Counter("server.dma_admissions").Inc()
-	}
-	if outcome.Hit {
-		s.cfg.Metrics.Counter("server.dma_hits").Inc()
-	}
-
-	layout, err := striping.NewLayout(title, s.cfg.ClusterBytes, 1)
-	if err != nil {
-		return err
-	}
-	if req.StartCluster < 0 || req.StartCluster >= layout.NumParts() {
-		return fmt.Errorf("start cluster %d outside [0, %d)", req.StartCluster, layout.NumParts())
 	}
 	ok := transport.WatchOKPayload{
 		Title:        title.Name,
 		SizeBytes:    title.SizeBytes,
 		BitrateMbps:  title.BitrateMbps,
 		ClusterBytes: s.cfg.ClusterBytes,
-		NumClusters:  layout.NumParts(),
+		NumClusters:  numClusters,
 	}
-	ws := &watchSession{grant: grant}
-	if grant != nil {
-		ok.Class = string(grant.Class)
-		ok.DeliveredMbps = grant.BitrateMbps
-		ok.Degraded = grant.Degraded
-		ws.planRate = grant.BitrateMbps
+	if g := ws.grant; g != nil {
+		ok.Class = string(g.Class)
+		ok.DeliveredMbps = g.BitrateMbps
+		ok.Degraded = g.Degraded
 	}
 	head, err := transport.Encode(transport.TypeWatchOK, ok)
 	if err != nil {
@@ -904,24 +913,17 @@ func (s *Server) handleWatch(c *transport.Conn, m transport.Message) error {
 	if err := c.QueueMessage(head); err != nil {
 		return err
 	}
-	if s.cfg.Prefix != nil {
-		if err := s.sendPrefixInfo(c, s.prefixAnnouncement(title, layout.NumParts(), req.StartCluster)); err != nil {
-			return err
-		}
+	if err := announce(outcome); err != nil {
+		return err
 	}
-	// Each watch session carries its own retry budget: a small reserve plus
-	// a fractional deposit per delivered cluster, so transient faults retry
+	// Each session carries its own retry budget: a small reserve plus a
+	// fractional deposit per delivered cluster, so transient faults retry
 	// freely while a total outage drains to a clean failure instead of
 	// hammering dead replicas for the rest of the title.
 	if !s.cfg.DisableDefense {
 		ws.budget = faults.NewRetryBudget(3, 0.1)
 	}
-	if s.merges != nil {
-		err = s.streamMerged(c, title, layout.NumParts(), req.StartCluster, ws)
-	} else {
-		err = s.streamUnicast(c, title, layout.NumParts(), req.StartCluster, ws)
-	}
-	if err != nil {
+	if err := s.stream(c, title, numClusters, start, ws); err != nil {
 		return err
 	}
 	done, err := transport.Encode(transport.TypeWatchDone, transport.WatchDonePayload{
@@ -930,7 +932,6 @@ func (s *Server) handleWatch(c *transport.Conn, m transport.Message) error {
 	if err != nil {
 		return err
 	}
-	s.cfg.Metrics.Counter("server.watches").Inc()
 	return c.WriteMessage(done)
 }
 
@@ -940,7 +941,7 @@ func (s *Server) handleWatch(c *transport.Conn, m transport.Message) error {
 // configured. The session-rate and session-count limits surface as the
 // typed "server busy" error; bandwidth exhaustion surfaces as a
 // TypeWatchReject response carrying the broker's reason.
-func (s *Server) admitWatch(c *transport.Conn, req transport.WatchPayload, title media.Title) (*admission.Grant, bool, error) {
+func (s *Server) admitWatch(c *transport.Conn, req transport.WatchPayload, title media.Title, numClusters int) (*admission.Grant, bool, error) {
 	if s.cfg.Broker == nil {
 		return nil, false, nil
 	}
@@ -955,7 +956,7 @@ func (s *Server) admitWatch(c *transport.Conn, req transport.WatchPayload, title
 	// The tail plan is offset by the pinned prefix: when K reaches the end
 	// of the title there is no tail left to fetch, so no links to reserve.
 	var links []topology.LinkID
-	if !s.cfg.Cache.Resident(title.Name) && !s.prefixCoversAll(title, req.StartCluster) {
+	if !s.cfg.Cache.Resident(title.Name) && s.prefixHead(title.Name, numClusters, req.StartCluster) < numClusters {
 		if dec, err := s.cfg.Planner.PlanBandwidth(s.cfg.Node, title.Name, title.BitrateMbps, nil); err == nil && !dec.Local {
 			links = dec.Path.Links()
 		}
@@ -1027,22 +1028,31 @@ func (s *Server) admitWatch(c *transport.Conn, req transport.WatchPayload, title
 func (s *Server) deliverCluster(title media.Title, index int, ws *watchSession) (*transport.Frame, transport.ClusterPayload, error) {
 	if s.cfg.Cache.Resident(title.Name) {
 		frame, payload, err := s.readLocalCluster(title.Name, index)
-		if err != nil {
+		if err == nil {
+			// The title became resident mid-stream (a DMA admission): the
+			// session now serves locally and its trunk reservations come home.
+			s.migrateReservation(ws, nil)
+			return frame, payload, nil
+		}
+		// A read the DMA's eviction pulled the blocks from under is a miss,
+		// served below like any other; a failed read of a title still
+		// resident is this node's storage fault and surfaces.
+		if s.cfg.Cache.Resident(title.Name) {
 			return nil, transport.ClusterPayload{}, err
 		}
-		// The title became resident mid-stream (a DMA admission): the
-		// session now serves locally and its trunk reservations come home.
-		s.migrateReservation(ws, nil)
-		return frame, payload, nil
 	}
 	// Local prefix store next: every path that lands here — watch starts,
 	// late-joiner patch streams, and the post-eviction unicast tail — serves
-	// pinned leading clusters off local disk before dialing anywhere. (The
-	// eviction fallback used to go straight to the remote plan even when the
-	// evicting server held the cluster in its prefix.)
+	// pinned leading clusters off local disk before dialing anywhere. Any
+	// prefix read error is a miss: a racing epoch shrink may free a block
+	// between the lookup and the read.
 	if s.cfg.Prefix != nil {
-		if frame, payload, ok := s.readPrefixCluster(title.Name, index); ok {
-			return frame, payload, nil
+		if e, ok := s.cfg.Prefix.Lookup(title.Name, index); ok {
+			frame, payload, err := s.readStored(s.cfg.Prefix.Array(), e.Layout, title.Name, index,
+				"server.prefix_reads", "server.prefix_bytes")
+			if err == nil {
+				return frame, payload, nil
+			}
 		}
 	}
 	exclude := make(map[topology.NodeID]bool)
@@ -1056,9 +1066,12 @@ func (s *Server) deliverCluster(title media.Title, index int, ws *watchSession) 
 			return nil, transport.ClusterPayload{}, err
 		}
 		if dec.Server == s.cfg.Node {
-			// The catalog says we hold it but the cache disagrees — the
-			// DB and cache are out of sync.
-			return nil, transport.ClusterPayload{}, fmt.Errorf("holding inconsistency for %q on %s", title.Name, s.cfg.Node)
+			// The catalog still lists this node for a title the DMA has just
+			// evicted: the mirror runs after the eviction. Not a peer
+			// failure, so no retry, budget, breaker or health report is
+			// charged; the plan simply runs again without this node.
+			exclude[s.cfg.Node] = true
+			continue
 		}
 		frame, payload, winner, err := s.fetchHedged(dec, title.Name, index, ws.planRate, exclude)
 		if err != nil {
@@ -1217,95 +1230,73 @@ func (s *Server) fetchHedged(dec core.Decision, title string, index int, planRat
 	}
 }
 
-// deliverAndSend reads one cluster privately and writes it to this client.
-func (s *Server) deliverAndSend(c *transport.Conn, title media.Title, index int, ws *watchSession) error {
-	frame, payload, err := s.deliverCluster(title, index, ws)
-	if err != nil {
-		return fmt.Errorf("cluster %d: %w", index, err)
-	}
-	err = s.sendCluster(c, transport.TypeCluster, payload, frame)
-	frame.Release()
-	return err
-}
-
-// streamUnicast delivers [start, end) with a private read per cluster — the
-// paper's delivery mode, and the fallback when merging is disabled.
-func (s *Server) streamUnicast(c *transport.Conn, title media.Title, end, start int, ws *watchSession) error {
-	for idx := start; idx < end; idx++ {
-		if err := s.deliverAndSend(c, title, idx, ws); err != nil {
+// sendPrivate reads clusters [from, to) privately, one deliverCluster each,
+// and writes them to this client in order.
+func (s *Server) sendPrivate(c *transport.Conn, title media.Title, from, to int, ws *watchSession) error {
+	for idx := from; idx < to; idx++ {
+		frame, payload, err := s.deliverCluster(title, idx, ws)
+		if err != nil {
+			return fmt.Errorf("cluster %d: %w", idx, err)
+		}
+		err = s.sendCluster(c, transport.TypeCluster, payload, frame)
+		frame.Release()
+		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// mergeSource adapts the private delivery path into a cohort's shared read
-// source. The pump calls it once per cluster for the whole cohort; replica
-// failover inside deliverCluster is therefore shared too, and the retry
-// budget spent defending the shared stream is the opening session's.
-func (s *Server) mergeSource(title media.Title, ws *watchSession) merge.Source {
-	return func(index int) (*transport.Frame, transport.ClusterPayload, error) {
-		return s.deliverCluster(title, index, ws)
-	}
-}
-
-// joinCohort attaches one session to the merge registry. For a non-resident
-// title with relay cohorts enabled, a newly created cohort reads through one
-// shared upstream relay.join subscription — N local watchers cost the origin
-// one stream — instead of per-cluster peer fetches; the relay source is lazy
-// (its connection opens on the first pump read) because Join only uses the
-// source when this session actually creates the cohort.
+// joinCohort attaches one session to the merge registry. A cohort this
+// session creates reads through the private delivery path, which the pump
+// calls once per cluster for the whole cohort: replica failover inside
+// deliverCluster is therefore shared too, and the retry budget spent
+// defending the shared stream is the opening session's. For a non-resident
+// title with relay cohorts enabled, the cohort reads through one shared
+// upstream relay.join subscription instead — N local watchers cost the
+// origin one stream — and the relay source is lazy (its connection opens on
+// the first pump read) because the registry only uses the source when this
+// session actually creates the cohort.
 func (s *Server) joinCohort(title media.Title, numClusters, start int, ws *watchSession) (*merge.Sub, error) {
 	if s.cfg.RelayCohorts && !s.cfg.Cache.Resident(title.Name) {
 		rs := &relaySource{s: s, title: title, ws: ws}
-		return s.merges.JoinSource(title.Name, numClusters, start, rs.read, rs.close)
+		return s.merges.JoinSourceHold(title.Name, numClusters, start, rs.read, rs.close, 0)
 	}
-	return s.merges.JoinSourceHold(title.Name, numClusters, start, s.mergeSource(title, ws), nil, ws.holdDown)
+	src := func(index int) (*transport.Frame, transport.ClusterPayload, error) {
+		return s.deliverCluster(title, index, ws)
+	}
+	return s.merges.JoinSourceHold(title.Name, numClusters, start, src, nil, ws.holdDown)
 }
 
-// prefixCoversAll reports whether the pinned prefix alone serves the whole
-// session: the admission-time tail plan is offset by K, and when K reaches
-// the title's end there is no tail to reserve links for.
-func (s *Server) prefixCoversAll(title media.Title, start int) bool {
-	if s.cfg.Prefix == nil || start < 0 {
-		return false
+// prefixHead is the end of the run of clusters from start that the local
+// prefix store serves: [start, prefixHead) of a title the DMA does not hold
+// come off local disk with zero cross-network fetches. It is start when the
+// prefix serves none of them.
+func (s *Server) prefixHead(title string, numClusters, start int) int {
+	if s.cfg.Prefix == nil || s.cfg.Cache.Resident(title) {
+		return start
 	}
-	k := s.cfg.Prefix.PrefixClusters(title.Name)
-	if k == 0 {
-		return false
+	if k := s.cfg.Prefix.PrefixClusters(title); k > start {
+		return min(k, numClusters)
 	}
-	layout, err := striping.NewLayout(title, s.cfg.ClusterBytes, 1)
-	if err != nil {
-		return false
-	}
-	return k >= layout.NumParts()
+	return start
 }
 
-// prefixAnnouncement computes one session's prefix.info: how many leading
-// clusters (from its start position) come off the local prefix, how many
-// remote round trips the first cluster costs, and whether the tail rides a
-// shared relay subscription.
-func (s *Server) prefixAnnouncement(title media.Title, numClusters, start int) transport.PrefixAnnouncePayload {
+// queuePrefixInfo queues one watch's prefix.info on the negotiated framing:
+// how many leading clusters (from its start position) come off the local
+// prefix, how many remote round trips the first cluster costs, and whether
+// the tail rides a shared relay subscription. Like the queued watch.ok it
+// rides the first cluster frame's writev.
+func (s *Server) queuePrefixInfo(c *transport.Conn, title string, numClusters, start int) error {
 	var p transport.PrefixAnnouncePayload
-	resident := s.cfg.Cache.Resident(title.Name)
-	if !resident {
-		if k := s.cfg.Prefix.PrefixClusters(title.Name); k > start {
-			p.PrefixClusters = min(k, numClusters) - start
+	if !s.cfg.Cache.Resident(title) {
+		head := s.prefixHead(title, numClusters, start)
+		p.PrefixClusters = head - start
+		if head == start {
+			p.StartupRTTs = 1
 		}
+		p.RelayTail = s.cfg.RelayCohorts && s.merges != nil && head < numClusters
 	}
-	if !resident && p.PrefixClusters == 0 && start < numClusters {
-		p.StartupRTTs = 1
-	}
-	if s.cfg.RelayCohorts && s.merges != nil && !resident && start+p.PrefixClusters < numClusters {
-		p.RelayTail = true
-	}
-	return p
-}
-
-// sendPrefixInfo queues a session's prefix-tier announcement on the
-// negotiated framing; like the queued watch.ok it rides the first cluster
-// frame's writev.
-func (s *Server) sendPrefixInfo(c *transport.Conn, p transport.PrefixAnnouncePayload) error {
 	if c.BinaryFrames() {
 		return c.QueuePrefixAnnounceFrame(p)
 	}
@@ -1377,7 +1368,9 @@ func (r *relaySource) closeConn() {
 func (r *relaySource) reopen(index int) error {
 	r.closeConn()
 	if r.exclude == nil {
-		r.exclude = make(map[topology.NodeID]bool)
+		// Never this node itself, whatever a lagging catalog says (see
+		// deliverCluster).
+		r.exclude = map[topology.NodeID]bool{r.s.cfg.Node: true}
 	}
 	if r.peer != "" {
 		r.exclude[r.peer] = true
@@ -1386,24 +1379,11 @@ func (r *relaySource) reopen(index int) error {
 	if err != nil {
 		return err
 	}
-	if dec.Server == r.s.cfg.Node {
-		return fmt.Errorf("holding inconsistency for %q on %s", r.title.Name, r.s.cfg.Node)
-	}
 	addr, err := r.s.cfg.Book.Lookup(dec.Server)
 	if err != nil {
 		return err
 	}
-	var wrap func(io.ReadWriteCloser) io.ReadWriteCloser
-	if r.s.cfg.Faults != nil {
-		links := dec.Path.Links()
-		if ferr := r.s.cfg.Faults.DialError(dec.Server, links); ferr != nil {
-			return ferr
-		}
-		wrap = func(rw io.ReadWriteCloser) io.ReadWriteCloser {
-			return r.s.cfg.Faults.WrapStream(dec.Server, links, rw)
-		}
-	}
-	conn, err := transport.DialWith(addr, wrap)
+	conn, err := r.s.cfg.Faults.Dial(dec.Server, dec.Path.Links(), addr)
 	if err != nil {
 		return err
 	}
@@ -1498,8 +1478,9 @@ func (r *relaySource) account(payload transport.ClusterPayload) {
 // relay server exactly as a watch would — through this node's own merge
 // registry when enabled, so N relays subscribing within the window share one
 // disk-read stream. A relay join counts one demand signal into the DMA (one
-// downstream cohort aggregates many viewers) but takes no admission grant
-// and is never redirected: the relay already planned this holder.
+// downstream cohort aggregates many viewers) but takes no admission grant,
+// announces no prefix, and is never redirected: the relay already planned
+// this holder.
 func (s *Server) handleRelay(c *transport.Conn, m transport.Message) error {
 	// Refused before the DMA hears of the join: a relay stream is binary.
 	if !c.BinaryFrames() {
@@ -1509,82 +1490,34 @@ func (s *Server) handleRelay(c *transport.Conn, m transport.Message) error {
 	if err != nil {
 		return err
 	}
-	title, err := s.cfg.DB.Catalog().Title(req.Title)
+	title, numClusters, err := s.sessionTitle(req.Title, req.StartCluster)
 	if err != nil {
-		return err
-	}
-	outcome, err := s.cfg.Cache.OnRequest(title)
-	if err != nil {
-		return fmt.Errorf("dma: %w", err)
-	}
-	now := s.cfg.Clock.Now()
-	for _, ev := range outcome.Evicted {
-		if err := s.cfg.DB.SetHolding(s.cfg.Node, ev, false, now); err != nil {
-			return err
-		}
-	}
-	if outcome.Admitted {
-		if err := s.cfg.DB.SetHolding(s.cfg.Node, title.Name, true, now); err != nil {
-			return err
-		}
-	}
-	layout, err := striping.NewLayout(title, s.cfg.ClusterBytes, 1)
-	if err != nil {
-		return err
-	}
-	if req.StartCluster < 0 || req.StartCluster >= layout.NumParts() {
-		return fmt.Errorf("start cluster %d outside [0, %d)", req.StartCluster, layout.NumParts())
-	}
-	head, err := transport.Encode(transport.TypeWatchOK, transport.WatchOKPayload{
-		Title:        title.Name,
-		SizeBytes:    title.SizeBytes,
-		BitrateMbps:  title.BitrateMbps,
-		ClusterBytes: s.cfg.ClusterBytes,
-		NumClusters:  layout.NumParts(),
-	})
-	if err != nil {
-		return err
-	}
-	if err := c.QueueMessage(head); err != nil {
 		return err
 	}
 	ws := &watchSession{holdDown: relayHoldDown}
-	if !s.cfg.DisableDefense {
-		ws.budget = faults.NewRetryBudget(3, 0.1)
-	}
-	s.cfg.Metrics.Counter("server.relay_watchers").Inc()
-	if s.merges != nil {
-		err = s.streamMerged(c, title, layout.NumParts(), req.StartCluster, ws)
-	} else {
-		err = s.streamUnicast(c, title, layout.NumParts(), req.StartCluster, ws)
-	}
-	if err != nil {
-		return err
-	}
-	done, err := transport.Encode(transport.TypeWatchDone, transport.WatchDonePayload{})
-	if err != nil {
-		return err
-	}
-	return c.WriteMessage(done)
+	return s.serveSession(c, title, numClusters, req.StartCluster, ws, func(cache.Outcome) error {
+		s.cfg.Metrics.Counter("server.relay_watchers").Inc()
+		return nil
+	})
 }
 
-// streamMerged delivers a watch session through the stream-merging layer:
-// join (or open) a cohort, announce the merge to the client, privately patch
-// the gap up to the join position, then relay the shared base stream. When
-// the cohort detaches this session early — it stalled, or the cohort's
-// source failed — the remaining clusters are delivered over the private
-// unicast path, whose own replica retry absorbs server failures, so the
-// client sees an unbroken in-order stream either way.
-func (s *Server) streamMerged(c *transport.Conn, title media.Title, numClusters, start int, ws *watchSession) error {
+// stream is the one stream loop every session runs over [start,
+// numClusters). Without merging every cluster is read privately, the
+// paper's delivery mode. With merging the session streams its pinned prefix
+// head privately, joins (or opens) a cohort for the tail, announces the
+// merge to the client, privately patches the gap up to the join position,
+// then relays the shared base stream. When the cohort detaches this session
+// early — it stalled, or the cohort's source failed — the remaining clusters
+// are read privately, whose own replica retry absorbs server failures, so
+// the client sees an unbroken in-order stream either way.
+func (s *Server) stream(c *transport.Conn, title media.Title, numClusters, start int, ws *watchSession) error {
 	// Local-prefix fast path: clusters [start, head) are pinned locally and
 	// stream with zero cross-network fetches — instant start. The cohort is
 	// joined at head, so the shared stream (and its upstream relay, when
 	// enabled) carries only the tail the VRA must fetch.
-	head := start
-	if s.cfg.Prefix != nil && !s.cfg.Cache.Resident(title.Name) {
-		if k := s.cfg.Prefix.PrefixClusters(title.Name); k > head {
-			head = min(k, numClusters)
-		}
+	head := numClusters
+	if s.merges != nil {
+		head = s.prefixHead(title.Name, numClusters, start)
 	}
 	// The tail cohort is joined BEFORE the head streams: the subscription
 	// queue buffers the shared stream while the pinned prefix plays, so the
@@ -1616,21 +1549,14 @@ func (s *Server) streamMerged(c *transport.Conn, title media.Title, numClusters,
 			return err
 		}
 	}
-	for idx := start; idx < head; idx++ {
-		if err := s.deliverAndSend(c, title, idx, ws); err != nil {
-			return err
-		}
-	}
-	if sub == nil {
-		return nil
+	if err := s.sendPrivate(c, title, start, head, ws); err != nil || sub == nil {
+		return err
 	}
 	// Patch stream: the clusters this session missed, read privately while
 	// the subscription queue buffers the ongoing base stream. With a prefix
 	// pinned past the join position the patch never leaves local disk.
-	for idx := head; idx < sub.Start(); idx++ {
-		if err := s.deliverAndSend(c, title, idx, ws); err != nil {
-			return err
-		}
+	if err := s.sendPrivate(c, title, head, sub.Start(), ws); err != nil {
+		return err
 	}
 	next := sub.Start()
 	for {
@@ -1645,14 +1571,9 @@ func (s *Server) streamMerged(c *transport.Conn, title media.Title, numClusters,
 		}
 		next = item.Payload.Index + 1
 	}
-	// Unicast tail: nothing to do after normal cohort completion; after an
+	// Private tail: nothing to do after normal cohort completion; after an
 	// eviction it resumes at exactly the next undelivered index.
-	for idx := next; idx < numClusters; idx++ {
-		if err := s.deliverAndSend(c, title, idx, ws); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.sendPrivate(c, title, next, numClusters, ws)
 }
 
 // sendMergeInfo queues a session's cohort-attachment announcement on the
@@ -1735,13 +1656,7 @@ func (s *Server) fetchRemoteCluster(dec core.Decision, title string, index int) 
 		if reused {
 			s.cfg.Metrics.Counter("server.peer_reuses").Inc()
 		} else {
-			var wrap func(io.ReadWriteCloser) io.ReadWriteCloser
-			if s.cfg.Faults != nil {
-				wrap = func(rw io.ReadWriteCloser) io.ReadWriteCloser {
-					return s.cfg.Faults.WrapStream(dec.Server, links, rw)
-				}
-			}
-			if peer, err = transport.DialWith(addr, wrap); err != nil {
+			if peer, err = s.cfg.Faults.Dial(dec.Server, links, addr); err != nil {
 				return nil, transport.ClusterPayload{}, err
 			}
 			s.cfg.Metrics.Counter("server.peer_dials").Inc()
