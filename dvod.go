@@ -132,14 +132,12 @@ type Service struct {
 	// est differentiates the live plane's octet counters into Mbps for the
 	// SNMP agents (set at Start; joiners' agents reuse it).
 	est *snmp.RateEstimator
-	// available is the failover liveness filter shared by every planner
-	// (nil without WithFailover).
+	// available is the failover liveness filter (nil without WithFailover):
+	// the shared planner uses it as is, and each node's planner composes it
+	// with that node's membership view (nodeAvailable).
 	available func(NodeID) bool
-	// injector applies the armed fault plan (nil without WithFaultPlan);
-	// scores is the deployment-wide peer health feedback shared by every
-	// planner (nil with WithoutDefense).
+	// injector applies the armed fault plan (nil without WithFaultPlan).
 	injector *faults.Injector
-	scores   *faults.HealthScores
 
 	// mu guards every per-node map below (and stopped): the fleet is
 	// elastic, so AddServer / DrainServer mutate them at runtime.
@@ -202,13 +200,6 @@ func New(spec TopologySpec, opts ...Option) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	var scores *faults.HealthScores
-	if !o.noDefense {
-		// One deployment-wide score table: every server's fetch outcomes
-		// feed it, every planner's link weights read it.
-		scores = faults.NewHealthScores(0)
-		planner.SetNodePenalty(scores.Penalty())
-	}
 	var injector *faults.Injector
 	if o.faultPlan != nil {
 		injector, err = faults.NewInjector(*o.faultPlan, o.faultSeed, o.clock, metrics.NewRegistry())
@@ -228,7 +219,6 @@ func New(spec TopologySpec, opts ...Option) (*Service, error) {
 		health:    health,
 		available: available,
 		injector:  injector,
-		scores:    scores,
 		stopped:   make(map[NodeID]bool),
 		epochs:    make(map[NodeID]uint64),
 		hbStop:    make(chan struct{}),
@@ -314,13 +304,6 @@ func (s *Service) buildNodeStack(node NodeID) error {
 		}
 		s.prefixes[node] = pfx
 	}
-	nodePlanner, err := core.NewPlanner(d, o.selector, s.available)
-	if err != nil {
-		return err
-	}
-	if s.scores != nil {
-		nodePlanner.SetNodePenalty(s.scores.Penalty())
-	}
 	if s.injector != nil {
 		arr.SetReadInterceptor(s.injector.ReadInterceptor(node))
 	}
@@ -374,6 +357,10 @@ func (s *Service) buildNodeStack(node NodeID) error {
 		}
 		s.trackers[node] = tr
 	}
+	nodePlanner, err := core.NewPlanner(d, o.selector, nodeAvailable(s.available, tr))
+	if err != nil {
+		return err
+	}
 	dir, err := membership.NewDirector(membership.DirectorConfig{
 		Self: node,
 		// HoldersView keeps the per-request redirect scoring on the
@@ -384,7 +371,6 @@ func (s *Service) buildNodeStack(node NodeID) error {
 		Resident:  dma.Resident,
 		Members:   memberViewFn(tr),
 		Load:      s.brokerLoad,
-		Health:    healthFn(s.scores),
 	})
 	if err != nil {
 		return err
@@ -408,7 +394,6 @@ func (s *Service) buildNodeStack(node NodeID) error {
 		Metrics:        reg,
 		MergeWindow:    o.mergeWindow,
 		Faults:         s.injector,
-		Health:         s.scores,
 		Broker:         brk,
 		Ledger:         led,
 		DisableDefense: o.noDefense,
@@ -460,9 +445,10 @@ func (s *Service) buildNodeStack(node NodeID) error {
 
 // memberEventHook wires one node's membership events into the rest of the
 // stack: a failed member's ledger leases are reclaimed from this node's
-// replica immediately, routing stops considering it (failover health), and
-// the VRA's node penalty saturates — all event-driven, none waiting for a
-// timeout. A graceful leave reclaims leases the same way.
+// replica immediately and routing stops considering it (failover health) —
+// both event-driven, neither waiting for a timeout. A graceful leave reclaims
+// leases the same way. (The node's planner reads its tracker directly; see
+// nodeAvailable.)
 func (s *Service) memberEventHook(led *ledger.Ledger) func(membership.Event) {
 	return func(ev membership.Event) {
 		switch ev.Kind {
@@ -472,9 +458,6 @@ func (s *Service) memberEventHook(led *ledger.Ledger) func(membership.Event) {
 			}
 			if s.health != nil {
 				s.health.MarkDown(ev.Node)
-			}
-			if s.scores != nil {
-				s.scores.MarkFailed(ev.Node)
 			}
 		case membership.EventLeave:
 			if led != nil {
@@ -526,12 +509,21 @@ func memberViewFn(tr *membership.Tracker) func() []membership.Member {
 	return tr.Members
 }
 
-// healthFn adapts the optional health scores to the director's health hook.
-func healthFn(scores *faults.HealthScores) func(NodeID) float64 {
-	if scores == nil {
-		return nil
+// nodeAvailable composes one node's planner filter: the failover table's
+// liveness when it is wired, and the node's own membership view, in which a
+// holder the node has declared Failed or Left is no candidate. A holder the
+// view does not know yet (a joiner still gossiping in) stays one.
+func nodeAvailable(live func(NodeID) bool, tr *membership.Tracker) func(NodeID) bool {
+	if tr == nil {
+		return live
 	}
-	return scores.Score
+	return func(n NodeID) bool {
+		if live != nil && !live(n) {
+			return false
+		}
+		m, ok := tr.Member(n)
+		return !ok || (m.State != membership.Failed && m.State != membership.Left)
+	}
 }
 
 // gossipDialer routes one node's gossip exchanges through the fault
@@ -1507,10 +1499,10 @@ func WithFaultPlan(plan FaultPlan, seed int64) Option {
 	}
 }
 
-// WithoutDefense disables the self-healing delivery plane — circuit
-// breakers, hedged fetches, retry budgets, and health-score routing
-// feedback — leaving only bare next-replica failover. The chaos study's
-// control arm; production deployments leave the defense on.
+// WithoutDefense disables the self-healing delivery plane — per-peer
+// circuit breakers and hedged fetches — leaving only bare next-replica
+// failover. The chaos study's control arm; production deployments leave the
+// defense on.
 func WithoutDefense() Option {
 	return func(o *options) { o.noDefense = true }
 }

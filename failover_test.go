@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"dvod/internal/membership"
 )
 
 // seedTenAM loads the paper's 10am link statistics into the service.
@@ -174,5 +176,49 @@ func TestServiceWebHandler(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("admin links = %d", resp.StatusCode)
+	}
+}
+
+// TestNodeAvailableReadsOwnTracker: a node's planner filter drops a holder
+// that node's own membership view has declared Failed, keeps one it merely
+// suspects or has never heard of, and still applies the failover table.
+// Without a tracker the failover filter is used as is.
+func TestNodeAvailableReadsOwnTracker(t *testing.T) {
+	tr, err := membership.New(membership.Config{Self: "A", Seeds: []NodeID{"A", "B", "C", "D"},
+		DisableLocalHealth: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := func(n NodeID) bool { return n != "C" }
+	avail := nodeAvailable(live, tr)
+	for i := 0; i < membership.DefaultSuspectRounds; i++ {
+		tr.Beat()
+		tr.ReportContactFailed("B")
+	}
+	for _, p := range tr.StartProbes() {
+		if p.Target == "B" {
+			tr.ReportIndirect("B", false)
+		}
+	}
+	if m, _ := tr.Member("B"); m.State != membership.Suspect || !avail("B") {
+		t.Fatalf("B is %v and available=%v, want a suspect that is still a candidate", m.State, avail("B"))
+	}
+	for i := membership.DefaultSuspectRounds; i < membership.DefaultFailRounds; i++ {
+		tr.Beat()
+	}
+	if m, _ := tr.Member("B"); m.State != membership.Failed || avail("B") {
+		t.Fatalf("B is %v and available=%v, want a failed holder dropped", m.State, avail("B"))
+	}
+	if !avail("A") || !avail("E") {
+		t.Fatal("an alive member or a holder the view does not know was dropped")
+	}
+	if avail("C") {
+		t.Fatal("the failover table's verdict on C was ignored")
+	}
+	if got := nodeAvailable(live, nil); got == nil || got("C") {
+		t.Fatal("without a tracker the failover filter must be used as is")
+	}
+	if nodeAvailable(nil, nil) != nil {
+		t.Fatal("with neither filter the planner must admit every holder")
 	}
 }

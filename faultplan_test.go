@@ -105,8 +105,8 @@ func TestFaultPlanFlapMidStreamCompletes(t *testing.T) {
 
 	// Satellite: resilience counters are exposed on the metrics surface —
 	// the home server counts the recovery and the injector its injections.
-	if got := ms["edge"].Counters["client.retries"]; got == 0 {
-		t.Fatal("client.retries not exported on the home server")
+	if got := ms["edge"].Counters["server.fetch_retries"]; got == 0 {
+		t.Fatal("server.fetch_retries not exported on the home server")
 	}
 	if got := ms["_faults"].Counters["faults.injected_total"]; got != injected {
 		t.Fatalf("faults.injected_total = %d, want %d", got, injected)

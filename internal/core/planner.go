@@ -23,13 +23,6 @@ type Planner struct {
 	// network view by the bandwidth-aware planning path. Nil means no
 	// reservations are tracked.
 	committed func(topology.LinkID) float64
-	// nodePenalty reports a [0, 1] health penalty per node (normally a
-	// faults.HealthScores failure rate). Every planning path raises the
-	// utilization of the penalized node's adjacent links by the penalty, so
-	// the LVN weights of equation (1) steer Dijkstra around peers observed
-	// failing — before heartbeats or breakers remove them outright. Nil
-	// means no health feedback.
-	nodePenalty func(topology.NodeID) float64
 }
 
 // NewPlanner builds a planner. The availability filter may be nil.
@@ -51,37 +44,6 @@ func (p *Planner) Selector() Selector { return p.selector }
 // the SNMP-observed utilization so reserved-but-not-yet-visible sessions
 // already weigh routes down.
 func (p *Planner) SetCommitted(f func(topology.LinkID) float64) { p.committed = f }
-
-// SetNodePenalty installs the health-score feedback hook (see nodePenalty).
-// Install it before serving; the planner reads it without synchronization.
-func (p *Planner) SetNodePenalty(f func(topology.NodeID) float64) { p.nodePenalty = f }
-
-// healthView folds the node-penalty hook into a snapshot: each link's
-// utilization rises by the larger of its endpoints' penalties. A fully
-// failing peer (penalty 1) makes its links look saturated, which both
-// inflates their LVN cost and lowers the headroom QoS checks see.
-func (p *Planner) healthView(snap *topology.Snapshot) (*topology.Snapshot, error) {
-	if p.nodePenalty == nil {
-		return snap, nil
-	}
-	var extra map[topology.LinkID]float64
-	for _, l := range snap.Graph().LinksView() {
-		pen := p.nodePenalty(l.A)
-		if pb := p.nodePenalty(l.B); pb > pen {
-			pen = pb
-		}
-		if pen > 0 {
-			if extra == nil {
-				extra = make(map[topology.LinkID]float64)
-			}
-			extra[l.ID] = pen
-		}
-	}
-	if extra == nil {
-		return snap, nil
-	}
-	return snap.WithExtraUtilization(extra)
-}
 
 // Candidates resolves the servers currently able to provide the title. It
 // reads the catalog's published holder view — a lock-free atomic load — and
@@ -129,9 +91,6 @@ func (p *Planner) PlanExcluding(home topology.NodeID, title string, exclude map[
 	if err != nil {
 		return Decision{}, fmt.Errorf("plan snapshot: %w", err)
 	}
-	if snap, err = p.healthView(snap); err != nil {
-		return Decision{}, fmt.Errorf("plan health view: %w", err)
-	}
 	return p.selector.Select(snap, home, candidates)
 }
 
@@ -172,9 +131,6 @@ func (p *Planner) PlanBandwidth(home topology.NodeID, title string, bitrateMbps 
 		if snap, err = snap.WithExtraUtilization(extra); err != nil {
 			return Decision{}, fmt.Errorf("plan committed view: %w", err)
 		}
-	}
-	if snap, err = p.healthView(snap); err != nil {
-		return Decision{}, fmt.Errorf("plan health view: %w", err)
 	}
 	return SelectWithQoS(p.selector, snap, home, candidates, bitrateMbps)
 }

@@ -18,8 +18,8 @@ import (
 // injection: a three-node star (an edge home server whose array holds a single
 // cluster, so every cluster is fetched remotely, plus two origin replicas) runs
 // each canned fault schedule twice — once with the full defense (circuit
-// breakers, hedged fetches, retry budgets, health-score routing, client
-// resume) and once bare (WithoutDefense, plain players). The contrast is the
+// breakers, hedged fetches, client resume) and once bare (WithoutDefense,
+// plain players). The contrast is the
 // study's claim: faults that fail every bare watch are absorbed by the
 // defended plane as bounded rebuffer time.
 
@@ -67,7 +67,10 @@ func DefaultChaosStudyConfig() ChaosStudyConfig {
 //     recovery can only come from outlasting the outage.
 //   - "stall": the preferred replica freezes mid-byte while a second replica
 //     stays healthy — the hedging rescue case.
-func ChaosSchedules() []string { return []string{"flap", "partition", "stall"} }
+//   - "failover": the preferred replica dies while a second replica stays
+//     healthy — the breaker case: each home must stop planning the dead peer
+//     instead of retrying it on every cluster.
+func ChaosSchedules() []string { return []string{"flap", "partition", "stall", "failover"} }
 
 // ChaosRow is one (schedule, delivery mode) outcome.
 type ChaosRow struct {
@@ -149,6 +152,9 @@ func chaosPlan(cfg ChaosStudyConfig, schedule string) (dvod.FaultPlan, []dvod.No
 		return plan, []dvod.NodeID{chaosO1}, nil
 	case "stall":
 		plan.StallPeer(60*time.Millisecond, 200*time.Millisecond, chaosO1)
+		return plan, []dvod.NodeID{chaosO1, chaosO2}, nil
+	case "failover":
+		plan.FailPeer(60*time.Millisecond, 200*time.Millisecond, chaosO1)
 		return plan, []dvod.NodeID{chaosO1, chaosO2}, nil
 	}
 	return plan, nil, fmt.Errorf("chaos study: unknown schedule %q", schedule)
@@ -260,7 +266,7 @@ func chaosCell(cfg ChaosStudyConfig, schedule string, defended bool) (ChaosRow, 
 		if node == "_faults" {
 			continue
 		}
-		row.Retries += snap.Counters["client.retries"]
+		row.Retries += snap.Counters["server.fetch_retries"]
 		row.HedgesLaunched += snap.Counters["client.hedges_launched"]
 		row.HedgesWon += snap.Counters["client.hedges_won"]
 	}
@@ -284,8 +290,8 @@ func maxArrivalGap(recs []client.ClusterRecord) time.Duration {
 // metrics guard three failure modes, each allowed 20% over baseline
 // plus an absolute slack sized to one unit of scheduler noise:
 //
-//   - FailedRate (slack 0.3/watcher): a watch failing at all means resume or
-//     the retry budget broke — the defense's core recovery contract.
+//   - FailedRate (slack 0.3/watcher): a watch failing at all means replica
+//     failover or resume broke — the defense's core recovery contract.
 //   - RebufferRate (slack 1.0/watcher): one borderline stall per watcher is
 //     timing noise; several means the plane stopped keeping playout fed.
 //   - MTTRms (slack 50 ms): the worst client-visible delivery gap — the

@@ -67,6 +67,31 @@ func TestChaosStudySmoke(t *testing.T) {
 	}
 }
 
+// TestChaosFailoverDefendedNeverResumes: origin-a dies for 200 ms while
+// origin-b stays healthy. Every failover happens per cluster inside the home
+// server, so the defended arm loses no watch and no player has to resume a
+// session. The home's breaker stops planning the dead peer after a few
+// failed fetches, so retries stay within two per watcher; without breakers
+// every cluster fetched in the window pays one, well over a hundred.
+func TestChaosFailoverDefendedNeverResumes(t *testing.T) {
+	cfg := DefaultChaosStudyConfig()
+	row, err := chaosCell(cfg, "failover", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row.InjectedFaults == 0 {
+		t.Fatal("no faults injected")
+	}
+	if row.FailedWatches != 0 || row.Resumes != 0 {
+		t.Fatalf("defended failover: %d failed watches and %d client resumes, want 0 and 0",
+			row.FailedWatches, row.Resumes)
+	}
+	if limit := int64(2 * cfg.Watchers); row.Retries > limit {
+		t.Fatalf("defended failover: %d fetch retries, want at most %d: the dead peer was not cut off",
+			row.Retries, limit)
+	}
+}
+
 func TestChaosStudyConfigValidation(t *testing.T) {
 	mutations := []func(*ChaosStudyConfig){
 		func(c *ChaosStudyConfig) { c.Watchers = 0 },

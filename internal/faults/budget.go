@@ -2,7 +2,7 @@ package faults
 
 import "sync"
 
-// RetryBudget bounds how many retries (and hedges) a session may spend, in
+// RetryBudget bounds how many retries a session may spend, in
 // the token-bucket style of Finagle's retry budgets: the session starts with
 // a small reserve, each success deposits a fraction of a token, and every
 // retry withdraws a whole one. Under a total outage the reserve drains and

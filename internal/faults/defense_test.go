@@ -219,28 +219,3 @@ func TestLatencyTrackerDeadline(t *testing.T) {
 		t.Fatalf("deadline after outlier aged out = %v, want floor", got)
 	}
 }
-
-func TestHealthScoresEWMA(t *testing.T) {
-	h := NewHealthScores(0.8)
-	if got := h.Score("B"); got != 0 {
-		t.Fatalf("unseen peer score = %v", got)
-	}
-	h.Report("B", false)
-	h.Report("B", false)
-	h.Report("B", false)
-	want := 1 - 0.8*0.8*0.8 // 0.488
-	if got := h.Score("B"); got < want-1e-9 || got > want+1e-9 {
-		t.Fatalf("score after 3 failures = %v, want %v", got, want)
-	}
-	// Successes decay it back down.
-	for i := 0; i < 10; i++ {
-		h.Report("B", true)
-	}
-	if got := h.Score("B"); got >= 0.1 {
-		t.Fatalf("score after recovery = %v, want < 0.1", got)
-	}
-	// The penalty hook is the score itself.
-	if h.Penalty()("B") != h.Score("B") {
-		t.Fatal("Penalty() disagrees with Score()")
-	}
-}

@@ -12,10 +12,10 @@
 // identical event sequence run after run — a flaky production failure
 // becomes a regression test.
 //
-// Defense side (the other files of this package): jittered exponential
-// Backoff, per-peer circuit breakers (BreakerSet), per-session RetryBudget,
-// the hedging LatencyTracker, and HealthScores feeding observed peer failure
-// rates back into the VRA's link weights.
+// Defense side (the other files of this package): per-peer circuit breakers
+// (BreakerSet), the one judge of a failing peer on a server's fetch path; the
+// hedging LatencyTracker; and the client's resume RetryBudget and jittered
+// exponential Backoff.
 package faults
 
 import (

@@ -13,18 +13,13 @@ import (
 // storms cannot strand a client.
 const DefaultMaxHops = 3
 
-// healthWeight scales the faults health score (a failure rate in [0, 1])
-// against the broker load fraction when ranking redirect targets: a peer
-// observed failing half its fetches should lose to a peer at half load.
-const healthWeight = 2.0
-
 // DirectorConfig assembles a Director.
 type DirectorConfig struct {
 	// Self is the node this director fronts. Required.
 	Self topology.NodeID
 	// Members returns the current membership view. Nil treats every holder
 	// as Alive (a front door without the membership layer still balances on
-	// placement, load, and health).
+	// placement and load).
 	Members func() []Member
 	// Holders returns the catalog placement of a title. Required. The
 	// director only iterates the returned slice, so a shared read-only
@@ -34,9 +29,6 @@ type DirectorConfig struct {
 	// Load returns a node's committed-load fraction (broker committed Mbps
 	// over capacity, 0 when unknown). Nil scores every node 0.
 	Load func(topology.NodeID) float64
-	// Health returns a node's observed failure rate in [0, 1] (the faults
-	// health scores). Nil scores every node 0.
-	Health func(topology.NodeID) float64
 	// Lookup resolves the redirect target to the dialable address the client
 	// is handed. Required.
 	Lookup func(topology.NodeID) (string, error)
@@ -55,7 +47,7 @@ type DirectorConfig struct {
 // Director decides, per watch request, whether this node should serve or
 // hand the client a typed watch.redirect to a better-placed peer. It is the
 // stateless front door: the decision reads only the current membership view,
-// catalog placement, broker load, and health scores — no per-client state —
+// catalog placement and broker load — no per-client state —
 // so any node can answer any watch request.
 type Director struct {
 	cfg      DirectorConfig
@@ -100,11 +92,11 @@ func (d *Director) MaxHops() int { return d.cfg.MaxHops }
 //
 // The decision: past the hop cap, always serve. Otherwise collect the
 // title's holders that are Alive in the membership view (excluding self),
-// rank them by broker-load fraction plus weighted health penalty (ties break
-// on node ID for determinism), and redirect to the best one when this node
-// is draining, or when the front door is enabled and the title is not
-// resident here. A draining node with no live replica to point at serves the
-// request itself — availability beats drain hygiene.
+// rank them by broker-load fraction (ties break on node ID for determinism),
+// and redirect to the best one when this node is draining, or when the front
+// door is enabled and the title is not resident here. A draining node with
+// no live replica to point at serves the request itself — availability beats
+// drain hygiene.
 func (d *Director) Route(title string, hops int) (topology.NodeID, string, bool) {
 	if hops >= d.cfg.MaxHops {
 		return "", "", false
@@ -135,10 +127,7 @@ func (d *Director) Route(title string, hops int) (topology.NodeID, string, bool)
 		}
 		score := 0.0
 		if d.cfg.Load != nil {
-			score += d.cfg.Load(h)
-		}
-		if d.cfg.Health != nil {
-			score += healthWeight * d.cfg.Health(h)
+			score = d.cfg.Load(h)
 		}
 		cands = append(cands, candidate{node: h, score: score})
 	}

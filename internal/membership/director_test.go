@@ -88,24 +88,21 @@ func TestDirectorHopCap(t *testing.T) {
 	}
 }
 
-func TestDirectorScoresLoadAndHealth(t *testing.T) {
+func TestDirectorScoresLoad(t *testing.T) {
 	load := map[topology.NodeID]float64{"B": 0.9, "C": 0.5}
-	health := map[topology.NodeID]float64{"B": 0.0, "C": 0.0}
 	d := newTestDirector(t, DirectorConfig{
 		Self:      "A",
 		Holders:   staticHolders(map[string][]topology.NodeID{"t": {"B", "C"}}),
 		Lookup:    staticLookup,
 		FrontDoor: true,
 		Load:      func(n topology.NodeID) float64 { return load[n] },
-		Health:    func(n topology.NodeID) float64 { return health[n] },
 	})
 	if target, _, _ := d.Route("t", 0); target != "C" {
 		t.Fatalf("redirect to %s, want the less-loaded C", target)
 	}
-	// A failing-health peer loses even at lower load (weight 2 per unit).
-	health["C"] = 0.5
+	load["C"] = 0.95
 	if target, _, _ := d.Route("t", 0); target != "B" {
-		t.Fatalf("redirect to %s, want B once C's health penalty dominates", target)
+		t.Fatalf("redirect to %s, want B once C carries more load", target)
 	}
 }
 

@@ -23,12 +23,14 @@
 //	      all subscribers gone ──► pump stops, cohort unregisters
 //
 // Pacing: the pump advances while every receiving subscriber has queue
-// space, so normal consumers pace each other within QueueDepth clusters of
-// slack. A subscriber is evicted only when its full queue blocks the pump
-// while another subscriber has run its queue dry — a genuinely stalled
-// receiver starving the cohort — so transient scheduling jitter never
-// breaks a session out of its cohort, but one wedged client cannot
-// throttle everyone else.
+// space, so consumers pace each other within QueueDepth clusters of slack.
+// The eviction rule looks at one instant, not at how long a receiver has
+// lagged: whenever the pump finds a full queue while another receiving
+// subscriber's queue is empty, the full one is evicted. A receiver that
+// falls a whole QueueDepth behind a faster one therefore leaves the cohort,
+// whether it is wedged or merely descheduled for that long, and its handler
+// serves the rest as private unicast; a lag shorter than QueueDepth never
+// evicts. One wedged client cannot throttle everyone else.
 package merge
 
 import (

@@ -2,6 +2,7 @@ package server
 
 import (
 	"dvod/internal/core"
+	"dvod/internal/faults"
 	"dvod/internal/transport"
 )
 
@@ -10,3 +11,7 @@ import (
 func (s *Server) FetchRemoteCluster(dec core.Decision, title string, index int) (*transport.Frame, transport.ClusterPayload, error) {
 	return s.fetchRemoteCluster(dec, title, index)
 }
+
+// Breakers exposes the peer-fetch circuit breakers (nil with DisableDefense)
+// to the package's external tests.
+func (s *Server) Breakers() *faults.BreakerSet { return s.breakers }

@@ -49,13 +49,11 @@ func TestPeerConnReusedAcrossClusters(t *testing.T) {
 // TestPeerConnStaleReuseIsNotAPeerFailure: the peer hangs up on the idle
 // pooled connection (its idle timeout is far shorter than the fetcher's pool
 // age). The next fetch finds the corpse, redials, and succeeds — and nothing
-// that judges the peer hears of it: no retry, breaker closed, health clean.
+// that judges the peer hears of it: no retry, breaker closed.
 func TestPeerConnStaleReuseIsNotAPeerFailure(t *testing.T) {
 	const peerIdle = 20 * time.Millisecond
-	health := faults.NewHealthScores(0)
 	lc := newCluster(t, map[topology.NodeID]int64{grnet.Patra: clusterBytes},
 		func(c *server.Config) {
-			c.Health = health
 			if c.Node == grnet.Thessaloniki {
 				c.IdleTimeout = peerIdle
 			}
@@ -92,14 +90,11 @@ func TestPeerConnStaleReuseIsNotAPeerFailure(t *testing.T) {
 		}
 	}
 	m := lc.servers[grnet.Patra].Metrics().Snapshot()
-	if n := m.Counters["client.retries"] + m.Counters["server.fetch_retries"]; n != 0 {
+	if n := m.Counters["server.fetch_retries"]; n != 0 {
 		t.Fatalf("stale reuse was counted as %d retries", n)
 	}
 	if st := m.Gauges["client.breaker_state."+string(grnet.Thessaloniki)]; st != 0 {
 		t.Fatalf("breaker state for the peer = %v, want closed", st)
-	}
-	if sc := health.Score(grnet.Thessaloniki); sc != 0 {
-		t.Fatalf("health score for the peer = %v, want 0", sc)
 	}
 }
 
@@ -155,7 +150,7 @@ func TestPeerConnFaultPlanSeesEveryFetch(t *testing.T) {
 	// Close the window: the first fetch takes the cut connection, finds it
 	// dead, and redials; the rest of the title reuses the new one.
 	vclk.Advance(time.Second)
-	retries := lc.servers[grnet.Patra].Metrics().Snapshot().Counters["client.retries"]
+	retries := lc.servers[grnet.Patra].Metrics().Snapshot().Counters["server.fetch_retries"]
 	stats, err := p.Watch("partitioned")
 	if err != nil {
 		t.Fatalf("watch after the window: %v", err)
@@ -166,7 +161,7 @@ func TestPeerConnFaultPlanSeesEveryFetch(t *testing.T) {
 	if dials, reuses := peerConnCounters(lc, grnet.Patra); dials != 2 || reuses != 15 {
 		t.Fatalf("after the window: %d dials, %d reuses, want 2 and 15", dials, reuses)
 	}
-	if got := lc.servers[grnet.Patra].Metrics().Snapshot().Counters["client.retries"]; got != retries {
+	if got := lc.servers[grnet.Patra].Metrics().Snapshot().Counters["server.fetch_retries"]; got != retries {
 		t.Fatalf("discarding the cut connection cost %d retries", got-retries)
 	}
 }

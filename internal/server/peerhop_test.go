@@ -5,11 +5,14 @@ import (
 	"errors"
 	"net"
 	"runtime"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"dvod/internal/client"
+	"dvod/internal/clock"
 	"dvod/internal/core"
 	"dvod/internal/faults"
 	"dvod/internal/grnet"
@@ -25,18 +28,23 @@ type peerScript struct {
 	// frame as a server predating the handshake would, "hangup" closes the
 	// connection.
 	hello string
-	// cutConn and cutReq (both counted from 1) name the one cluster.get
-	// whose binary reply breaks off halfway through the body.
-	cutConn, cutReq int
+	// cuts names the cluster.get requests, as {connection, request on it}
+	// pairs counted from 1, whose binary reply breaks off halfway through
+	// the body.
+	cuts [][2]int
+	// hold, when set, delays every cluster.get reply until it is closed.
+	hold chan struct{}
 }
 
 // fakePeer serves title's true bytes on the cluster.get hop under a script.
-// conns counts the connections it accepted and joins the relay.join
-// subscriptions it was sent (it serves none of them).
+// conns counts the connections it accepted, gets the cluster.get requests it
+// received, and joins the relay.join subscriptions it was sent (it serves
+// none of them).
 type fakePeer struct {
 	title  media.Title
 	script peerScript
 	conns  atomic.Int32
+	gets   atomic.Int32
 	joins  atomic.Int32
 }
 
@@ -88,6 +96,10 @@ func (fp *fakePeer) serve(nc net.Conn, conn int) {
 			}
 		case transport.TypeClusterGet:
 			req++
+			fp.gets.Add(1)
+			if fp.script.hold != nil {
+				<-fp.script.hold
+			}
 			get, derr := transport.Decode[transport.ClusterGetPayload](m)
 			if derr != nil {
 				return
@@ -96,7 +108,7 @@ func (fp *fakePeer) serve(nc net.Conn, conn int) {
 			p := transport.ClusterPayload{Title: fp.title.Name, Index: get.Index, Offset: off,
 				Length: min(get.ClusterBytes, fp.title.SizeBytes-off), Source: grnet.Thessaloniki}
 			body := media.Content(fp.title.Name, p.Offset, p.Length)
-			if conn == fp.script.cutConn && req == fp.script.cutReq {
+			if slices.Contains(fp.script.cuts, [2]int{conn, req}) {
 				var buf bytes.Buffer
 				if transport.NewConn(bufStream{&buf}).WriteClusterFrame(p, body) == nil {
 					_, _ = nc.Write(buf.Bytes()[:buf.Len()-len(body)/2])
@@ -169,16 +181,17 @@ func TestRemoteWatchSendsEveryOriginClusterByKernel(t *testing.T) {
 // cluster.ok on a pooled connection and hangs up halfway through the body.
 // The peer answered, so this is no stale connection to redial in silence: the
 // fetch fails, the retry goes to the other replica, and the retry counter and
-// the peer's health score both hear of it.
+// the peer's breaker both hear of it. The next two fresh connections tear the
+// same way, and the third consecutive failure trips the breaker open. The
+// home runs on a virtual clock, so no hedge fires to hide a torn reply.
 func TestPeerReplyBrokenMidBodyIsAPeerFailure(t *testing.T) {
-	health := faults.NewHealthScores(0)
 	lc := newCluster(t, map[topology.NodeID]int64{grnet.Patra: clusterBytes},
-		func(c *server.Config) { c.Health = health })
+		func(c *server.Config) { c.Clock = clock.NewVirtual(t0) })
 	title := media.Title{Name: "torn", SizeBytes: 4 * clusterBytes, BitrateMbps: 1.5}
 	lc.addTitle(t, title, grnet.Thessaloniki, grnet.Xanthi)
 	// The first connection's first reply is whole, so the second request
 	// rides it from the pool.
-	startFakePeer(t, lc, grnet.Thessaloniki, title, peerScript{cutConn: 1, cutReq: 2})
+	startFakePeer(t, lc, grnet.Thessaloniki, title, peerScript{cuts: [][2]int{{1, 2}, {2, 1}, {3, 1}}})
 	p, err := client.NewPlayer(grnet.Patra, lc.book)
 	if err != nil {
 		t.Fatal(err)
@@ -192,14 +205,117 @@ func TestPeerReplyBrokenMidBodyIsAPeerFailure(t *testing.T) {
 		t.Fatal("delivery not verified")
 	}
 	m := lc.servers[grnet.Patra].Metrics().Snapshot()
-	if n := m.Counters["server.fetch_retries"]; n != 1 {
-		t.Fatalf("server.fetch_retries = %d, want the torn reply counted once", n)
+	if n := m.Counters["server.fetch_retries"]; n != 3 {
+		t.Fatalf("server.fetch_retries = %d, want each torn reply counted once", n)
 	}
-	if got := stats.Sources[1]; got != grnet.Xanthi {
-		t.Fatalf("cluster 1 came from %s, want the retry at Xanthi", got)
+	for i := 1; i < 4; i++ {
+		if got := stats.Sources[i]; got != grnet.Xanthi {
+			t.Fatalf("cluster %d came from %s, want the retry at Xanthi", i, got)
+		}
 	}
-	if sc := health.Score(grnet.Thessaloniki); sc == 0 {
-		t.Fatal("the torn reply left the peer's health score clean")
+	if st := m.Gauges["client.breaker_state."+string(grnet.Thessaloniki)]; st != float64(faults.BreakerOpen) {
+		t.Fatalf("breaker state for the peer = %v, want open after three torn replies", st)
+	}
+}
+
+// TestHalfOpenBreakerAdmitsOneFetch: Thessaloniki's breaker has tripped and
+// its cooldown has just ended when two sessions plan the same cluster at
+// once. Both plans pick Thessaloniki, but a half-open breaker has one probe
+// to give: the first claim takes it, and the other session plans again
+// without the peer and fetches from Xanthi, with no retry charged. The peer
+// holds the probe's reply until the other session is served or has reached it
+// too. Exactly one fetch reaches the half-open peer, and its success closes
+// the breaker.
+func TestHalfOpenBreakerAdmitsOneFetch(t *testing.T) {
+	vclk := clock.NewVirtual(t0)
+	// The first two candidate checks of Thessaloniki wait for each other, so
+	// both sessions have planned before either claims the breaker.
+	var arrivals atomic.Int32
+	met := make(chan struct{})
+	meet := func(n topology.NodeID) bool {
+		if n == grnet.Thessaloniki {
+			switch arrivals.Add(1) {
+			case 1:
+				<-met
+			case 2:
+				close(met)
+			}
+		}
+		return true
+	}
+	lc := newCluster(t, map[topology.NodeID]int64{grnet.Patra: clusterBytes}, func(c *server.Config) {
+		if c.Node != grnet.Patra {
+			return
+		}
+		planner, err := core.NewPlanner(c.DB, core.VRA{}, meet)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Planner = planner
+		// A virtual clock times the breaker's cooldown and keeps the hedge
+		// timer from firing.
+		c.Clock = vclk
+	})
+	title := media.Title{Name: "probe", SizeBytes: 8 * clusterBytes, BitrateMbps: 1.5}
+	lc.addTitle(t, title, grnet.Thessaloniki, grnet.Xanthi)
+	hold := make(chan struct{})
+	var release sync.Once
+	defer release.Do(func() { close(hold) })
+	fp := startFakePeer(t, lc, grnet.Thessaloniki, title, peerScript{hold: hold})
+	home := lc.servers[grnet.Patra]
+	for range 3 {
+		home.Breakers().Report(grnet.Thessaloniki, false)
+	}
+	vclk.Advance(time.Second)
+
+	sources := make([]topology.NodeID, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range 2 {
+		p, err := client.NewPlayer(grnet.Patra, lc.book)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			stats, err := p.WatchFrom(title.Name, 7)
+			if err == nil && !stats.Verified {
+				err = errors.New("delivery not verified")
+			}
+			if err == nil {
+				sources[i] = stats.Sources[0]
+			}
+			errs[i] = err
+		}()
+	}
+	origin := lc.servers[grnet.Xanthi]
+	for deadline := time.Now().Add(5 * time.Second); fp.gets.Load() < 2 &&
+		origin.Metrics().Snapshot().Counters["server.clusters_served"] == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("neither a second fetch at the half-open peer nor a fetch at Xanthi")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	release.Do(func() { close(hold) })
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := fp.gets.Load(); n != 1 {
+		t.Fatalf("the half-open peer served %d fetches, want exactly the one probe", n)
+	}
+	if n := home.Metrics().Snapshot().Counters["server.fetch_retries"]; n != 0 {
+		t.Fatalf("a refused breaker claim cost %d retries", n)
+	}
+	if sources[0] == sources[1] {
+		t.Fatalf("both sessions were served by %s, want Thessaloniki and Xanthi", sources[0])
+	}
+	if st := home.Breakers().State(grnet.Thessaloniki); st != faults.BreakerClosed {
+		t.Fatalf("breaker after the probe succeeded = %v, want closed", st)
 	}
 }
 

@@ -108,20 +108,15 @@ type Config struct {
 	// a wrapped byte stream that the injector can cut or stall mid-cluster.
 	// Nil fetches without interposition.
 	Faults *faults.Injector
-	// Health optionally receives every peer-fetch outcome — normally one
-	// deployment-wide faults.HealthScores also installed as the planners'
-	// node-penalty hook, closing the loop from observed failures to the
-	// VRA's link weights. May be nil.
-	Health *faults.HealthScores
 	// Ledger optionally serves this node's replica of the gossip-replicated
 	// reservation ledger: peers' ledger-sync frames are merged and answered
 	// here, alongside the broker that reads the replica before granting. Nil
 	// refuses ledger.sync requests.
 	Ledger *ledger.Ledger
 	// DisableDefense switches off the self-healing delivery path — per-peer
-	// circuit breakers, hedged fetches, and per-session retry budgets —
-	// leaving only the bare next-replica retry loop. The chaos study's
-	// control arm; production configs leave it false.
+	// circuit breakers and hedged fetches — leaving only the bare
+	// next-replica retry loop. The chaos study's control arm; production
+	// configs leave it false.
 	DisableDefense bool
 	// Director optionally fronts the watch path with the stateless redirect
 	// door: before admitting a session, the server asks it whether a
@@ -758,12 +753,11 @@ func (s *Server) handleMemberPingReq(c *transport.Conn, m transport.Message) err
 }
 
 // watchSession carries one Watch session's delivery state through the
-// streaming paths: the admitted rate and grant, the retry budget, and the
-// count of reservation migrations performed when the VRA re-planned the
-// session across a cluster boundary.
+// streaming paths: the admitted rate and grant, and the count of reservation
+// migrations performed when the VRA re-planned the session across a cluster
+// boundary.
 type watchSession struct {
 	planRate   float64
-	budget     *faults.RetryBudget
 	grant      *admission.Grant
 	migrations atomic.Int32
 	// holdDown is the aggregation hold-down a cohort created by this session
@@ -870,9 +864,9 @@ func (s *Server) sessionTitle(name string, start int) (media.Title, int, error) 
 // admit or evict titles; the outcome is mirrored into the shared database so
 // every planner sees it. Then watch.ok is queued — with the grant's fields
 // when the session holds one — and announce runs with the DMA outcome: the
-// entry point's own counters and queued announcements go there. The session
-// gets its retry budget, [start, numClusters) goes out through the one
-// stream loop, and watch.done closes the session.
+// entry point's own counters and queued announcements go there. Then
+// [start, numClusters) goes out through the one stream loop, and watch.done
+// closes the session.
 func (s *Server) serveSession(c *transport.Conn, title media.Title, numClusters, start int, ws *watchSession,
 	announce func(cache.Outcome) error) error {
 	outcome, err := s.cfg.Cache.OnRequest(title)
@@ -915,13 +909,6 @@ func (s *Server) serveSession(c *transport.Conn, title media.Title, numClusters,
 	}
 	if err := announce(outcome); err != nil {
 		return err
-	}
-	// Each session carries its own retry budget: a small reserve plus a
-	// fractional deposit per delivered cluster, so transient faults retry
-	// freely while a total outage drains to a clean failure instead of
-	// hammering dead replicas for the rest of the title.
-	if !s.cfg.DisableDefense {
-		ws.budget = faults.NewRetryBudget(3, 0.1)
 	}
 	if err := s.stream(c, title, numClusters, start, ws); err != nil {
 		return err
@@ -1017,14 +1004,14 @@ func (s *Server) admitWatch(c *transport.Conn, req transport.WatchPayload, title
 // cheapest path when none qualifies (the admitted session is kept alive over
 // being cut off).
 //
-// With the defense enabled, the retry loop is hardened: peers behind open
-// circuit breakers are excluded from planning (unless every replica is, in
-// which case one probe is forced through), each fetch may hedge a second
-// replica past the P99 deadline, and each retry withdraws from the session's
-// budget so a total outage drains to a clean failure instead of replaying
-// forever. The caller owns one reference on the returned frame and must
-// Release it once the bytes are on the wire; a merged cohort Retains it once
-// per fan-out subscriber instead of re-reading.
+// The retry loop needs no budget: every failed fetch excludes its peer, so a
+// cluster is tried at most once per replica before planning runs out of
+// candidates. With the defense enabled, peers behind refusing circuit
+// breakers are excluded from planning (unless every replica is, in which
+// case one probe is forced through), and each fetch may hedge a second
+// replica past the P99 deadline. The caller owns one reference on the
+// returned frame and must Release it once the bytes are on the wire; a merged
+// cohort Retains it once per fan-out subscriber instead of re-reading.
 func (s *Server) deliverCluster(title media.Title, index int, ws *watchSession) (*transport.Frame, transport.ClusterPayload, error) {
 	if s.cfg.Cache.Resident(title.Name) {
 		frame, payload, err := s.readLocalCluster(title.Name, index)
@@ -1068,8 +1055,8 @@ func (s *Server) deliverCluster(title media.Title, index int, ws *watchSession) 
 		if dec.Server == s.cfg.Node {
 			// The catalog still lists this node for a title the DMA has just
 			// evicted: the mirror runs after the eviction. Not a peer
-			// failure, so no retry, budget, breaker or health report is
-			// charged; the plan simply runs again without this node.
+			// failure, so no retry or breaker report is charged; the plan
+			// simply runs again without this node.
 			exclude[s.cfg.Node] = true
 			continue
 		}
@@ -1078,15 +1065,7 @@ func (s *Server) deliverCluster(title media.Title, index int, ws *watchSession) 
 			lastErr = err
 			exclude[dec.Server] = true
 			s.cfg.Metrics.Counter("server.fetch_retries").Inc()
-			s.cfg.Metrics.Counter("client.retries").Inc()
-			if ws.budget != nil && !ws.budget.TryRetry() {
-				return nil, transport.ClusterPayload{}, fmt.Errorf(
-					"cluster %d of %q: retry budget exhausted: %w", index, title.Name, lastErr)
-			}
 			continue
-		}
-		if ws.budget != nil {
-			ws.budget.OnSuccess()
 		}
 		if s.cfg.Counters != nil {
 			s.cfg.Counters.ChargePath(winner.Path.Links(), frame.BodyLen())
@@ -1102,51 +1081,49 @@ func (s *Server) deliverCluster(title media.Title, index int, ws *watchSession) 
 }
 
 // planDefended plans one cluster's replica with peers behind refusing
-// circuit breakers excluded. When that leaves no candidate — every remaining
-// replica tripped its breaker — the plain plan is used instead, forcing one
+// circuit breakers excluded, and claims the chosen peer's breaker: a peer
+// whose breaker refuses at claim time (a half-open breaker whose one probe
+// another session already holds) is excluded and the plan runs again, with no
+// retry or failure charged. When that leaves no candidate — every remaining
+// replica's breaker refuses — the plain plan is used instead, forcing one
 // request through as the probe that can discover recovery (a watch must not
 // fail just because all breakers are open at once).
 func (s *Server) planDefended(title string, planRate float64, exclude map[topology.NodeID]bool) (core.Decision, error) {
-	if s.breakers != nil {
-		if open := s.breakers.Open(); len(open) > 0 {
-			merged := make(map[topology.NodeID]bool, len(exclude)+len(open))
-			for n := range exclude {
-				merged[n] = true
-			}
-			for n := range open {
-				merged[n] = true
-			}
-			dec, err := s.planCluster(title, planRate, merged)
-			if err == nil {
-				return dec, nil
-			}
-			if !errors.Is(err, core.ErrNoCandidates) {
+	if s.breakers == nil {
+		return s.planCluster(title, planRate, exclude)
+	}
+	merged := make(map[topology.NodeID]bool, len(exclude))
+	for n := range exclude {
+		merged[n] = true
+	}
+	for n := range s.breakers.Open() {
+		merged[n] = true
+	}
+	for {
+		dec, err := s.planCluster(title, planRate, merged)
+		if err != nil {
+			if !errors.Is(err, core.ErrNoCandidates) || len(merged) == len(exclude) {
 				return core.Decision{}, err
 			}
-			s.cfg.Metrics.Counter("client.breaker_probes_forced").Inc()
+			break
 		}
+		if dec.Server == s.cfg.Node || s.breakers.Allow(dec.Server) {
+			return dec, nil
+		}
+		merged[dec.Server] = true
 	}
+	s.cfg.Metrics.Counter("client.breaker_probes_forced").Inc()
 	return s.planCluster(title, planRate, exclude)
 }
 
-// fetchOnce performs one instrumented peer fetch: it claims the breaker's
-// half-open probe slot when applicable, reports the outcome to the breaker
-// and the health scores, and feeds successful latencies to the hedging
-// tracker.
+// fetchOnce performs one instrumented peer fetch: it reports the outcome to
+// the peer's breaker and feeds successful latencies to the hedging tracker.
 func (s *Server) fetchOnce(dec core.Decision, title string, index int) (*transport.Frame, transport.ClusterPayload, error) {
-	if s.breakers != nil {
-		// The decision already skirted refusing breakers (or is the forced
-		// probe); Allow transitions open→half-open and claims the probe slot.
-		_ = s.breakers.Allow(dec.Server)
-	}
 	began := s.cfg.Clock.Now()
 	frame, payload, err := s.fetchRemoteCluster(dec, title, index)
 	ok := err == nil
 	if s.breakers != nil {
 		s.breakers.Report(dec.Server, ok)
-	}
-	if s.cfg.Health != nil {
-		s.cfg.Health.Report(dec.Server, ok)
 	}
 	if ok && s.hedgeLat != nil {
 		s.hedgeLat.Observe(s.cfg.Clock.Now().Sub(began))
@@ -1192,7 +1169,7 @@ func (s *Server) fetchHedged(dec core.Decision, title string, index int, planRat
 			if r.err == nil {
 				if outstanding > 0 {
 					// Drain the loser in the background and return its lease;
-					// its fetch goroutine still reports to breakers/health.
+					// its fetch goroutine still reports to its breaker.
 					go func(n int) {
 						for range n {
 							if lr := <-resCh; lr.err == nil {
@@ -1250,13 +1227,12 @@ func (s *Server) sendPrivate(c *transport.Conn, title media.Title, from, to int,
 // joinCohort attaches one session to the merge registry. A cohort this
 // session creates reads through the private delivery path, which the pump
 // calls once per cluster for the whole cohort: replica failover inside
-// deliverCluster is therefore shared too, and the retry budget spent
-// defending the shared stream is the opening session's. For a non-resident
-// title with relay cohorts enabled, the cohort reads through one shared
-// upstream relay.join subscription instead — N local watchers cost the
-// origin one stream — and the relay source is lazy (its connection opens on
-// the first pump read) because the registry only uses the source when this
-// session actually creates the cohort.
+// deliverCluster is therefore shared too. For a non-resident title with relay
+// cohorts enabled, the cohort reads through one shared upstream relay.join
+// subscription instead — N local watchers cost the origin one stream — and
+// the relay source is lazy (its connection opens on the first pump read)
+// because the registry only uses the source when this session actually
+// creates the cohort.
 func (s *Server) joinCohort(title media.Title, numClusters, start int, ws *watchSession) (*merge.Sub, error) {
 	if s.cfg.RelayCohorts && !s.cfg.Cache.Resident(title.Name) {
 		rs := &relaySource{s: s, title: title, ws: ws}
@@ -1624,9 +1600,9 @@ func (s *Server) planCluster(title string, planRate float64, exclude map[topolog
 // A reused connection that fails before the peer answered — the peer timed
 // it out, restarted, or the injector cut it while it sat idle — says nothing
 // about the peer, so the fetch is retried once on a fresh dial right here,
-// below fetchOnce's reporting: breakers, health scores, the hedge tracker and
-// the retry budget only ever see the outcome of a fetch the peer had a fair
-// chance to serve.
+// below fetchOnce's reporting: breakers, the hedge tracker and the retry
+// counter only ever see the outcome of a fetch the peer had a fair chance to
+// serve.
 func (s *Server) fetchRemoteCluster(dec core.Decision, title string, index int) (*transport.Frame, transport.ClusterPayload, error) {
 	addr, err := s.cfg.Book.Lookup(dec.Server)
 	if err != nil {

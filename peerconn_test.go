@@ -110,7 +110,7 @@ func TestCloseDoesNotWaitOnPooledPeerConns(t *testing.T) {
 // TestStopServerWithPooledPeerConns kills the preferred replica while the
 // home pools a connection to it, with no failure detector running: the
 // planner keeps choosing the dead server, and every session must get past it
-// — corpse discarded, redial refused, next replica — inside its retry budget.
+// — corpse discarded, redial refused, next replica — within the cluster.
 func TestStopServerWithPooledPeerConns(t *testing.T) {
 	svc, err := New(GRNETTopology(),
 		WithClusterBytes(4096),
