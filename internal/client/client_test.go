@@ -1,9 +1,11 @@
 package client
 
 import (
+	"strings"
 	"testing"
 	"time"
 
+	"dvod/internal/topology"
 	"dvod/internal/transport"
 )
 
@@ -83,5 +85,21 @@ func TestWithoutVerificationOption(t *testing.T) {
 	}
 	if !p2.verify {
 		t.Fatal("verification should default on")
+	}
+}
+
+// TestRecordClusterRejectsNegativeOffset: a JSON cluster header is peer input
+// and may carry a negative offset; verification must reject it, not panic.
+func TestRecordClusterRejectsNegativeOffset(t *testing.T) {
+	p := &Player{home: "U1", verify: true}
+	stats := PlaybackStats{Verified: true}
+	var last topology.NodeID
+	payload := transport.ClusterPayload{Index: 0, Offset: -1, Length: 4, Source: "U2"}
+	err := p.recordCluster(&stats, "m", payload, make([]byte, 4), &last)
+	if err == nil || !strings.Contains(err.Error(), "failed content verification") {
+		t.Fatalf("recordCluster(offset -1) error = %v, want a content-verification error", err)
+	}
+	if stats.Verified || len(stats.Records) != 0 {
+		t.Fatalf("rejected cluster left a record: verified=%v records=%d", stats.Verified, len(stats.Records))
 	}
 }

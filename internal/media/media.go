@@ -8,6 +8,8 @@
 package media
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -70,22 +72,49 @@ func splitmix64(x uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
+// blockStart returns the splitmix64 state the idx-th block's chain starts
+// from.
+func blockStart(s uint64, idx int64) uint64 {
+	return s ^ (uint64(idx) * 0xd1342543de82ef95)
+}
+
 // fillBlock writes the deterministic content of the idx-th 64-byte block of
-// the named title into dst (which must be blockBytes long).
+// the named title into dst (which must be at least blockBytes long): eight
+// chained splitmix64 words, each stored little-endian.
 func fillBlock(s uint64, idx int64, dst []byte) {
-	state := s ^ (uint64(idx) * 0xd1342543de82ef95)
+	_ = dst[blockBytes-1]
+	state := blockStart(s, idx)
 	for i := 0; i < blockBytes; i += 8 {
 		state = splitmix64(state)
-		v := state
-		for j := range 8 {
-			dst[i+j] = byte(v >> (8 * j))
+		binary.LittleEndian.PutUint64(dst[i:], state)
+	}
+}
+
+// fillBlocks writes the len(dst)/blockBytes whole blocks starting at block
+// idx into dst. Each block's word chain is serial, so four blocks advance
+// side by side to keep the multipliers busy.
+func fillBlocks(s uint64, idx int64, dst []byte) {
+	const quad = 4 * blockBytes
+	for ; len(dst) >= quad; dst, idx = dst[quad:], idx+4 {
+		a, b, c, d := blockStart(s, idx), blockStart(s, idx+1), blockStart(s, idx+2), blockStart(s, idx+3)
+		for i := 0; i < blockBytes; i += 8 {
+			a, b, c, d = splitmix64(a), splitmix64(b), splitmix64(c), splitmix64(d)
+			binary.LittleEndian.PutUint64(dst[i:], a)
+			binary.LittleEndian.PutUint64(dst[blockBytes+i:], b)
+			binary.LittleEndian.PutUint64(dst[2*blockBytes+i:], c)
+			binary.LittleEndian.PutUint64(dst[3*blockBytes+i:], d)
 		}
+	}
+	for ; len(dst) >= blockBytes; dst, idx = dst[blockBytes:], idx+1 {
+		fillBlock(s, idx, dst)
 	}
 }
 
 // ContentAt fills buf with the title's content starting at offset off.
 // Offsets past the title's logical size are still defined (the stream is
-// infinite); callers bound reads by Title.SizeBytes.
+// infinite); callers bound reads by Title.SizeBytes. Whole blocks are
+// generated straight into buf; only an unaligned head or tail goes through a
+// temporary block.
 func ContentAt(name string, off int64, buf []byte) {
 	if len(buf) == 0 {
 		return
@@ -94,16 +123,19 @@ func ContentAt(name string, off int64, buf []byte) {
 		panic(fmt.Sprintf("media: negative offset %d", off))
 	}
 	s := seed(name)
-	var block [blockBytes]byte
 	idx := off / blockBytes
-	skip := off % blockBytes
-	written := 0
-	for written < len(buf) {
+	var block [blockBytes]byte
+	if skip := off % blockBytes; skip != 0 {
 		fillBlock(s, idx, block[:])
-		n := copy(buf[written:], block[skip:])
-		written += n
-		skip = 0
+		n := copy(buf, block[skip:])
+		buf = buf[n:]
 		idx++
+	}
+	whole := len(buf) / blockBytes
+	fillBlocks(s, idx, buf[:whole*blockBytes])
+	if tail := buf[whole*blockBytes:]; len(tail) > 0 {
+		fillBlock(s, idx+int64(whole), block[:])
+		copy(tail, block[:])
 	}
 }
 
@@ -115,45 +147,19 @@ func Content(name string, off, length int64) []byte {
 	return buf
 }
 
-// Checksum returns a 64-bit FNV-1a checksum of the title's content in
-// [off, off+length), computed without materializing the whole range.
-func Checksum(name string, off, length int64) uint64 {
-	h := fnv.New64a()
-	var chunk [4096]byte
-	for length > 0 {
-		n := int64(len(chunk))
-		if length < n {
-			n = length
-		}
-		ContentAt(name, off, chunk[:n])
-		_, _ = h.Write(chunk[:n])
-		off += n
-		length -= n
-	}
-	return h.Sum64()
-}
-
-// ChecksumBytes returns the FNV-1a checksum of data, for comparing delivered
-// bytes against Checksum.
-func ChecksumBytes(data []byte) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write(data)
-	return h.Sum64()
-}
-
-// Verify reports whether data equals the title's content at offset off.
+// Verify reports whether data equals the title's content at offset off. A
+// negative offset never matches: it can arrive from a peer, and the stream
+// starts at zero.
 func Verify(name string, off int64, data []byte) bool {
+	if off < 0 {
+		return false
+	}
 	var chunk [4096]byte
 	for len(data) > 0 {
-		n := len(chunk)
-		if len(data) < n {
-			n = len(data)
-		}
+		n := min(len(data), len(chunk))
 		ContentAt(name, off, chunk[:n])
-		for i := range n {
-			if data[i] != chunk[i] {
-				return false
-			}
+		if !bytes.Equal(data[:n], chunk[:n]) {
+			return false
 		}
 		data = data[n:]
 		off += int64(n)

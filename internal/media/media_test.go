@@ -2,6 +2,7 @@ package media
 
 import (
 	"bytes"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -80,15 +81,8 @@ func TestVerify(t *testing.T) {
 	if !Verify("movie", 0, nil) {
 		t.Fatal("Verify rejected empty slice")
 	}
-}
-
-func TestChecksumMatchesBytes(t *testing.T) {
-	data := Content("movie", 7, 9001)
-	if Checksum("movie", 7, 9001) != ChecksumBytes(data) {
-		t.Fatal("streaming checksum disagrees with materialized checksum")
-	}
-	if Checksum("movie", 0, 100) == Checksum("movie", 1, 100) {
-		t.Fatal("checksums of different ranges collide suspiciously")
+	if Verify("movie", -1, Content("movie", 0, 1)) || Verify("movie", -1, nil) {
+		t.Fatal("Verify accepted a negative offset")
 	}
 }
 
@@ -178,5 +172,144 @@ func TestGenerateLibraryValidation(t *testing.T) {
 	}
 	if lib[0].BitrateMbps != 1.5 {
 		t.Fatalf("default bitrate = %g, want 1.5", lib[0].BitrateMbps)
+	}
+}
+
+// refContentAt is the byte-at-a-time generator the word-at-a-time kernel
+// replaced, kept as the oracle ContentAt must match byte for byte.
+func refContentAt(name string, off int64, buf []byte) {
+	s := seed(name)
+	var block [blockBytes]byte
+	idx := off / blockBytes
+	skip := off % blockBytes
+	written := 0
+	for written < len(buf) {
+		state := s ^ (uint64(idx) * 0xd1342543de82ef95)
+		for i := 0; i < blockBytes; i += 8 {
+			state = splitmix64(state)
+			for j := range 8 {
+				block[i+j] = byte(state >> (8 * j))
+			}
+		}
+		written += copy(buf[written:], block[skip:])
+		skip = 0
+		idx++
+	}
+}
+
+// TestContentAtMatchesReference crosses every block and 4 KiB edge case the
+// kernel splits on: unaligned heads, whole blocks, unaligned tails.
+func TestContentAtMatchesReference(t *testing.T) {
+	offs := []int64{0, 1, 7, 8, 63, 64, 65, 127, 4031, 4095, 4096, 4097, 1 << 20, 1<<20 + 33}
+	lens := []int{0, 1, 7, 8, 9, 56, 63, 64, 65, 128, 129, 4095, 4096, 4097, 8191, 65536 + 3}
+	for _, off := range offs {
+		for _, n := range lens {
+			got := make([]byte, n)
+			want := make([]byte, n)
+			ContentAt("oracle", off, got)
+			refContentAt("oracle", off, want)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("ContentAt(off=%d, len=%d) differs from the reference", off, n)
+			}
+			if !Verify("oracle", off, want) {
+				t.Fatalf("Verify(off=%d, len=%d) rejected reference content", off, n)
+			}
+		}
+	}
+}
+
+// TestContentPinned pins the FNV-64a hash of fixed ranges, so the kernel and
+// refContentAt cannot drift together. The last range is a whole title of the
+// bench dma_churn workload.
+func TestContentPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		off, n int64
+		want   uint64
+	}{
+		{"movie", 0, 4096, 0xbdcfed91f6844048},
+		{"movie", 1, 63, 0x6079eb6743cbd610},
+		{"prop-title", 4095, 70001, 0x67ad6d5301789f51},
+		{"Zorba the Greek", 1 << 20, 262144 + 17, 0xf0ac119f166349d6},
+		{"dma_churn-00", 0, 4 << 20, 0xdfcb4133cc832818},
+	} {
+		h := fnv.New64a()
+		_, _ = h.Write(Content(tc.name, tc.off, tc.n))
+		if got := h.Sum64(); got != tc.want {
+			t.Errorf("FNV-64a of %q [%d, +%d) = %#x, want %#x", tc.name, tc.off, tc.n, got, tc.want)
+		}
+	}
+}
+
+// TestVerifyRejectsOneFlippedBit flips one bit at each edge Verify handles
+// apart: the first and last byte, inside an unaligned head and tail.
+func TestVerifyRejectsOneFlippedBit(t *testing.T) {
+	const off, n = 61, 3*4096 + 70 // head of 3 bytes, tail of 11
+	data := Content("flip", off, n)
+	for _, at := range []int{0, n - 1, 2, n - 5, 4096} {
+		for bit := range 8 {
+			data[at] ^= 1 << bit
+			if Verify("flip", off, data) {
+				t.Fatalf("Verify accepted bit %d flipped at byte %d", bit, at)
+			}
+			data[at] ^= 1 << bit
+		}
+	}
+	if !Verify("flip", off, data) {
+		t.Fatal("Verify rejected restored content")
+	}
+}
+
+func TestContentAtAndVerifyDoNotAllocate(t *testing.T) {
+	buf := make([]byte, 10000)
+	for _, name := range []string{"alloc", "a title name longer than thirty-two bytes"} {
+		if a := testing.AllocsPerRun(20, func() { ContentAt(name, 3, buf) }); a != 0 {
+			t.Fatalf("ContentAt(%q) allocated %v times per call", name, a)
+		}
+		if a := testing.AllocsPerRun(20, func() { Verify(name, 3, buf) }); a != 0 {
+			t.Fatalf("Verify(%q) allocated %v times per call", name, a)
+		}
+	}
+}
+
+func FuzzContentAt(f *testing.F) {
+	f.Add("movie", int64(0), uint16(4096))
+	f.Add("x", int64(63), uint16(66))
+	f.Add("dma_churn-00", int64(1<<20+1), uint16(200))
+	f.Fuzz(func(t *testing.T, name string, off int64, n uint16) {
+		if off < 0 {
+			off = -(off + 1)
+		}
+		if off > 1<<40 {
+			off %= 1 << 40
+		}
+		got := make([]byte, n)
+		want := make([]byte, n)
+		ContentAt(name, off, got)
+		refContentAt(name, off, want)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("ContentAt(%q, %d, %d) differs from the reference", name, off, n)
+		}
+		if !Verify(name, off, want) {
+			t.Fatalf("Verify(%q, %d, %d) rejected reference content", name, off, n)
+		}
+	})
+}
+
+func BenchmarkContentAt(b *testing.B) {
+	buf := make([]byte, 256<<10)
+	b.SetBytes(int64(len(buf)))
+	for b.Loop() {
+		ContentAt("bench", 0, buf)
+	}
+}
+
+func BenchmarkVerify(b *testing.B) {
+	data := Content("bench", 0, 256<<10)
+	b.SetBytes(int64(len(data)))
+	for b.Loop() {
+		if !Verify("bench", 0, data) {
+			b.Fatal("Verify rejected its own content")
+		}
 	}
 }

@@ -146,11 +146,11 @@ func TestManagerResolvePinsAndServes(t *testing.T) {
 			if !ok {
 				t.Fatalf("lookup %s[%d] missed inside K=%d", name, idx, k)
 			}
-			data, err := striping.ReadPart(m.Array(), e.Layout, idx)
-			if err != nil {
+			off, length, _ := e.Layout.PartRange(idx)
+			data := make([]byte, length)
+			if _, err := striping.ReadPartInto(m.Array(), e.Layout, idx, data); err != nil {
 				t.Fatalf("read %s[%d]: %v", name, idx, err)
 			}
-			off, _, _ := e.Layout.PartRange(idx)
 			if !media.Verify(name, off, data) {
 				t.Fatalf("pinned cluster %s[%d] content mismatch", name, idx)
 			}

@@ -63,19 +63,11 @@ func TestWriteCustomContentFunc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := ReadRange(arr, layout, 0, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != "ABCDEFGHIJ" {
+	if data := readTitle(t, arr, layout); string(data) != "ABCDEFGHIJ" {
 		t.Fatalf("content = %q", data)
 	}
 	// Canonical verification fails by design for custom content.
-	bad, err := VerifyStored(arr, layout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bad == -1 {
+	if verifyStored(t, arr, layout) == -1 {
 		t.Fatal("custom content passed canonical verification")
 	}
 }

@@ -178,19 +178,6 @@ func Write(arr *disk.Array, t media.Title, clusterBytes int64, content ContentFu
 	return layout, nil
 }
 
-// ReadPart returns the bytes of one part from the array.
-func ReadPart(arr *disk.Array, layout Layout, part int) ([]byte, error) {
-	di, err := layout.DiskFor(part)
-	if err != nil {
-		return nil, err
-	}
-	d, err := arr.Disk(di)
-	if err != nil {
-		return nil, err
-	}
-	return d.Read(disk.BlockID{Title: layout.Title, Part: part})
-}
-
 // ReadPartInto copies one part into dst without allocating — the entry point
 // of the delivery plane's pooled-buffer pipeline. dst must be at least the
 // part's length (PartRange); the part size is returned.
@@ -223,39 +210,6 @@ func PartFileRef(arr *disk.Array, layout Layout, part int) (disk.FileRef, bool) 
 	return d.FileRef(disk.BlockID{Title: layout.Title, Part: part})
 }
 
-// ReadRange reads an arbitrary byte range of the title by visiting the parts
-// that cover it.
-func ReadRange(arr *disk.Array, layout Layout, off, length int64) ([]byte, error) {
-	if length < 0 || off < 0 || off+length > layout.SizeBytes {
-		return nil, fmt.Errorf("range [%d,%d) outside title of %d bytes",
-			off, off+length, layout.SizeBytes)
-	}
-	out := make([]byte, 0, length)
-	for length > 0 {
-		part, err := layout.PartForOffset(off)
-		if err != nil {
-			return nil, err
-		}
-		pOff, pLen, err := layout.PartRange(part)
-		if err != nil {
-			return nil, err
-		}
-		data, err := ReadPart(arr, layout, part)
-		if err != nil {
-			return nil, err
-		}
-		start := off - pOff
-		n := pLen - start
-		if n > length {
-			n = length
-		}
-		out = append(out, data[start:start+n]...)
-		off += n
-		length -= n
-	}
-	return out, nil
-}
-
 // Delete removes all of the title's parts from the array. Missing parts are
 // ignored so Delete is safe to call on partially stored titles.
 func Delete(arr *disk.Array, layout Layout) error {
@@ -275,24 +229,4 @@ func Delete(arr *disk.Array, layout Layout) error {
 		}
 	}
 	return firstErr
-}
-
-// VerifyStored checks that every stored part of the title matches the
-// canonical synthetic content, returning the first mismatching part index or
-// -1 when all parts verify.
-func VerifyStored(arr *disk.Array, layout Layout) (int, error) {
-	for part := range layout.NumParts() {
-		data, err := ReadPart(arr, layout, part)
-		if err != nil {
-			return part, err
-		}
-		off, _, err := layout.PartRange(part)
-		if err != nil {
-			return part, err
-		}
-		if !media.Verify(layout.Title, off, data) {
-			return part, nil
-		}
-	}
-	return -1, nil
 }

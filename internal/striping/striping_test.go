@@ -23,6 +23,48 @@ func array(t *testing.T, n int, capacity int64) *disk.Array {
 	return arr
 }
 
+// readPart reads one stored part through ReadPartInto, the delivery plane's
+// reader.
+func readPart(t *testing.T, arr *disk.Array, layout Layout, part int) []byte {
+	t.Helper()
+	_, length, err := layout.PartRange(part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, length)
+	n, err := ReadPartInto(arr, layout, part, buf)
+	if err != nil {
+		t.Fatalf("ReadPartInto(%d): %v", part, err)
+	}
+	return buf[:n]
+}
+
+// readTitle reassembles the whole stored title part by part.
+func readTitle(t *testing.T, arr *disk.Array, layout Layout) []byte {
+	t.Helper()
+	out := make([]byte, 0, layout.SizeBytes)
+	for part := range layout.NumParts() {
+		out = append(out, readPart(t, arr, layout, part)...)
+	}
+	return out
+}
+
+// verifyStored returns the first stored part that differs from the title's
+// canonical content, or -1 when every part matches.
+func verifyStored(t *testing.T, arr *disk.Array, layout Layout) int {
+	t.Helper()
+	for part := range layout.NumParts() {
+		off, _, err := layout.PartRange(part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !media.Verify(layout.Title, off, readPart(t, arr, layout, part)) {
+			return part
+		}
+	}
+	return -1
+}
+
 func TestNewLayoutValidation(t *testing.T) {
 	if _, err := NewLayout(title("m", 100), 0, 3); !errors.Is(err, ErrBadCluster) {
 		t.Fatalf("zero cluster error = %v", err)
@@ -126,24 +168,23 @@ func TestWriteAndReadBack(t *testing.T) {
 	if layout.NumParts() != 4 {
 		t.Fatalf("NumParts = %d, want 4", layout.NumParts())
 	}
-	if bad, err := VerifyStored(arr, layout); err != nil || bad != -1 {
-		t.Fatalf("VerifyStored = %d, %v", bad, err)
+	if bad := verifyStored(t, arr, layout); bad != -1 {
+		t.Fatalf("stored part %d mismatches canonical content", bad)
 	}
-	// Whole-title range read matches canonical content.
-	data, err := ReadRange(arr, layout, 0, 250)
-	if err != nil {
-		t.Fatalf("ReadRange: %v", err)
+	// Part 3 is the short final part, on disk 0 by the cyclic rule.
+	if got := readPart(t, arr, layout, 3); len(got) != 250-3*64 {
+		t.Fatalf("final part is %d bytes, want %d", len(got), 250-3*64)
 	}
-	if !media.Verify("movie", 0, data) {
-		t.Fatal("reassembled content mismatch")
-	}
-	// Cross-part range.
-	data, err = ReadRange(arr, layout, 60, 10)
+	d0, err := arr.Disk(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !media.Verify("movie", 60, data) {
-		t.Fatal("cross-part range mismatch")
+	if !d0.Has(disk.BlockID{Title: "movie", Part: 3}) {
+		t.Fatal("part 3 is not on disk 0")
+	}
+	// Whole-title reassembly matches canonical content.
+	if data := readTitle(t, arr, layout); int64(len(data)) != 250 || !media.Verify("movie", 0, data) {
+		t.Fatal("reassembled content mismatch")
 	}
 	// Array accounting: 250 bytes stored.
 	if arr.Used() != 250 {
@@ -151,24 +192,25 @@ func TestWriteAndReadBack(t *testing.T) {
 	}
 }
 
-func TestReadRangeValidation(t *testing.T) {
+func TestReadPartIntoValidation(t *testing.T) {
 	arr := array(t, 2, 1000)
 	layout, err := Write(arr, title("m", 100), 30, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range [][2]int64{{-1, 10}, {0, 101}, {95, 10}, {0, -1}} {
-		if _, err := ReadRange(arr, layout, tc[0], tc[1]); err == nil {
-			t.Fatalf("ReadRange(%d,%d) accepted", tc[0], tc[1])
+	buf := make([]byte, 30)
+	for _, part := range []int{-1, 4} {
+		if _, err := ReadPartInto(arr, layout, part, buf); !errors.Is(err, ErrBadPart) {
+			t.Fatalf("ReadPartInto(part %d) error = %v, want ErrBadPart", part, err)
 		}
 	}
-	// Zero-length read at a valid offset succeeds.
-	data, err := ReadRange(arr, layout, 50, 0)
-	if err != nil {
-		t.Fatalf("zero-length ReadRange: %v", err)
+	if _, err := ReadPartInto(arr, layout, 0, buf[:29]); err == nil {
+		t.Fatal("ReadPartInto accepted a buffer shorter than the part")
 	}
-	if len(data) != 0 {
-		t.Fatalf("zero-length read returned %d bytes", len(data))
+	// The short final part fits a full-cluster buffer and reports its size.
+	n, err := ReadPartInto(arr, layout, 3, buf)
+	if err != nil || n != 10 {
+		t.Fatalf("ReadPartInto(final part) = %d, %v; want 10, nil", n, err)
 	}
 }
 
@@ -242,12 +284,8 @@ func TestVerifyStoredDetectsCorruption(t *testing.T) {
 	if err := d.Write(id, make([]byte, 30)); err != nil {
 		t.Fatal(err)
 	}
-	bad, err := VerifyStored(arr, layout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bad != 1 {
-		t.Fatalf("VerifyStored = %d, want 1", bad)
+	if bad := verifyStored(t, arr, layout); bad != 1 {
+		t.Fatalf("first corrupt part = %d, want 1", bad)
 	}
 }
 
@@ -298,27 +336,25 @@ func TestLayoutTilingProperty(t *testing.T) {
 	}
 }
 
-// Property: write then read-range returns canonical content for random
-// sub-ranges.
-func TestWriteReadRangeProperty(t *testing.T) {
-	arr, err := disk.NewUniformArray("p", 3, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tt := title("prop-movie", 5000)
-	layout, err := Write(arr, tt, 256, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+// Property: for any size, cluster and disk count, the title written and read
+// back part by part is the canonical content.
+func TestWriteReadBackProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		off := r.Int63n(5000)
-		length := r.Int63n(5000 - off)
-		data, err := ReadRange(arr, layout, off, length)
+		size := 1 + r.Int63n(5000)
+		cluster := 64 + r.Int63n(600) // at most 79 parts, one block file each
+		nd := 1 + r.Intn(6)
+		arr, err := disk.NewUniformArray("p", nd, 1<<20)
 		if err != nil {
 			return false
 		}
-		return media.Verify("prop-movie", off, data)
+		layout, err := Write(arr, title("prop-movie", size), cluster, nil)
+		if err != nil {
+			return false
+		}
+		data := readTitle(t, arr, layout)
+		ok := int64(len(data)) == size && media.Verify("prop-movie", 0, data)
+		return Delete(arr, layout) == nil && ok
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
