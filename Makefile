@@ -27,6 +27,7 @@ fuzz:
 	$(GO) test ./internal/transport/ -fuzz FuzzPrefixAnnounceFrame -fuzztime 30s
 	$(GO) test ./internal/transport/ -fuzz FuzzMemberSyncFrame -fuzztime 30s
 	$(GO) test ./internal/transport/ -fuzz FuzzMergeInfoFrame -fuzztime 30s
+	$(GO) test ./internal/transport/ -fuzz FuzzClusterGetFrame -fuzztime 30s
 	$(GO) test ./internal/media/ -fuzz FuzzContentAt -fuzztime 30s
 
 cover:

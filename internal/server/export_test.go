@@ -15,3 +15,7 @@ func (s *Server) FetchRemoteCluster(dec core.Decision, title string, index int) 
 // Breakers exposes the peer-fetch circuit breakers (nil with DisableDefense)
 // to the package's external tests.
 func (s *Server) Breakers() *faults.BreakerSet { return s.breakers }
+
+// Pipes exposes the pipe pool that carries pulled cluster bodies to the
+// package's external tests.
+func (s *Server) Pipes() *transport.PipePool { return s.pipes }

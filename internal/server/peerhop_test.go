@@ -36,7 +36,8 @@ type peerScript struct {
 	hold chan struct{}
 }
 
-// fakePeer serves title's true bytes on the cluster.get hop under a script.
+// fakePeer serves title's true bytes on the binary cluster.get hop under a
+// script.
 // conns counts the connections it accepted, gets the cluster.get requests it
 // received, and joins the relay.join subscriptions it was sent (it serves
 // none of them).
@@ -80,9 +81,22 @@ func (fp *fakePeer) serve(nc net.Conn, conn int) {
 	defer nc.Close()
 	c := transport.NewConn(nc)
 	for req := 0; ; {
-		m, err := c.ReadMessage()
+		m, f, err := c.ReadFrameOrMessage(nil)
 		if err != nil {
 			return
+		}
+		if f != nil {
+			// A home asks for clusters with the binary cluster.get.
+			get, derr := transport.DecodeClusterGetFrame(f)
+			f.Release()
+			if derr != nil {
+				return
+			}
+			req++
+			if fp.serveGet(c, nc, conn, req, get) != nil {
+				return
+			}
+			continue
 		}
 		switch m.Type {
 		case transport.TypeHello:
@@ -94,28 +108,6 @@ func (fp *fakePeer) serve(nc net.Conn, conn int) {
 			default:
 				err = c.AcceptHello(m)
 			}
-		case transport.TypeClusterGet:
-			req++
-			fp.gets.Add(1)
-			if fp.script.hold != nil {
-				<-fp.script.hold
-			}
-			get, derr := transport.Decode[transport.ClusterGetPayload](m)
-			if derr != nil {
-				return
-			}
-			off := int64(get.Index) * get.ClusterBytes
-			p := transport.ClusterPayload{Title: fp.title.Name, Index: get.Index, Offset: off,
-				Length: min(get.ClusterBytes, fp.title.SizeBytes-off), Source: grnet.Thessaloniki}
-			body := media.Content(fp.title.Name, p.Offset, p.Length)
-			if slices.Contains(fp.script.cuts, [2]int{conn, req}) {
-				var buf bytes.Buffer
-				if transport.NewConn(bufStream{&buf}).WriteClusterFrame(p, body) == nil {
-					_, _ = nc.Write(buf.Bytes()[:buf.Len()-len(body)/2])
-				}
-				return
-			}
-			err = c.WriteClusterFrame(p, body)
 		case transport.TypeRelayJoin:
 			fp.joins.Add(1)
 			return
@@ -126,6 +118,28 @@ func (fp *fakePeer) serve(nc net.Conn, conn int) {
 			return
 		}
 	}
+}
+
+// serveGet answers the req-th cluster.get on connection conn, breaking the
+// reply off halfway through the body when the script says so (and then
+// reporting an error, so the connection closes).
+func (fp *fakePeer) serveGet(c *transport.Conn, nc net.Conn, conn, req int, get transport.ClusterGetPayload) error {
+	fp.gets.Add(1)
+	if fp.script.hold != nil {
+		<-fp.script.hold
+	}
+	off := int64(get.Index) * get.ClusterBytes
+	p := transport.ClusterPayload{Title: fp.title.Name, Index: get.Index, Offset: off,
+		Length: min(get.ClusterBytes, fp.title.SizeBytes-off), Source: grnet.Thessaloniki}
+	body := media.Content(fp.title.Name, p.Offset, p.Length)
+	if slices.Contains(fp.script.cuts, [2]int{conn, req}) {
+		var buf bytes.Buffer
+		if transport.NewConn(bufStream{&buf}).WriteClusterFrame(p, body) == nil {
+			_, _ = nc.Write(buf.Bytes()[:buf.Len()-len(body)/2])
+		}
+		return errors.New("reply cut")
+	}
+	return c.WriteClusterFrame(p, body)
 }
 
 // TestRemoteWatchSendsEveryOriginClusterByKernel: a 16-cluster remote watch

@@ -7,10 +7,14 @@
 //
 // The delivery hot path is zero-copy: a locally stored cluster is a pinned
 // block file that goes to the socket with sendfile on Linux, and a cluster
-// pulled from a peer (whose origin sent it the same way) lands in a buffer
-// leased from a transport.BufferPool. Either is written to the wire as a
-// binary cluster frame when the client negotiated them (transport.TypeHello)
-// — no JSON marshal and no per-cluster allocation. Clients that never send a
+// pulled from a peer (whose origin sent it the same way, asked by a binary
+// cluster.get) is spliced from the peer's socket into a pooled kernel pipe
+// and from there into the client's socket, never entering Go memory. Where
+// no splice path exists — a fault injector's wrapped stream, a test pipe, a
+// !linux build — the pulled cluster lands in a buffer leased from a
+// transport.BufferPool instead. Either is written to the wire as a binary
+// cluster frame when the client negotiated them (transport.TypeHello) — no
+// JSON marshal and no per-cluster allocation. Clients that never send a
 // hello get the canonical JSON framing instead. Per-server delivery volume
 // surfaces as the server.bytes_out / server.frames_out counters next to the
 // pool's hit/miss counters on GET /metrics.
@@ -159,6 +163,12 @@ type Config struct {
 // a title whose last held cohort served a single relay.
 const relayHoldDown = 250 * time.Millisecond
 
+// maxPipes bounds the server's pipe pool: one pipe carries one pulled
+// cluster from the reply read to the client send, so this many pulls (hedges
+// included) can be in flight without a copy, at two descriptors each. Pulls
+// beyond it read through the pooled copy.
+const maxPipes = 64
+
 // Director is the redirect decision hook (implemented by
 // membership.Director). Route reports the peer a watch for title — already
 // bounced hops times — should be redirected to, or ok=false to serve
@@ -188,6 +198,9 @@ type Server struct {
 	// peers holds this server's idle outbound peer connections, keyed by
 	// peer and route (see peerConnKey); fetchRemoteCluster is its only user.
 	peers *transport.ConnPool
+	// pipes carries pulled cluster bodies from a peer's socket to a
+	// client's (see fetchRemoteCluster); Close closes it.
+	pipes *transport.PipePool
 
 	// parkSig wakes an accept loop waiting for a handler slot whenever a
 	// handler parks: its connection can now be evicted for the new one.
@@ -259,6 +272,7 @@ func New(cfg Config) (*Server, error) {
 		// Half the idle timeout: a pooled connection is retired well before
 		// the peer's handler (same timeout) would hang up on it.
 		peers:   transport.NewConnPool(cfg.IdleTimeout / 2),
+		pipes:   transport.NewPipePool(cfg.Metrics, maxPipes, cfg.ClusterBytes),
 		parkSig: make(chan struct{}, 1),
 		parked:  make(map[*transport.Conn]time.Time),
 	}
@@ -321,8 +335,8 @@ func (s *Server) Addr() string {
 }
 
 // Close stops accepting, closes the listener, the idle peer-connection pool
-// and every accepted connection parked between requests, and waits for
-// in-flight handlers to finish. It is idempotent.
+// and every accepted connection parked between requests, waits for in-flight
+// handlers to finish, and closes the pipe pool. It is idempotent.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -347,6 +361,7 @@ func (s *Server) Close() error {
 		_ = c.Close()
 	}
 	s.wg.Wait()
+	s.pipes.Close()
 	return err
 }
 
@@ -472,10 +487,17 @@ func (s *Server) handleConn(c *transport.Conn) {
 		}
 		_ = c.SetReadDeadline(time.Time{})
 		if f != nil {
-			// A peer initiates two kinds of binary frame: ledger and
-			// membership syncs (the gossip anti-entropy exchanges).
+			// A peer initiates three kinds of binary frame: cluster.get,
+			// and ledger and membership syncs (the gossip anti-entropy
+			// exchanges).
 			var err error
 			switch f.Type {
+			case transport.FrameClusterGet:
+				var req transport.ClusterGetPayload
+				if req, err = transport.DecodeClusterGetFrame(f); err == nil {
+					s.cfg.Metrics.Counter("server.requests").Inc()
+					err = s.serveClusterGet(c, req)
+				}
 			case transport.FrameLedgerSync:
 				err = s.handleLedgerSyncFrame(c, f)
 			case transport.FrameMemberSync:
@@ -582,12 +604,18 @@ func (s *Server) handleHolders(c *transport.Conn, m transport.Message) error {
 	return c.WriteMessage(resp)
 }
 
-// handleClusterGet serves one locally stored cluster to a peer or client.
+// handleClusterGet answers a JSON cluster.get, which a client that never
+// sent a hello may send; peers send the binary FrameClusterGet.
 func (s *Server) handleClusterGet(c *transport.Conn, m transport.Message) error {
 	req, err := transport.Decode[transport.ClusterGetPayload](m)
 	if err != nil {
 		return err
 	}
+	return s.serveClusterGet(c, req)
+}
+
+// serveClusterGet serves one locally stored cluster to a peer or client.
+func (s *Server) serveClusterGet(c *transport.Conn, req transport.ClusterGetPayload) error {
 	frame, payload, err := s.readLocalCluster(req.Title, req.Index)
 	if err != nil {
 		return err
@@ -1239,9 +1267,24 @@ func (s *Server) joinCohort(title media.Title, numClusters, start int, ws *watch
 		return s.merges.JoinSourceHold(title.Name, numClusters, start, rs.read, rs.close, 0)
 	}
 	src := func(index int) (*transport.Frame, transport.ClusterPayload, error) {
-		return s.deliverCluster(title, index, ws)
+		return s.deliverShared(title, index, ws)
 	}
 	return s.merges.JoinSourceHold(title.Name, numClusters, start, src, nil, ws.holdDown)
+}
+
+// deliverShared is deliverCluster for a cohort source: the pump fans the
+// frame out with Retain, and a pipe can be read only once, so a pulled body
+// is moved from its pipe into a pooled buffer first.
+func (s *Server) deliverShared(title media.Title, index int, ws *watchSession) (*transport.Frame, transport.ClusterPayload, error) {
+	frame, payload, err := s.deliverCluster(title, index, ws)
+	if err != nil {
+		return nil, transport.ClusterPayload{}, err
+	}
+	if err := frame.Materialize(s.cfg.Pool); err != nil {
+		frame.Release()
+		return nil, transport.ClusterPayload{}, err
+	}
+	return frame, payload, nil
 }
 
 // prefixHead is the end of the run of clusters from start that the local
@@ -1306,7 +1349,7 @@ type relaySource struct {
 // read obtains one cluster for the cohort pump.
 func (r *relaySource) read(index int) (*transport.Frame, transport.ClusterPayload, error) {
 	if r.broken {
-		return r.s.deliverCluster(r.title, index, r.ws)
+		return r.s.deliverShared(r.title, index, r.ws)
 	}
 	for attempt := 0; attempt < 2; attempt++ {
 		if r.conn == nil || index < r.next {
@@ -1325,7 +1368,7 @@ func (r *relaySource) read(index int) (*transport.Frame, transport.ClusterPayloa
 	// and prefix checks still apply.
 	r.broken = true
 	r.s.cfg.Metrics.Counter("server.relay_fallbacks").Inc()
-	return r.s.deliverCluster(r.title, index, r.ws)
+	return r.s.deliverShared(r.title, index, r.ws)
 }
 
 // close is the cohort's source-cleanup hook.
@@ -1396,7 +1439,7 @@ func (r *relaySource) reopen(index int) error {
 // overlap).
 func (r *relaySource) readAt(index int) (*transport.Frame, transport.ClusterPayload, error) {
 	for {
-		m, f, err := r.conn.ReadFrameOrMessage(r.s.cfg.Pool)
+		m, payload, f, err := r.conn.ReadClusterOrMessage(r.s.cfg.Pool)
 		if err != nil {
 			return nil, transport.ClusterPayload{}, err
 		}
@@ -1412,30 +1455,18 @@ func (r *relaySource) readAt(index int) (*transport.Frame, transport.ClusterPayl
 				return nil, transport.ClusterPayload{}, fmt.Errorf("unexpected relay stream message %q", m.Type)
 			}
 		}
-		if f.Type != transport.FrameCluster {
-			f.Release() // merge-info / prefix-info announcements
-			continue
-		}
-		payload, body, derr := transport.DecodeClusterFrame(f)
-		if derr != nil {
-			f.Release()
-			return nil, transport.ClusterPayload{}, derr
-		}
-		if payload.Index < index {
-			f.Release()
+		if f.Type != transport.FrameCluster || payload.Index < index {
+			f.Release() // merge-info / prefix-info announcements, overlap
 			continue
 		}
 		if payload.Index > index {
 			f.Release()
 			return nil, transport.ClusterPayload{}, fmt.Errorf("relay stream at cluster %d, want %d", payload.Index, index)
 		}
-		// The frame's pooled payload holds meta + body; the cohort needs a
-		// body-only frame, so the cluster is copied into its own lease.
-		buf := r.s.cfg.Pool.Get(len(body))
-		copy(buf, body)
-		f.Release()
+		// The frame is body-only, leased at the body's size: the cohort
+		// fans it out as it came off the wire, with no second copy.
 		r.account(payload)
-		return transport.NewLeasedFrame(r.s.cfg.Pool, buf), payload, nil
+		return f, payload, nil
 	}
 }
 
@@ -1582,14 +1613,16 @@ func (s *Server) planCluster(title string, planRate float64, exclude map[topolog
 	return s.cfg.Planner.PlanExcluding(s.cfg.Node, title, exclude)
 }
 
-// fetchRemoteCluster pulls one cluster from a peer over TCP into a
-// pool-leased frame, on a connection from the server's idle pool when one is
-// parked for this peer and route and on a fresh dial otherwise. A fresh dial
-// runs the hello once and must be granted binary cluster frames, so the peer
-// answers each JSON cluster.get with a binary cluster.ok it can send with
-// sendfile; a pooled reuse keeps that grant. A failed hello counts like a
-// failed dial. A connection goes back to the pool only after a complete
-// well-formed reply; any error closes it.
+// fetchRemoteCluster pulls one cluster from a peer over TCP, on a connection
+// from the server's idle pool when one is parked for this peer and route and
+// on a fresh dial otherwise. A fresh dial runs the hello once and must be
+// granted binary cluster frames, so the peer answers each binary cluster.get
+// with a binary cluster.ok it can send with sendfile; a pooled reuse keeps
+// that grant. A failed hello counts like a failed dial. The reply's body is
+// spliced into a pipe from the server's pipe pool when the connection is a
+// raw socket (see transport.ReadClusterReply), else read into a pool-leased
+// buffer; either way the reply is read whole, so a connection goes back to
+// the pool only after a complete well-formed reply, and any error closes it.
 //
 // The fault injector sees every fetch, not every dial: DialError is asked
 // before each attempt, so a scheduled partition refuses a route even while a
@@ -1608,14 +1641,7 @@ func (s *Server) fetchRemoteCluster(dec core.Decision, title string, index int) 
 	if err != nil {
 		return nil, transport.ClusterPayload{}, err
 	}
-	req, err := transport.Encode(transport.TypeClusterGet, transport.ClusterGetPayload{
-		Title:        title,
-		Index:        index,
-		ClusterBytes: s.cfg.ClusterBytes,
-	})
-	if err != nil {
-		return nil, transport.ClusterPayload{}, err
-	}
+	req := transport.ClusterGetPayload{Title: title, Index: index, ClusterBytes: s.cfg.ClusterBytes}
 	links := dec.Path.Links()
 	key := peerConnKey(dec.Server, links)
 	for fresh := false; ; fresh = true {
@@ -1661,11 +1687,11 @@ func (s *Server) fetchRemoteCluster(dec core.Decision, title string, index int) 
 // the first octet of the peer's reply arrived, i.e. the failure (if any) is
 // the peer's answer or a stream broken mid-reply rather than a connection
 // that was already dead when the request went out.
-func (s *Server) clusterGet(peer *transport.Conn, req transport.Message) (frame *transport.Frame, payload transport.ClusterPayload, answered bool, err error) {
-	if err := peer.WriteMessage(req); err != nil {
+func (s *Server) clusterGet(peer *transport.Conn, req transport.ClusterGetPayload) (frame *transport.Frame, payload transport.ClusterPayload, answered bool, err error) {
+	if err := peer.WriteClusterGetFrame(req); err != nil {
 		return nil, transport.ClusterPayload{}, false, err
 	}
-	payload, frame, err = peer.ReadClusterReply(s.cfg.Pool)
+	payload, frame, err = peer.ReadClusterReply(s.cfg.Pool, s.pipes)
 	if err != nil {
 		return nil, transport.ClusterPayload{}, !errors.Is(err, transport.ErrNoReply), err
 	}

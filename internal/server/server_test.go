@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -376,6 +377,40 @@ func TestClusterGetDirect(t *testing.T) {
 	}
 	if transport.AsError(m) == nil {
 		t.Fatalf("expected error frame, got %s", m.Type)
+	}
+
+	// A peer asks with the binary cluster.get after its hello and gets a
+	// binary cluster.ok, or an error frame for a title not held here.
+	peer, err := transport.Dial(lc.servers[grnet.Heraklio].Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	if err := peer.RequireClusterFrames(); err != nil {
+		t.Fatal(err)
+	}
+	for _, get := range []transport.ClusterGetPayload{
+		{Title: "direct", Index: 1, ClusterBytes: clusterBytes},
+		{Title: "ghost", Index: 0, ClusterBytes: clusterBytes},
+	} {
+		if err := peer.WriteClusterGetFrame(get); err != nil {
+			t.Fatal(err)
+		}
+		payload, frame, err := peer.ReadClusterReply(nil, nil)
+		if get.Title == "ghost" {
+			if err == nil || errors.Is(err, transport.ErrBadFrame) {
+				t.Fatalf("binary get of a title not held: err = %v, want the peer's error", err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if payload.Offset != clusterBytes || payload.Length != clusterBytes ||
+			!media.Verify("direct", payload.Offset, frame.Payload) {
+			t.Fatalf("binary cluster.get payload = %+v or content mismatch", payload)
+		}
+		frame.Release()
 	}
 }
 

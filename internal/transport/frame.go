@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
 	"sync/atomic"
 
 	"dvod/internal/topology"
@@ -128,7 +129,23 @@ type Frame struct {
 	foff  int64
 	fsize int64
 	done  func()
+
+	// Pipe-backed body (ReadClusterReply with a PipePool): the psize bytes
+	// sit in a kernel pipe and leave it by splice to a socket. A pipe can be
+	// read only once, so the frame has exactly one holder: Retain panics,
+	// and a body that must be shared is moved to a pooled buffer first
+	// (Materialize).
+	pipe  *splicePipe
+	psize int64
+
+	// recycle marks a frame of ReadClusterReply's, which goes back to
+	// replyFrames on its final Release.
+	recycle bool
 }
+
+// replyFrames recycles the frames ReadClusterReply returns, so the
+// steady-state reply read allocates nothing.
+var replyFrames = sync.Pool{New: func() any { return new(Frame) }}
 
 // NewLeasedFrame wraps a buffer leased from pool (Get) in a frame with one
 // reference, so locally produced data — a disk read — flows through the same
@@ -164,28 +181,67 @@ func (f *Frame) FileBody() (file *os.File, off int64, ok bool) {
 	return f.file, f.foff, true
 }
 
-// BodyLen returns the frame's body length in bytes for either backing.
+// BodyLen returns the frame's body length in bytes for any backing.
 func (f *Frame) BodyLen() int64 {
-	if f == nil {
+	switch {
+	case f == nil:
 		return 0
-	}
-	if f.file != nil {
+	case f.file != nil:
 		return f.fsize
+	case f.pipe != nil:
+		return f.psize
 	}
 	return int64(len(f.Payload))
 }
 
+// Materialize moves a pipe-backed body into a buffer leased from pool, in
+// place: the frame becomes byte-backed and may then be retained and fanned
+// out. The emptied pipe goes back to its pool. Frames with any other backing
+// are left as they are.
+func (f *Frame) Materialize(pool *BufferPool) error {
+	if f == nil || f.pipe == nil {
+		return nil
+	}
+	p := f.pipe
+	if p.held != f.psize {
+		return errPipeShort
+	}
+	buf := leaseBuf(pool, f.psize)
+	if err := p.drain(buf); err != nil {
+		if pool != nil {
+			pool.Put(buf)
+		}
+		return fmt.Errorf("drain pipe body: %w", err)
+	}
+	f.pipe = nil
+	p.pool.put(p)
+	f.pool, f.buf, f.Payload = pool, buf, buf
+	return nil
+}
+
+// leaseBuf leases n bytes from pool, or allocates them when pool is nil.
+func leaseBuf(pool *BufferPool, n int64) []byte {
+	if pool != nil {
+		return pool.Get(int(n))
+	}
+	return make([]byte, n)
+}
+
 // BodyBytes materializes the frame's body as a byte slice: byte-backed
 // frames return Payload directly (valid until the frame's Release, free() is
-// a no-op); file-backed frames lease a buffer from pool, pread the body into
-// it, and return it with a free() that puts the lease back. Callers must run
-// free() once they are done with the bytes — it is non-nil even on error.
-// This is the userspace fallback the JSON framing and non-sendfile platforms
-// use for file-backed bodies.
+// a no-op); pipe-backed frames are drained into a pooled buffer first
+// (Materialize), after which the same holds; file-backed frames lease a
+// buffer from pool, pread the body into it, and return it with a free() that
+// puts the lease back. Callers must run free() once they are done with the
+// bytes — it is non-nil even on error. This is the userspace fallback the
+// JSON framing and streams without a kernel path use for kernel bodies.
 func (f *Frame) BodyBytes(pool *BufferPool) (body []byte, free func(), err error) {
 	free = func() {}
 	if f == nil {
 		return nil, free, errors.New("transport: BodyBytes on nil frame")
+	}
+	if err := f.Materialize(pool); err != nil {
+		return nil, free, err
 	}
 	if f.file == nil {
 		return f.Payload, free, nil
@@ -210,6 +266,9 @@ func (f *Frame) BodyBytes(pool *BufferPool) (body []byte, free func(), err error
 func (f *Frame) Retain() *Frame {
 	if f == nil {
 		return nil
+	}
+	if f.pipe != nil {
+		panic("transport: Retain on a pipe-backed frame (Materialize it first)")
 	}
 	if f.refs.Add(1) <= 1 {
 		panic("transport: Retain on a released frame")
@@ -237,8 +296,14 @@ func (f *Frame) Release() {
 	if f.done != nil {
 		f.done()
 	}
+	if f.pipe != nil {
+		f.pipe.pool.put(f.pipe)
+	}
 	f.pool, f.buf, f.Payload = nil, nil, nil
-	f.file, f.done = nil, nil
+	f.file, f.done, f.pipe = nil, nil, nil
+	if f.recycle {
+		replyFrames.Put(f)
+	}
 }
 
 // Refs reports the frame's current reference count (for tests).
@@ -269,6 +334,49 @@ func appendClusterMeta(dst []byte, p ClusterPayload) ([]byte, error) {
 	return dst, nil
 }
 
+// clusterMeta is the fixed-width part of a cluster meta header.
+type clusterMeta struct {
+	index            uint32
+	offset, length   uint64
+	titleLen, srcLen int
+}
+
+// parseClusterMeta parses the clusterMetaFixed bytes that open b.
+func parseClusterMeta(b []byte) clusterMeta {
+	return clusterMeta{
+		index:    binary.BigEndian.Uint32(b[0:4]),
+		offset:   binary.BigEndian.Uint64(b[4:12]),
+		length:   binary.BigEndian.Uint64(b[12:20]),
+		titleLen: int(binary.BigEndian.Uint16(b[20:22])),
+		srcLen:   int(binary.BigEndian.Uint16(b[22:24])),
+	}
+}
+
+// metaLen is the size of the whole meta header, names included.
+func (m clusterMeta) metaLen() int { return clusterMetaFixed + m.titleLen + m.srcLen }
+
+// check validates the meta against the body length the frame carries.
+func (m clusterMeta) check(bodyLen int64) error {
+	if m.length != uint64(bodyLen) {
+		return fmt.Errorf("%w: length field %d, body %d bytes", ErrBadFrame, m.length, bodyLen)
+	}
+	if m.offset > uint64(1)<<62 {
+		return fmt.Errorf("%w: offset overflow", ErrBadFrame)
+	}
+	return nil
+}
+
+// payload builds the ClusterPayload of a checked meta with its names.
+func (m clusterMeta) payload(title, source string) ClusterPayload {
+	return ClusterPayload{
+		Title:  title,
+		Index:  int(m.index),
+		Offset: int64(m.offset),
+		Length: int64(m.length),
+		Source: topology.NodeID(source),
+	}
+}
+
 // DecodeClusterFrame parses a FrameCluster payload into the cluster meta and
 // its body. The body aliases f.Payload, so it follows the frame's ownership
 // rule: valid until f.Release.
@@ -280,30 +388,17 @@ func DecodeClusterFrame(f *Frame) (ClusterPayload, []byte, error) {
 	if len(b) < clusterMetaFixed {
 		return ClusterPayload{}, nil, fmt.Errorf("%w: cluster meta truncated (%d bytes)", ErrBadFrame, len(b))
 	}
-	index := binary.BigEndian.Uint32(b[0:4])
-	offset := binary.BigEndian.Uint64(b[4:12])
-	length := binary.BigEndian.Uint64(b[12:20])
-	titleLen := int(binary.BigEndian.Uint16(b[20:22]))
-	srcLen := int(binary.BigEndian.Uint16(b[22:24]))
-	metaLen := clusterMetaFixed + titleLen + srcLen
+	m := parseClusterMeta(b)
+	metaLen := m.metaLen()
 	if len(b) < metaLen {
 		return ClusterPayload{}, nil, fmt.Errorf("%w: cluster names truncated", ErrBadFrame)
 	}
 	body := b[metaLen:]
-	if uint64(len(body)) != length {
-		return ClusterPayload{}, nil, fmt.Errorf("%w: length field %d, body %d bytes", ErrBadFrame, length, len(body))
+	if err := m.check(int64(len(body))); err != nil {
+		return ClusterPayload{}, nil, err
 	}
-	if offset > uint64(1)<<62 {
-		return ClusterPayload{}, nil, fmt.Errorf("%w: offset overflow", ErrBadFrame)
-	}
-	p := ClusterPayload{
-		Title:  string(b[clusterMetaFixed : clusterMetaFixed+titleLen]),
-		Index:  int(index),
-		Offset: int64(offset),
-		Length: int64(length),
-		Source: topology.NodeID(b[clusterMetaFixed+titleLen : metaLen]),
-	}
-	return p, body, nil
+	names := b[clusterMetaFixed:metaLen]
+	return m.payload(string(names[:m.titleLen]), string(names[m.titleLen:])), body, nil
 }
 
 // buildClusterHeaderLocked assembles the binary frame header plus cluster
@@ -379,17 +474,19 @@ func (c *Conn) WriteClusterFrame(p ClusterPayload, body []byte) error {
 //     control frames) go out in one writev, then the body travels file→socket
 //     inside the kernel via sendfile(2) and never enters Go userspace.
 //     Returns kernel = true.
-//   - binary framing + byte-backed body, or a file-backed body the platform
-//     or stream cannot kernel-send (non-TCP test pipes, !linux builds): the
+//   - binary framing + pipe-backed body: the same, with the body moving
+//     pipe→socket by splice(2). Returns kernel = true.
+//   - binary framing + byte-backed body, or a kernel body the platform or
+//     stream cannot kernel-send (non-TCP test pipes, !linux builds): the
 //     pooled-buffer copy path of WriteClusterFrame. Returns kernel = false.
 //   - JSON framing: a control frame of msgType followed by the raw body,
 //     exactly as WriteMessageWithBody sends it. Returns kernel = false.
 //
-// The fallback paths produce byte-identical wire output to the kernel path.
-// pool supplies the bounce buffer when a file-backed body must be copied
-// after all; the caller keeps its reference on body and still must Release
-// it. An error on the kernel path after the header went out leaves the
-// stream unframeable, like any partial write does.
+// The fallback paths produce byte-identical wire output to the kernel paths.
+// pool supplies the bounce buffer when a kernel body must be copied after
+// all; the caller keeps its reference on body and still must Release it. An
+// error on a kernel path after the header went out leaves the stream
+// unframeable, like any partial write does.
 func (c *Conn) WriteClusterBody(pool *BufferPool, msgType string, p ClusterPayload, body *Frame) (kernel bool, err error) {
 	size := body.BodyLen()
 	if p.Length != size {
@@ -407,8 +504,7 @@ func (c *Conn) WriteClusterBody(pool *BufferPool, msgType string, p ClusterPaylo
 		defer free()
 		return false, c.WriteMessageWithBody(m, data)
 	}
-	file, off, ok := body.FileBody()
-	if !ok {
+	if body.file == nil && body.pipe == nil {
 		return false, c.WriteClusterFrame(p, body.Payload)
 	}
 	c.wmu.Lock()
@@ -420,7 +516,11 @@ func (c *Conn) WriteClusterBody(pool *BufferPool, msgType string, p ClusterPaylo
 	if err := c.writeVectoredLocked(scratch); err != nil {
 		return false, fmt.Errorf("write cluster frame: %w", err)
 	}
-	kernel, err = c.sendBodyLocked(file, off, size)
+	if body.pipe != nil {
+		kernel, err = c.spliceBodyLocked(body.pipe, size)
+	} else {
+		kernel, err = c.sendBodyLocked(body.file, body.foff, size)
+	}
 	if err != nil {
 		return kernel, fmt.Errorf("write cluster body: %w", err)
 	}
@@ -449,8 +549,8 @@ func (c *Conn) WriteClusterBody(pool *BufferPool, msgType string, p ClusterPaylo
 func (c *Conn) ReadFrameOrMessage(pool *BufferPool) (Message, *Frame, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
-	var first [1]byte
-	if _, err := io.ReadFull(c.rw, first[:]); err != nil {
+	first := c.rbuf(1)
+	if _, err := io.ReadFull(c.rw, first); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			return Message{}, nil, io.EOF
 		}
@@ -465,20 +565,27 @@ func (c *Conn) ReadFrameOrMessage(pool *BufferPool) (Message, *Frame, error) {
 }
 
 // ReadClusterReply reads the reply to a cluster.get on a connection that
-// negotiated binary frames: a FrameCluster, returned as a body-only frame
-// whose Payload is just the cluster's bytes (the lease still covers the
-// meta and goes back whole on the last Release), or the peer's error frame,
-// returned as its error. Any other reply is ErrBadFrame.
+// negotiated binary frames: a FrameCluster, returned as a body-only frame,
+// or the peer's error frame, returned as its error. Any other reply is
+// ErrBadFrame. The reply is read whole before ReadClusterReply returns.
+//
+// The body lands in a pipe from pipes when the stream is a raw socket and
+// the pool has one to give: spliced there, it never enters Go memory, and
+// WriteClusterBody splices it on to the client. Otherwise — pipes is nil or
+// exhausted, the stream is not a socket (a fault injector's wrapper, a test
+// pipe), a !linux build — or when the body overflows its pipe, the body is
+// read into a buffer leased from pool (allocated unpooled when pool is nil).
+// The frame comes from a recycled set and goes back on its final Release.
 //
 // A read that fails before the reply's first octet arrived wraps ErrNoReply:
 // the peer never started an answer, which on a pooled connection means the
 // connection was already dead. Every later failure — a reply broken
 // mid-header or mid-body, a refusal — means the peer did answer.
-func (c *Conn) ReadClusterReply(pool *BufferPool) (ClusterPayload, *Frame, error) {
+func (c *Conn) ReadClusterReply(pool *BufferPool, pipes *PipePool) (ClusterPayload, *Frame, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
-	var first [1]byte
-	if _, err := io.ReadFull(c.rw, first[:]); err != nil {
+	first := c.rbuf(1)
+	if _, err := io.ReadFull(c.rw, first); err != nil {
 		return ClusterPayload{}, nil, fmt.Errorf("%w: %w", ErrNoReply, err)
 	}
 	if first[0] != FrameMagic0 {
@@ -490,17 +597,139 @@ func (c *Conn) ReadClusterReply(pool *BufferPool) (ClusterPayload, *Frame, error
 		}
 		return ClusterPayload{}, nil, err
 	}
-	f, err := c.readFrameLocked(pool)
+	version, typ, flags, n, err := c.readFrameHeaderLocked()
 	if err != nil {
 		return ClusterPayload{}, nil, err
 	}
-	p, body, err := DecodeClusterFrame(f)
+	if typ != FrameCluster {
+		return ClusterPayload{}, nil, fmt.Errorf("%w: frame type 0x%02x is not a cluster", ErrBadFrame, typ)
+	}
+	return c.readClusterLocked(version, flags, n, pool, pipes)
+}
+
+// ReadClusterOrMessage reads the next item of a watch stream, as
+// ReadFrameOrMessage does, except that a FrameCluster comes back the way
+// ReadClusterReply returns one: its meta decoded and the frame body-only,
+// leased at the body's size from pool. A relay re-serves such frames without
+// copying them. Other binary frames come back whole with a zero
+// ClusterPayload.
+func (c *Conn) ReadClusterOrMessage(pool *BufferPool) (Message, ClusterPayload, *Frame, error) {
+	c.rmu.Lock()
+	defer c.rmu.Unlock()
+	first := c.rbuf(1)
+	if _, err := io.ReadFull(c.rw, first); err != nil {
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			return Message{}, ClusterPayload{}, nil, io.EOF
+		}
+		return Message{}, ClusterPayload{}, nil, fmt.Errorf("read frame header: %w", err)
+	}
+	if first[0] != FrameMagic0 {
+		m, err := c.readJSONLocked(first[0])
+		return m, ClusterPayload{}, nil, err
+	}
+	version, typ, flags, n, err := c.readFrameHeaderLocked()
 	if err != nil {
+		return Message{}, ClusterPayload{}, nil, err
+	}
+	if typ != FrameCluster {
+		f, err := c.readPayloadLocked(version, typ, flags, n, pool)
+		return Message{}, ClusterPayload{}, f, err
+	}
+	p, f, err := c.readClusterLocked(version, flags, n, pool, nil)
+	return Message{}, p, f, err
+}
+
+// readClusterLocked reads the n-byte payload of a FrameCluster whose header
+// has been read: the meta into the read scratch, the body by
+// readReplyBodyLocked. Callers hold rmu.
+func (c *Conn) readClusterLocked(version, flags byte, n uint32, pool *BufferPool, pipes *PipePool) (ClusterPayload, *Frame, error) {
+	if n < clusterMetaFixed {
+		return ClusterPayload{}, nil, fmt.Errorf("%w: cluster meta truncated (%d bytes)", ErrBadFrame, n)
+	}
+	fixed := c.rbuf(clusterMetaFixed)
+	if _, err := io.ReadFull(c.rw, fixed); err != nil {
+		return ClusterPayload{}, nil, fmt.Errorf("%w: truncated cluster meta: %v", ErrBadFrame, err)
+	}
+	m := parseClusterMeta(fixed)
+	if int(n) < m.metaLen() {
+		return ClusterPayload{}, nil, fmt.Errorf("%w: cluster names truncated", ErrBadFrame)
+	}
+	bodyLen := int64(n) - int64(m.metaLen())
+	if err := m.check(bodyLen); err != nil {
+		return ClusterPayload{}, nil, err
+	}
+	names := c.rbuf(m.titleLen + m.srcLen)
+	if _, err := io.ReadFull(c.rw, names); err != nil {
+		return ClusterPayload{}, nil, fmt.Errorf("%w: truncated cluster names: %v", ErrBadFrame, err)
+	}
+	p := m.payload(intern(&c.rtitle, names[:m.titleLen]), intern(&c.rsource, names[m.titleLen:]))
+	f := replyFrames.Get().(*Frame)
+	f.Version, f.Type, f.Flags, f.recycle = version, FrameCluster, flags, true
+	f.refs.Store(1)
+	if err := c.readReplyBodyLocked(f, pool, pipes, bodyLen); err != nil {
 		f.Release()
-		return ClusterPayload{}, nil, err
+		return ClusterPayload{}, nil, fmt.Errorf("%w: truncated payload: %v", ErrBadFrame, err)
 	}
-	f.Payload = body
 	return p, f, nil
+}
+
+// readReplyBodyLocked reads a reply's size body bytes into f: spliced into a
+// pipe when the stream and pipes allow, else into a leased buffer. A body
+// that overflows its pipe is drained from the pipe into the leased buffer
+// and finished from the stream. Callers hold rmu.
+func (c *Conn) readReplyBodyLocked(f *Frame, pool *BufferPool, pipes *PipePool, size int64) error {
+	var p *splicePipe
+	if size > 0 && c.spliceable() {
+		p = pipes.get()
+	}
+	var got int64
+	if p != nil {
+		var ok bool
+		var err error
+		got, ok, err = c.spliceRecvLocked(p, size)
+		switch {
+		case err != nil:
+			p.pool.put(p)
+			return err
+		case !ok:
+			p.pool.put(p)
+			p = nil
+		case got == size:
+			f.pipe, f.psize = p, size
+			return nil
+		}
+	}
+	f.pool, f.buf = pool, leaseBuf(pool, size)
+	f.Payload = f.buf
+	if p != nil {
+		p.pool.overflows.Inc()
+		err := p.drain(f.buf[:got])
+		p.pool.put(p)
+		if err != nil {
+			return err
+		}
+	}
+	_, err := io.ReadFull(c.rw, f.buf[got:])
+	return err
+}
+
+// intern returns b as a string, reusing *last when it holds the same bytes:
+// consecutive replies on one connection name the same title and source, so
+// the steady state allocates no strings.
+func intern(last *string, b []byte) string {
+	if string(b) != *last {
+		*last = string(b)
+	}
+	return *last
+}
+
+// rbuf returns n bytes of the connection's read scratch (guarded by rmu),
+// valid until the next rbuf call.
+func (c *Conn) rbuf(n int) []byte {
+	if cap(c.rscratch) < n {
+		c.rscratch = make([]byte, max(n, clusterMetaFixed))
+	}
+	return c.rscratch[:n]
 }
 
 // ReadReplyFrame reads the reply leg of a server-to-server sync exchange: a
@@ -525,34 +754,46 @@ func (c *Conn) ReadReplyFrame(want byte) (*Frame, error) {
 	return f, nil
 }
 
+// readFrameHeaderLocked parses the rest of a binary frame header whose
+// first magic octet has already been consumed, returning the payload length.
+// Callers hold rmu.
+func (c *Conn) readFrameHeaderLocked() (version, typ, flags byte, n uint32, err error) {
+	hdr := c.rbuf(FrameHeaderLen - 1)
+	if _, err := io.ReadFull(c.rw, hdr); err != nil {
+		return 0, 0, 0, 0, fmt.Errorf("%w: truncated header: %v", ErrBadFrame, err)
+	}
+	if hdr[0] != FrameMagic1 {
+		return 0, 0, 0, 0, fmt.Errorf("%w: 0x%02x", ErrBadMagic, hdr[0])
+	}
+	version = hdr[1]
+	if version == 0 || version > FrameVersion {
+		return 0, 0, 0, 0, fmt.Errorf("%w: %d", ErrBadVersion, version)
+	}
+	n = binary.BigEndian.Uint32(hdr[4:8])
+	if n == 0 {
+		return 0, 0, 0, 0, fmt.Errorf("%w: zero-length frame payload", ErrBadFrame)
+	}
+	if n > MaxFramePayload {
+		return 0, 0, 0, 0, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+	}
+	return version, hdr[2], hdr[3], n, nil
+}
+
 // readFrameLocked parses a binary frame whose first magic octet has already
 // been consumed. Callers hold rmu.
 func (c *Conn) readFrameLocked(pool *BufferPool) (*Frame, error) {
-	var hdr [FrameHeaderLen - 1]byte
-	if _, err := io.ReadFull(c.rw, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: truncated header: %v", ErrBadFrame, err)
+	version, typ, flags, n, err := c.readFrameHeaderLocked()
+	if err != nil {
+		return nil, err
 	}
-	if hdr[0] != FrameMagic1 {
-		return nil, fmt.Errorf("%w: 0x%02x", ErrBadMagic, hdr[0])
-	}
-	version := hdr[1]
-	if version == 0 || version > FrameVersion {
-		return nil, fmt.Errorf("%w: %d", ErrBadVersion, version)
-	}
-	n := binary.BigEndian.Uint32(hdr[4:8])
-	if n == 0 {
-		return nil, fmt.Errorf("%w: zero-length frame payload", ErrBadFrame)
-	}
-	if n > MaxFramePayload {
-		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
-	}
-	f := &Frame{Version: version, Type: hdr[2], Flags: hdr[3], pool: pool}
+	return c.readPayloadLocked(version, typ, flags, n, pool)
+}
+
+// readPayloadLocked reads the n-byte payload of a binary frame whose header
+// has been read into a frame leased from pool. Callers hold rmu.
+func (c *Conn) readPayloadLocked(version, typ, flags byte, n uint32, pool *BufferPool) (*Frame, error) {
+	f := &Frame{Version: version, Type: typ, Flags: flags, pool: pool, buf: leaseBuf(pool, int64(n))}
 	f.refs.Store(1)
-	if pool != nil {
-		f.buf = pool.Get(int(n))
-	} else {
-		f.buf = make([]byte, n)
-	}
 	if _, err := io.ReadFull(c.rw, f.buf); err != nil {
 		f.Release()
 		return nil, fmt.Errorf("%w: truncated payload: %v", ErrBadFrame, err)

@@ -104,6 +104,54 @@ func TestFrameDemux(t *testing.T) {
 	}
 }
 
+// TestReadClusterOrMessage: the relay's stream reader demultiplexes like
+// ReadFrameOrMessage, but hands a cluster back decoded and body-only, leased
+// at the body's size rather than the body-plus-meta size, which for a
+// power-of-two cluster is the next size class up.
+func TestReadClusterOrMessage(t *testing.T) {
+	c, _ := newFrameConn()
+	ok, _ := Encode(TypeWatchOK, nil)
+	if err := c.WriteMessage(ok); err != nil {
+		t.Fatal(err)
+	}
+	info := MergeInfoPayload{Cohort: 3, Role: MergeRoleBase}
+	if err := c.WriteMergeInfoFrame(info); err != nil {
+		t.Fatal(err)
+	}
+	payload, body := testClusterPayload(256 << 10)
+	if err := c.WriteClusterFrame(payload, body); err != nil {
+		t.Fatal(err)
+	}
+	pool := NewBufferPool(nil)
+	m, _, f, err := c.ReadClusterOrMessage(pool)
+	if err != nil || f != nil || m.Type != TypeWatchOK {
+		t.Fatalf("first item: m=%+v f=%v err=%v", m, f, err)
+	}
+	_, p, f, err := c.ReadClusterOrMessage(pool)
+	if err != nil || f == nil || p != (ClusterPayload{}) {
+		t.Fatalf("second item: p=%+v f=%v err=%v", p, f, err)
+	}
+	if got, err := DecodeMergeInfoFrame(f); err != nil || got != info {
+		t.Fatalf("merge info = (%+v, %v)", got, err)
+	}
+	f.Release()
+	_, p, f, err = c.ReadClusterOrMessage(pool)
+	if err != nil || f == nil {
+		t.Fatalf("third item: f=%v err=%v", f, err)
+	}
+	if p != payload || !bytes.Equal(f.Payload, body) {
+		t.Fatalf("cluster = %+v, body equal %v", p, bytes.Equal(f.Payload, body))
+	}
+	if cap(f.buf) != len(body) {
+		t.Fatalf("body leased from the %d-byte class, want %d", cap(f.buf), len(body))
+	}
+	f.Retain().Release()
+	f.Release()
+	if n := pool.Outstanding(); n != 0 {
+		t.Fatalf("pool leases outstanding: %d", n)
+	}
+}
+
 // TestJSONFirstOctetIsZero pins the demultiplexing invariant the wire format
 // depends on: every JSON length prefix starts 0x00 (MaxFrameBytes fits in 24
 // bits) and the binary magic does not.

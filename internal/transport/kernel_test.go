@@ -436,3 +436,81 @@ func benchKernelArm(b *testing.B, size int, payload ClusterPayload) {
 		}
 	}
 }
+
+// BenchmarkRemoteHop times a home's relay hop for one pulled cluster: read
+// the peer's reply, send it on to the client, release it. A sendfile origin
+// streams replies back to back over loopback TCP (no request leg, so only
+// the hop is timed) and a raw-draining client reads the far side. The pipe
+// arm splices the body socket → pipe → socket (on Linux; elsewhere it falls
+// back to the copy); the pooled arm reads it into a leased buffer and writes
+// it from there.
+func BenchmarkRemoteHop(b *testing.B) {
+	b.Run("pipe", func(b *testing.B) { benchRemoteHop(b, true) })
+	b.Run("pooled", func(b *testing.B) { benchRemoteHop(b, false) })
+}
+
+func benchRemoteHop(b *testing.B, splice bool) {
+	size := 256 << 10
+	data := make([]byte, size)
+	for i := range data {
+		data[i] = byte(i)
+	}
+	f, off := bodyFile(b, data)
+	body := NewFileFrame(f, off, int64(size), nil)
+	payload := kernelPayload(size)
+	originNC, inNC := tcpPair(b)
+	outNC, clientNC := tcpPair(b)
+	origin, in, out := NewConn(originNC), NewConn(inNC), NewConn(outNC)
+	origin.EnableBinaryFrames()
+	out.EnableBinaryFrames()
+	sent := make(chan struct{})
+	go func() {
+		defer close(sent)
+		for {
+			if _, err := origin.WriteClusterBody(nil, TypeClusterOK, payload, body); err != nil {
+				return
+			}
+		}
+	}()
+	// The origin may be mid-send when the benchmark ends: cut its stream and
+	// wait for it before releasing the body it sends from.
+	defer func() {
+		inNC.Close()
+		originNC.Close()
+		<-sent
+		body.Release()
+	}()
+	drain := make([]byte, 256<<10)
+	go func() {
+		for {
+			if _, err := clientNC.Read(drain); err != nil {
+				return
+			}
+		}
+	}()
+	pool := NewBufferPool(nil)
+	var pipes *PipePool
+	if splice {
+		pipes = NewPipePool(nil, 4, int64(size))
+		defer pipes.Close()
+	}
+	hop := func() {
+		p, fr, err := in.ReadClusterReply(pool, pipes)
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, err = out.WriteClusterBody(pool, TypeCluster, p, fr)
+		fr.Release()
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	// Warm-up outside the timed loop: binds both RawConns, opens the pipe
+	// and sizes the scratch buffers.
+	hop()
+	b.SetBytes(int64(size))
+	b.ReportAllocs()
+	for b.Loop() {
+		hop()
+	}
+}

@@ -2,11 +2,17 @@
 
 package transport
 
-import "os"
+import (
+	"errors"
+	"os"
+)
 
-// kernelState is empty off Linux: there is no kernel send path to hold
-// state for.
-type kernelState struct{}
+// kernelState and recvState are empty off Linux: there is no kernel send or
+// splice path to hold state for.
+type (
+	kernelState struct{}
+	recvState   struct{}
+)
 
 // sendBodyLocked always reports no kernel path off Linux, so
 // WriteClusterBody streams file-backed bodies through the pooled-buffer
@@ -14,3 +20,22 @@ type kernelState struct{}
 func (c *Conn) sendBodyLocked(f *os.File, off, size int64) (bool, error) {
 	return false, nil
 }
+
+// spliceBodyLocked is never reached off Linux: no pipe is ever created.
+func (c *Conn) spliceBodyLocked(p *splicePipe, size int64) (bool, error) {
+	return false, nil
+}
+
+// spliceable is false off Linux: no stream has a splice path.
+func (c *Conn) spliceable() bool { return false }
+
+// spliceRecvLocked is never reached off Linux.
+func (c *Conn) spliceRecvLocked(p *splicePipe, size int64) (int64, bool, error) {
+	return 0, false, nil
+}
+
+func newPipe(int) (int, int, error) { return 0, 0, errors.New("transport: no pipes off linux") }
+
+func closePipe(int, int) {}
+
+func (p *splicePipe) drain([]byte) error { return errPipeShort }

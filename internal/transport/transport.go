@@ -74,8 +74,8 @@ const (
 	// TypeClusterGet fetches one stored cluster (ClusterGetPayload);
 	// TypeClusterOK answers with ClusterPayload + raw bytes, or, on a
 	// connection that negotiated binary frames, a FrameCluster (see
-	// ReadClusterReply). Used both by peers (mid-stream re-routing, always
-	// binary) and directly by tests.
+	// ReadClusterReply). Peers send the binary twin, FrameClusterGet; the
+	// JSON request serves clients that never sent a hello, and tests.
 	TypeClusterGet = "cluster.get"
 	TypeClusterOK  = "cluster.ok"
 	// TypeHolders asks which servers hold a title (HoldersPayload);
@@ -327,8 +327,16 @@ type Conn struct {
 	wvecBack [][]byte
 	wvecIO   net.Buffers
 	// ks holds the platform kernel-send state (Linux: the bound RawConn and
-	// the in-flight sendfile transfer; elsewhere: empty). Guarded by wmu.
+	// the in-flight sendfile or splice transfer; elsewhere: empty). Guarded
+	// by wmu.
 	ks kernelState
+	// rs is the read side's twin of ks: the splice receive state of
+	// ReadClusterReply. rscratch holds small header reads, and rtitle and
+	// rsource the names of the last cluster reply (see intern). All guarded
+	// by rmu.
+	rs              recvState
+	rscratch        []byte
+	rtitle, rsource string
 }
 
 // NewConn wraps a stream (net.Conn or net.Pipe end).
