@@ -587,7 +587,7 @@ func (p *Player) watchOnce(title string, startCluster int) (stats PlaybackStats,
 	}
 	var lastSource topology.NodeID
 	for {
-		m, frame, err := conn.ReadFrameOrMessage(p.pool)
+		m, payload, frame, err := conn.ReadClusterOrMessage(p.pool)
 		if err != nil {
 			return stats, info, err
 		}
@@ -608,8 +608,11 @@ func (p *Player) watchOnce(title string, startCluster int) (stats PlaybackStats,
 			}
 			recordPrefixInfo(&stats, pi)
 			continue
-		case frame != nil, m.Type == transport.TypeCluster:
+		case frame != nil && frame.Type == transport.FrameCluster, m.Type == transport.TypeCluster:
 			// A cluster on either framing, handled below.
+		case frame != nil:
+			frame.Release()
+			return stats, info, fmt.Errorf("unexpected stream frame 0x%02x", frame.Type)
 		case m.Type == transport.TypeWatchDone:
 			// Older servers send a bare watch.done; ledger-aware ones attach
 			// the session's migration tally.
@@ -640,7 +643,7 @@ func (p *Player) watchOnce(title string, startCluster int) (stats PlaybackStats,
 		}
 		// The body aliases a pooled frame, so it must be fully consumed
 		// before Release.
-		payload, body, hold, err := p.readCluster(conn, m, frame)
+		payload, body, hold, err := p.readCluster(conn, m, payload, frame)
 		if err == nil {
 			err = p.recordCluster(&stats, info.Title, payload, body, &lastSource)
 			hold.Release()
@@ -729,17 +732,13 @@ func (p *Player) frontDoor(title string, startCluster int) (frontDoorAnswer, err
 }
 
 // readCluster completes a cluster reply whose first frame has been read: a
-// binary cluster frame carries its body, a JSON header (m) is followed by
-// the raw body. The body aliases the returned frame, which the caller must
-// Release once the bytes are consumed; on error there is nothing to release.
-func (p *Player) readCluster(c *transport.Conn, m transport.Message, f *transport.Frame) (transport.ClusterPayload, []byte, *transport.Frame, error) {
+// binary cluster frame (f, decoded as payload) carries its body, a JSON
+// header (m) is followed by the raw body. The body aliases the returned
+// frame, which the caller must Release once the bytes are consumed; on error
+// there is nothing to release.
+func (p *Player) readCluster(c *transport.Conn, m transport.Message, payload transport.ClusterPayload, f *transport.Frame) (transport.ClusterPayload, []byte, *transport.Frame, error) {
 	if f != nil {
-		payload, body, err := transport.DecodeClusterFrame(f)
-		if err != nil {
-			f.Release()
-			return transport.ClusterPayload{}, nil, nil, err
-		}
-		return payload, body, f, nil
+		return payload, f.Payload, f, nil
 	}
 	payload, err := transport.Decode[transport.ClusterPayload](m)
 	if err != nil {

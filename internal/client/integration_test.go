@@ -1,6 +1,8 @@
 package client_test
 
 import (
+	"net"
+
 	"testing"
 	"time"
 
@@ -160,5 +162,93 @@ func TestClientErrors(t *testing.T) {
 	}
 	if _, err := p.Holders("ghost"); err == nil {
 		t.Fatal("unknown holders accepted")
+	}
+}
+
+// TestWatchLeasesBodySizedBuffers: the player reads each binary cluster
+// body-only, so a 256 KiB cluster takes a buffer of the 256 KiB size class,
+// not the next class up that body plus meta would need. A tapped stream sees
+// the capacity of every buffer the player reads into.
+func TestWatchLeasesBodySizedBuffers(t *testing.T) {
+	const (
+		clusterBytes = 256 << 10
+		numClusters  = 6
+		title        = "sized"
+	)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	served := make(chan error, 1)
+	go func() {
+		served <- func() error {
+			nc, err := ln.Accept()
+			if err != nil {
+				return err
+			}
+			c := transport.NewConn(nc)
+			defer c.Close()
+			for {
+				m, err := c.ReadMessage()
+				if err != nil {
+					return err
+				}
+				if m.Type == transport.TypeHello {
+					if err := c.AcceptHello(m); err != nil {
+						return err
+					}
+					continue
+				}
+				ok, err := transport.Encode(transport.TypeWatchOK, transport.WatchOKPayload{
+					Title: title, SizeBytes: numClusters * clusterBytes, BitrateMbps: 1.5,
+					ClusterBytes: clusterBytes, NumClusters: numClusters,
+				})
+				if err != nil {
+					return err
+				}
+				if err := c.WriteMessage(ok); err != nil {
+					return err
+				}
+				for i := range numClusters {
+					off := int64(i * clusterBytes)
+					p := transport.ClusterPayload{Title: title, Index: i, Offset: off, Length: clusterBytes, Source: "U1"}
+					if err := c.WriteClusterFrame(p, media.Content(title, off, clusterBytes)); err != nil {
+						return err
+					}
+				}
+				done, err := transport.Encode(transport.TypeWatchDone, nil)
+				if err != nil {
+					return err
+				}
+				return c.WriteMessage(done)
+			}
+		}()
+	}()
+
+	book := transport.NewAddrBook()
+	book.Set("U1", ln.Addr().String())
+	pool := transport.NewBufferPool(nil)
+	var tp tap
+	p, err := client.NewPlayer("U1", book, client.WithBufferPool(pool), client.WithDialer(tp.dial))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	stats, err := p.Watch(title)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("server: %v", err)
+	}
+	if !stats.Verified || stats.BytesReceived != numClusters*clusterBytes {
+		t.Fatalf("stats = %+v", stats)
+	}
+	if c := tp.stream(0).maxReadCap.Load(); c != clusterBytes {
+		t.Fatalf("largest read buffer has capacity %d, want the %d-byte class", c, clusterBytes)
+	}
+	if n := pool.Outstanding(); n != 0 {
+		t.Fatalf("pool leases outstanding: %d", n)
 	}
 }

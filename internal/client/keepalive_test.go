@@ -19,21 +19,23 @@ import (
 )
 
 // tap is a counting dialer for a player: it records every connection the
-// player opens, how many writes each carried, the receive buffer the player
-// asked for, whether it was closed, and whether two goroutines ever used one
-// at the same time.
+// player opens, how many writes each carried, the largest buffer read into,
+// the receive buffer the player asked for, whether it was closed, and
+// whether two goroutines ever used one at the same time.
 type tap struct {
 	mu      sync.Mutex
 	streams []*tapStream
 }
 
 type tapStream struct {
-	rw      io.ReadWriteCloser
-	writes  atomic.Int64
-	rcvbuf  atomic.Int64
-	closed  atomic.Bool
-	busy    atomic.Int32
-	overlap atomic.Bool
+	rw     io.ReadWriteCloser
+	writes atomic.Int64
+	// maxReadCap is the largest capacity of a buffer passed to Read.
+	maxReadCap atomic.Int64
+	rcvbuf     atomic.Int64
+	closed     atomic.Bool
+	busy       atomic.Int32
+	overlap    atomic.Bool
 }
 
 func (t *tap) dial(addr string) (*transport.Conn, error) {
@@ -70,6 +72,9 @@ func (s *tapStream) enter() func() {
 
 func (s *tapStream) Read(p []byte) (int, error) {
 	defer s.enter()()
+	if c := int64(cap(p)); c > s.maxReadCap.Load() {
+		s.maxReadCap.Store(c)
+	}
 	return s.rw.Read(p)
 }
 

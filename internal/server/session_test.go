@@ -79,7 +79,7 @@ func TestRelayJoinWireOrder(t *testing.T) {
 				bytes   int64
 			)
 			for {
-				m, f, err := conn.ReadFrameOrMessage(pool)
+				m, p, f, err := conn.ReadClusterOrMessage(pool)
 				if err != nil {
 					t.Fatalf("after %d clusters: %v", len(indices), err)
 				}
@@ -101,10 +101,7 @@ func TestRelayJoinWireOrder(t *testing.T) {
 				}
 				typ := f.Type
 				if typ == transport.FrameCluster {
-					p, body, err := transport.DecodeClusterFrame(f)
-					if err != nil {
-						t.Fatal(err)
-					}
+					body := f.Payload
 					if !media.Verify(title.Name, p.Offset, body) {
 						t.Fatalf("cluster %d failed content verification", p.Index)
 					}

@@ -98,7 +98,8 @@ var (
 	ErrClusterFramesRefused = errors.New("peer refused " + CapClusterFrames)
 )
 
-// Frame is one received binary frame.
+// Frame is one received binary frame, or one cluster body on its way to a
+// writer.
 //
 // Ownership rule: Payload is leased from the BufferPool that decoded the
 // frame and remains valid while the frame holds at least one reference. A
@@ -117,31 +118,43 @@ type Frame struct {
 	Flags   byte
 	Payload []byte
 
-	pool *BufferPool
-	buf  []byte
 	refs atomic.Int32
 
-	// File-backed body (NewFileFrame): the bytes live in [foff, foff+fsize)
-	// of file instead of Payload, so a writer can hand them to the kernel
-	// send path (sendfile) without a userspace copy. done releases
-	// the underlying pin (disk.FileRef.Close) on the final Release.
-	file  *os.File
-	foff  int64
-	fsize int64
-	done  func()
-
-	// Pipe-backed body (ReadClusterReply with a PipePool): the psize bytes
-	// sit in a kernel pipe and leave it by splice to a socket. A pipe can be
-	// read only once, so the frame has exactly one holder: Retain panics,
-	// and a body that must be shared is moved to a pooled buffer first
-	// (Materialize).
-	pipe  *splicePipe
-	psize int64
+	// The body: kind says where its size bytes live (see bodyKind), and
+	// each operation on it is one switch on kind.
+	kind bodyKind
+	size int64
+	file *os.File // kindFile: the body is [off, off+size) of file
+	off  int64
+	pipe *splicePipe // kindPipe: the pipe holds the body
+	// What the final Release gives back: Payload's lease to pool
+	// (kindBytes; nil means unpooled) or the file's pin, by running done
+	// (kindFile). A pipe goes back to its own pool.
+	pool *BufferPool
+	done func()
 
 	// recycle marks a frame of ReadClusterReply's, which goes back to
 	// replyFrames on its final Release.
 	recycle bool
 }
+
+// bodyKind names where a frame's body lives.
+type bodyKind uint8
+
+const (
+	// kindBytes: Payload, leased from pool.
+	kindBytes bodyKind = iota
+	// kindFile: a range of a file, typically a pinned disk.FileRef, which a
+	// writer hands to sendfile(2) without a userspace copy. Holders use
+	// only positioned I/O on the file, never Seek: the descriptor is shared
+	// with every concurrent reader of the block.
+	kindFile
+	// kindPipe: a kernel pipe (ReadClusterReply with a PipePool), which a
+	// writer empties into a socket by splice(2). A pipe can be read only
+	// once, so the frame has exactly one holder: Retain panics, and a body
+	// that must be shared is moved to a pooled buffer first (Materialize).
+	kindPipe
+)
 
 // replyFrames recycles the frames ReadClusterReply returns, so the
 // steady-state reply read allocates nothing.
@@ -152,71 +165,28 @@ var replyFrames = sync.Pool{New: func() any { return new(Frame) }}
 // retain/release fan-out path as frames decoded off the wire. A nil pool
 // means buf was allocated unpooled and the final Release just drops it.
 func NewLeasedFrame(pool *BufferPool, buf []byte) *Frame {
-	f := &Frame{Payload: buf, pool: pool, buf: buf}
+	f := &Frame{}
 	f.refs.Store(1)
+	f.setBytes(pool, buf)
 	return f
 }
 
 // NewFileFrame wraps a file-backed body — size bytes at offset off of file,
 // typically a pinned disk.FileRef — in a frame with one reference. The frame
 // flows through the same Retain/Release fan-out as byte-backed frames
-// (Payload stays nil; writers branch on FileBody), and done — which may be
-// nil — runs once when the last reference is released, releasing the pin.
-// Holders must only use positioned I/O on file, never Seek: the descriptor
-// is shared with every concurrent reader of the block.
+// (Payload stays nil), and done — which may be nil — runs once when the last
+// reference is released, releasing the pin.
 func NewFileFrame(file *os.File, off, size int64, done func()) *Frame {
-	f := &Frame{Type: FrameCluster, Version: FrameVersion, file: file, foff: off, fsize: size, done: done}
+	f := &Frame{Type: FrameCluster, Version: FrameVersion, kind: kindFile, size: size, file: file, off: off, done: done}
 	f.refs.Store(1)
 	return f
 }
 
-// FileBody returns the file-backed body's descriptor and data offset, with
-// ok reporting whether this frame is file-backed at all (byte-backed frames
-// return ok == false). The descriptor follows the frame's ownership rule:
-// valid until the holder's Release.
-func (f *Frame) FileBody() (file *os.File, off int64, ok bool) {
-	if f == nil || f.file == nil {
-		return nil, 0, false
-	}
-	return f.file, f.foff, true
-}
-
-// BodyLen returns the frame's body length in bytes for any backing.
-func (f *Frame) BodyLen() int64 {
-	switch {
-	case f == nil:
-		return 0
-	case f.file != nil:
-		return f.fsize
-	case f.pipe != nil:
-		return f.psize
-	}
-	return int64(len(f.Payload))
-}
-
-// Materialize moves a pipe-backed body into a buffer leased from pool, in
-// place: the frame becomes byte-backed and may then be retained and fanned
-// out. The emptied pipe goes back to its pool. Frames with any other backing
-// are left as they are.
-func (f *Frame) Materialize(pool *BufferPool) error {
-	if f == nil || f.pipe == nil {
-		return nil
-	}
-	p := f.pipe
-	if p.held != f.psize {
-		return errPipeShort
-	}
-	buf := leaseBuf(pool, f.psize)
-	if err := p.drain(buf); err != nil {
-		if pool != nil {
-			pool.Put(buf)
-		}
-		return fmt.Errorf("drain pipe body: %w", err)
-	}
-	f.pipe = nil
-	p.pool.put(p)
-	f.pool, f.buf, f.Payload = pool, buf, buf
-	return nil
+// setBytes makes buf, leased from pool (nil: allocated unpooled), the
+// frame's body, and returns it.
+func (f *Frame) setBytes(pool *BufferPool, buf []byte) []byte {
+	f.kind, f.size, f.Payload, f.pool = kindBytes, int64(len(buf)), buf, pool
+	return buf
 }
 
 // leaseBuf leases n bytes from pool, or allocates them when pool is nil.
@@ -225,6 +195,39 @@ func leaseBuf(pool *BufferPool, n int64) []byte {
 		return pool.Get(int(n))
 	}
 	return make([]byte, n)
+}
+
+// BodyLen returns the frame's body length in bytes for any backing.
+func (f *Frame) BodyLen() int64 {
+	if f == nil {
+		return 0
+	}
+	return f.size
+}
+
+// Materialize moves a pipe-backed body into a buffer leased from pool, in
+// place: the frame becomes byte-backed and may then be retained and fanned
+// out. The emptied pipe goes back to its pool. Frames with any other backing
+// are left as they are: a file frame may be shared by holders reading it.
+func (f *Frame) Materialize(pool *BufferPool) error {
+	if f == nil || f.kind != kindPipe {
+		return nil
+	}
+	p := f.pipe
+	if p.held != f.size {
+		return errPipeShort
+	}
+	buf := leaseBuf(pool, f.size)
+	if err := p.drain(buf); err != nil {
+		if pool != nil {
+			pool.Put(buf)
+		}
+		return fmt.Errorf("drain pipe body: %w", err)
+	}
+	f.pipe = nil
+	p.pool.put(p)
+	f.setBytes(pool, buf)
+	return nil
 }
 
 // BodyBytes materializes the frame's body as a byte slice: byte-backed
@@ -240,24 +243,23 @@ func (f *Frame) BodyBytes(pool *BufferPool) (body []byte, free func(), err error
 	if f == nil {
 		return nil, free, errors.New("transport: BodyBytes on nil frame")
 	}
-	if err := f.Materialize(pool); err != nil {
-		return nil, free, err
+	switch f.kind {
+	case kindPipe:
+		if err := f.Materialize(pool); err != nil {
+			return nil, free, err
+		}
+	case kindFile:
+		buf := leaseBuf(pool, f.size)
+		if pool != nil {
+			free = func() { pool.Put(buf) }
+		}
+		if _, err := f.file.ReadAt(buf, f.off); err != nil {
+			free()
+			return nil, func() {}, fmt.Errorf("read file-backed body: %w", err)
+		}
+		return buf, free, nil
 	}
-	if f.file == nil {
-		return f.Payload, free, nil
-	}
-	var buf []byte
-	if pool != nil {
-		buf = pool.Get(int(f.fsize))
-		free = func() { pool.Put(buf) }
-	} else {
-		buf = make([]byte, f.fsize)
-	}
-	if _, err := f.file.ReadAt(buf, f.foff); err != nil {
-		free()
-		return nil, func() {}, fmt.Errorf("read file-backed body: %w", err)
-	}
-	return buf, free, nil
+	return f.Payload, free, nil
 }
 
 // Retain adds one reference to the frame and returns it. Each Retain must be
@@ -267,7 +269,7 @@ func (f *Frame) Retain() *Frame {
 	if f == nil {
 		return nil
 	}
-	if f.pipe != nil {
+	if f.kind == kindPipe {
 		panic("transport: Retain on a pipe-backed frame (Materialize it first)")
 	}
 	if f.refs.Add(1) <= 1 {
@@ -276,10 +278,11 @@ func (f *Frame) Retain() *Frame {
 	return f
 }
 
-// Release drops one reference; the payload buffer returns to its pool when
-// the last reference is dropped. Releasing a frame more times than it was
-// retained panics — the buffer could otherwise be recycled while another
-// holder is still reading it.
+// Release drops one reference; the body's backing is given back when the
+// last reference is dropped: the payload buffer to its pool, the file's pin
+// by running done, the pipe to its pool (closed if it still holds bytes).
+// Releasing a frame more times than it was retained panics — the buffer
+// could otherwise be recycled while another holder is still reading it.
 func (f *Frame) Release() {
 	if f == nil {
 		return
@@ -290,17 +293,20 @@ func (f *Frame) Release() {
 	case n < 0:
 		panic("transport: Frame double release")
 	}
-	if f.pool != nil && f.buf != nil {
-		f.pool.Put(f.buf)
-	}
-	if f.done != nil {
-		f.done()
-	}
-	if f.pipe != nil {
+	switch f.kind {
+	case kindBytes:
+		if f.pool != nil {
+			f.pool.Put(f.Payload)
+		}
+	case kindFile:
+		if f.done != nil {
+			f.done()
+		}
+	case kindPipe:
 		f.pipe.pool.put(f.pipe)
 	}
-	f.pool, f.buf, f.Payload = nil, nil, nil
-	f.file, f.done, f.pipe = nil, nil, nil
+	f.kind, f.size, f.Payload, f.pool = kindBytes, 0, nil, nil
+	f.file, f.pipe, f.done = nil, nil, nil
 	if f.recycle {
 		replyFrames.Put(f)
 	}
@@ -375,30 +381,6 @@ func (m clusterMeta) payload(title, source string) ClusterPayload {
 		Length: int64(m.length),
 		Source: topology.NodeID(source),
 	}
-}
-
-// DecodeClusterFrame parses a FrameCluster payload into the cluster meta and
-// its body. The body aliases f.Payload, so it follows the frame's ownership
-// rule: valid until f.Release.
-func DecodeClusterFrame(f *Frame) (ClusterPayload, []byte, error) {
-	if f.Type != FrameCluster {
-		return ClusterPayload{}, nil, fmt.Errorf("%w: frame type 0x%02x is not a cluster", ErrBadFrame, f.Type)
-	}
-	b := f.Payload
-	if len(b) < clusterMetaFixed {
-		return ClusterPayload{}, nil, fmt.Errorf("%w: cluster meta truncated (%d bytes)", ErrBadFrame, len(b))
-	}
-	m := parseClusterMeta(b)
-	metaLen := m.metaLen()
-	if len(b) < metaLen {
-		return ClusterPayload{}, nil, fmt.Errorf("%w: cluster names truncated", ErrBadFrame)
-	}
-	body := b[metaLen:]
-	if err := m.check(int64(len(body))); err != nil {
-		return ClusterPayload{}, nil, err
-	}
-	names := b[clusterMetaFixed:metaLen]
-	return m.payload(string(names[:m.titleLen]), string(names[m.titleLen:])), body, nil
 }
 
 // buildClusterHeaderLocked assembles the binary frame header plus cluster
@@ -504,7 +486,7 @@ func (c *Conn) WriteClusterBody(pool *BufferPool, msgType string, p ClusterPaylo
 		defer free()
 		return false, c.WriteMessageWithBody(m, data)
 	}
-	if body.file == nil && body.pipe == nil {
+	if body.kind == kindBytes {
 		return false, c.WriteClusterFrame(p, body.Payload)
 	}
 	c.wmu.Lock()
@@ -516,12 +498,7 @@ func (c *Conn) WriteClusterBody(pool *BufferPool, msgType string, p ClusterPaylo
 	if err := c.writeVectoredLocked(scratch); err != nil {
 		return false, fmt.Errorf("write cluster frame: %w", err)
 	}
-	if body.pipe != nil {
-		kernel, err = c.spliceBodyLocked(body.pipe, size)
-	} else {
-		kernel, err = c.sendBodyLocked(body.file, body.foff, size)
-	}
-	if err != nil {
+	if kernel, err = c.kernelSendLocked(body); err != nil {
 		return kernel, fmt.Errorf("write cluster body: %w", err)
 	}
 	if kernel {
@@ -695,21 +672,20 @@ func (c *Conn) readReplyBodyLocked(f *Frame, pool *BufferPool, pipes *PipePool, 
 			p.pool.put(p)
 			p = nil
 		case got == size:
-			f.pipe, f.psize = p, size
+			f.kind, f.size, f.pipe = kindPipe, size, p
 			return nil
 		}
 	}
-	f.pool, f.buf = pool, leaseBuf(pool, size)
-	f.Payload = f.buf
+	buf := f.setBytes(pool, leaseBuf(pool, size))
 	if p != nil {
 		p.pool.overflows.Inc()
-		err := p.drain(f.buf[:got])
+		err := p.drain(buf[:got])
 		p.pool.put(p)
 		if err != nil {
 			return err
 		}
 	}
-	_, err := io.ReadFull(c.rw, f.buf[got:])
+	_, err := io.ReadFull(c.rw, buf[got:])
 	return err
 }
 
@@ -792,13 +768,11 @@ func (c *Conn) readFrameLocked(pool *BufferPool) (*Frame, error) {
 // readPayloadLocked reads the n-byte payload of a binary frame whose header
 // has been read into a frame leased from pool. Callers hold rmu.
 func (c *Conn) readPayloadLocked(version, typ, flags byte, n uint32, pool *BufferPool) (*Frame, error) {
-	f := &Frame{Version: version, Type: typ, Flags: flags, pool: pool, buf: leaseBuf(pool, int64(n))}
-	f.refs.Store(1)
-	if _, err := io.ReadFull(c.rw, f.buf); err != nil {
-		f.Release()
+	f, err := c.readBodyLocked(int64(n), pool)
+	if err != nil {
 		return nil, fmt.Errorf("%w: truncated payload: %v", ErrBadFrame, err)
 	}
-	f.Payload = f.buf
+	f.Version, f.Type, f.Flags = version, typ, flags
 	return f, nil
 }
 

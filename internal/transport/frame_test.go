@@ -43,7 +43,7 @@ func TestClusterFrameRoundTrip(t *testing.T) {
 	if err := c.WriteClusterFrame(payload, body); err != nil {
 		t.Fatal(err)
 	}
-	m, f, err := c.ReadFrameOrMessage(pool)
+	m, got, f, err := c.ReadClusterOrMessage(pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,14 +53,10 @@ func TestClusterFrameRoundTrip(t *testing.T) {
 	if f.Version != FrameVersion || f.Type != FrameCluster || f.Flags != 0 {
 		t.Fatalf("frame header = %+v", f)
 	}
-	got, gotBody, err := DecodeClusterFrame(f)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if got != payload {
 		t.Fatalf("payload = %+v, want %+v", got, payload)
 	}
-	if !bytes.Equal(gotBody, body) {
+	if !bytes.Equal(f.Payload, body) {
 		t.Fatal("body corrupted in transit")
 	}
 	f.Release()
@@ -90,12 +86,9 @@ func TestFrameDemux(t *testing.T) {
 	if err != nil || f != nil || m.Type != TypePing {
 		t.Fatalf("first item: m=%+v f=%v err=%v", m, f, err)
 	}
-	_, f, err = c.ReadFrameOrMessage(nil)
-	if err != nil || f == nil {
-		t.Fatalf("second item: f=%v err=%v", f, err)
-	}
-	if _, _, err := DecodeClusterFrame(f); err != nil {
-		t.Fatal(err)
+	_, p, f, err := c.ReadClusterOrMessage(nil)
+	if err != nil || f == nil || p != payload {
+		t.Fatalf("second item: p=%+v f=%v err=%v", p, f, err)
 	}
 	f.Release()
 	m, f, err = c.ReadFrameOrMessage(nil)
@@ -142,8 +135,8 @@ func TestReadClusterOrMessage(t *testing.T) {
 	if p != payload || !bytes.Equal(f.Payload, body) {
 		t.Fatalf("cluster = %+v, body equal %v", p, bytes.Equal(f.Payload, body))
 	}
-	if cap(f.buf) != len(body) {
-		t.Fatalf("body leased from the %d-byte class, want %d", cap(f.buf), len(body))
+	if cap(f.Payload) != len(body) {
+		t.Fatalf("body leased from the %d-byte class, want %d", cap(f.Payload), len(body))
 	}
 	f.Retain().Release()
 	f.Release()
@@ -222,9 +215,8 @@ func TestDecodeFrameErrors(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c := NewConn(&frameStream{*bytes.NewBuffer(tc.mutate(valid()))})
-			_, f, err := c.ReadFrameOrMessage(nil)
+			_, _, f, err := c.ReadClusterOrMessage(nil)
 			if err == nil {
-				_, _, err = DecodeClusterFrame(f)
 				f.Release()
 			}
 			if !errors.Is(err, tc.wantErr) {
@@ -240,12 +232,11 @@ func TestDecodeFrameErrors(t *testing.T) {
 		// frame payload, which starts at FrameHeaderLen).
 		binary.BigEndian.PutUint64(raw[FrameHeaderLen+12:FrameHeaderLen+20], uint64(len(body)+1))
 		c := NewConn(&frameStream{*bytes.NewBuffer(raw)})
-		_, f, err := c.ReadFrameOrMessage(nil)
-		if err != nil {
-			t.Fatal(err)
+		_, _, f, err := c.ReadClusterOrMessage(nil)
+		if err == nil {
+			f.Release()
 		}
-		defer f.Release()
-		if _, _, err := DecodeClusterFrame(f); !errors.Is(err, ErrBadFrame) {
+		if !errors.Is(err, ErrBadFrame) {
 			t.Fatalf("error = %v, want ErrBadFrame", err)
 		}
 	})
@@ -268,22 +259,18 @@ func TestFramePayloadOwnership(t *testing.T) {
 	if err := c.WriteClusterFrame(p2, b2); err != nil {
 		t.Fatal(err)
 	}
-	_, f1, err := c.ReadFrameOrMessage(pool)
+	_, _, f1, err := c.ReadClusterOrMessage(pool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, f2, err := c.ReadFrameOrMessage(pool)
+	_, _, f2, err := c.ReadClusterOrMessage(pool)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if &f1.Payload[0] == &f2.Payload[0] {
 		t.Fatal("in-flight frames share a backing array")
 	}
-	_, body1, err := DecodeClusterFrame(f1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(body1, b1) {
+	if !bytes.Equal(f1.Payload, b1) {
 		t.Fatal("first frame corrupted by second read")
 	}
 	f1.Release()
@@ -373,6 +360,20 @@ func TestBufferPool(t *testing.T) {
 	}
 	if pool.misses.Value() < 2 {
 		t.Fatalf("misses = %d, want at least 2", pool.misses.Value())
+	}
+}
+
+// TestBufferPoolZeroAlloc: a steady-state lease and return allocates
+// nothing, so a pooled cluster read or send pays no allocation for its
+// buffer.
+func TestBufferPoolZeroAlloc(t *testing.T) {
+	pool := NewBufferPool(nil)
+	pool.Put(pool.Get(256 << 10))
+	allocs := testing.AllocsPerRun(100, func() {
+		pool.Put(pool.Get(256 << 10))
+	})
+	if allocs != 0 {
+		t.Fatalf("Get/Put allocates %.1f/op, want 0", allocs)
 	}
 }
 
@@ -485,8 +486,10 @@ func TestAcceptHelloGrantsOnlyClusterFrames(t *testing.T) {
 	}
 }
 
-// FuzzDecodeFrame throws arbitrary bytes at the binary frame reader and the
-// cluster decoder: no panics, and every malformed input yields an error.
+// FuzzDecodeFrame throws arbitrary bytes at the stream reader and its cluster
+// decoder: no panics, every malformed input yields an error, and a cluster
+// it accepts carries a consistent length field and re-encodes to the bytes
+// it was read from.
 func FuzzDecodeFrame(f *testing.F) {
 	payload, body := testClusterPayload(512)
 	c, s := newFrameConn()
@@ -510,7 +513,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	pool := NewBufferPool(nil)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := NewConn(&frameStream{*bytes.NewBuffer(data)})
-		m, fr, err := c.ReadFrameOrMessage(pool)
+		m, p, fr, err := c.ReadClusterOrMessage(pool)
 		if err != nil {
 			return
 		}
@@ -521,13 +524,21 @@ func FuzzDecodeFrame(f *testing.F) {
 			return
 		}
 		defer fr.Release()
-		if _, _, err := DecodeClusterFrame(fr); err == nil {
-			// A structurally valid cluster frame must carry a consistent
-			// length field.
-			p, b, _ := DecodeClusterFrame(fr)
-			if p.Length != int64(len(b)) {
-				t.Fatalf("decoded inconsistent cluster: %+v with %d body bytes", p, len(b))
-			}
+		if fr.Type != FrameCluster {
+			return
+		}
+		if p.Length != int64(len(fr.Payload)) {
+			t.Fatalf("decoded inconsistent cluster: %+v with %d body bytes", p, len(fr.Payload))
+		}
+		var s sink
+		w := NewConn(&s)
+		if err := w.WriteClusterFrame(p, fr.Payload); err != nil {
+			t.Fatalf("re-encode accepted cluster %+v: %v", p, err)
+		}
+		wire := s.Bytes()
+		wire[4] = fr.Flags // WriteClusterFrame sends no flags
+		if !bytes.HasPrefix(data, wire) {
+			t.Fatalf("cluster %+v re-encodes to other bytes than it was read from", p)
 		}
 	})
 }
@@ -620,15 +631,11 @@ func BenchmarkFraming(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
 				// Pooled receive pipeline: lease, decode in place, release.
-				_, f, err := rcv.ReadFrameOrMessage(recvPool)
+				_, _, f, err := rcv.ReadClusterOrMessage(recvPool)
 				if err != nil {
 					b.Fatal(err)
 				}
-				_, got, err := DecodeClusterFrame(f)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(got) != size {
+				if len(f.Payload) != size {
 					b.Fatal("short body")
 				}
 				f.Release()

@@ -19,7 +19,7 @@ func TestSendfileTruncatedFile(t *testing.T) {
 
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if _, err := c.sendBodyLocked(f, off, int64(2*len(data))); err != io.ErrUnexpectedEOF {
+	if _, err := c.kernelSendLocked(NewFileFrame(f, off, int64(2*len(data)), nil)); err != io.ErrUnexpectedEOF {
 		t.Fatalf("sendfile past EOF: err = %v, want io.ErrUnexpectedEOF", err)
 	}
 }

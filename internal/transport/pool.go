@@ -3,6 +3,7 @@ package transport
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"dvod/internal/metrics"
 )
@@ -26,6 +27,9 @@ const (
 // transport.pool_misses, and transport.pool_returns in the registry the pool
 // was built with (a server's pool reports on its GET /metrics endpoint).
 type BufferPool struct {
+	// classes holds, per size class, the first byte of each idle buffer's
+	// array: a pointer fits an interface without the heap allocation a
+	// slice header would need, so Put allocates nothing.
 	classes [numPoolSizes]sync.Pool
 	hits    *metrics.Counter
 	misses  *metrics.Counter
@@ -83,7 +87,7 @@ func (p *BufferPool) Get(n int) []byte {
 	}
 	if v := p.classes[c].Get(); v != nil {
 		p.hits.Inc()
-		return (*v.(*[]byte))[:n]
+		return unsafe.Slice(v.(*byte), 1<<(minPoolShift+c))[:n]
 	}
 	p.misses.Inc()
 	return make([]byte, n, 1<<(minPoolShift+c))
@@ -98,9 +102,8 @@ func (p *BufferPool) Put(buf []byte) {
 	if c < 0 || cap(buf) != 1<<(minPoolShift+c) {
 		return
 	}
-	full := buf[:cap(buf)]
 	p.returns.Inc()
-	p.classes[c].Put(&full)
+	p.classes[c].Put(unsafe.SliceData(buf))
 }
 
 // Outstanding reports leases handed out by Get and not yet returned by Put.

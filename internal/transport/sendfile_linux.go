@@ -4,19 +4,18 @@ package transport
 
 import (
 	"io"
-	"os"
 	"syscall"
 )
 
-// Linux kernel send path: a cluster body that is file-backed
-// (Frame.FileBody) is handed to sendfile(2) and one that is pipe-backed to
-// splice(2), so the bytes travel page cache or pipe → socket without ever
-// entering Go userspace. The loop runs inside syscall.RawConn.Write, which
-// parks on the runtime poller on EAGAIN and resumes when the socket drains,
-// so a slow receiver costs a blocked goroutine, not a spin. File sources are
-// always addressed with explicit offsets (the pread convention), never the
-// descriptor's file position: the descriptor is shared with every concurrent
-// reader of the same block.
+// Linux kernel send path: a cluster body that is file-backed is handed to
+// sendfile(2) and one that is pipe-backed to splice(2), so the bytes travel
+// page cache or pipe → socket without ever entering Go userspace. The loop
+// runs inside syscall.RawConn.Write, which parks on the runtime poller on
+// EAGAIN and resumes when the socket drains, so a slow receiver costs a
+// blocked goroutine, not a spin. File sources are always addressed with
+// explicit offsets (the pread convention), never the descriptor's file
+// position: the descriptor is shared with every concurrent reader of the
+// same block.
 
 // kernelState is the per-connection Linux kernel-send state, all guarded by
 // the connection's write lock. The RawConn and the step callback are bound
@@ -30,10 +29,8 @@ type kernelState struct {
 	sfStep func(fd uintptr) bool
 
 	// One transfer's state, reset by kernelSendLocked per body.
-	src         int   // source file or pipe read-end descriptor
-	fromPipe    bool  // splice from a pipe rather than sendfile from a file
-	off, size   int64 // body range within the source file
-	sent        int64 // bytes delivered to the socket
+	body        *Frame // the file or pipe body in flight
+	sent        int64  // bytes delivered to the socket
 	opErr       error
 	unsupported bool
 }
@@ -49,30 +46,18 @@ const (
 	spliceNonblock = 0x2
 )
 
-// sendBodyLocked transfers size bytes at offset off of f into the
-// connection's stream with sendfile(2). It reports kernel = false (with a
-// nil error) when the stream has no usable kernel path — not a real socket,
-// or sendfile refused the transfer before moving any bytes — in which case
-// the caller falls back to the userspace copy. A non-nil error means bytes
-// may have moved and the stream is no longer framable. Callers hold wmu.
-func (c *Conn) sendBodyLocked(f *os.File, off, size int64) (bool, error) {
-	return c.kernelSendLocked(int(f.Fd()), false, off, size)
-}
-
-// spliceBodyLocked moves the size bytes p holds into the connection's stream
-// with splice(2), with sendBodyLocked's results. Whatever moved is taken off
-// p.held, so a pipe a failed send left bytes in is closed, not reused.
-// Callers hold wmu.
-func (c *Conn) spliceBodyLocked(p *splicePipe, size int64) (bool, error) {
-	kernel, err := c.kernelSendLocked(p.r, true, 0, size)
-	p.held -= c.ks.sent
-	return kernel, err
-}
-
-func (c *Conn) kernelSendLocked(src int, fromPipe bool, off, size int64) (bool, error) {
+// kernelSendLocked moves a file or pipe body into the connection's stream
+// inside the kernel: sendfile(2) from a file, splice(2) from a pipe. It
+// reports kernel = false (with a nil error) when the stream has no usable
+// kernel path — not a real socket, or the kernel refused the transfer before
+// moving any bytes — in which case the caller falls back to the userspace
+// copy. A non-nil error means bytes may have moved and the stream is no
+// longer framable; a pipe then still holds the rest, so its release closes
+// it. Callers hold wmu.
+func (c *Conn) kernelSendLocked(body *Frame) (bool, error) {
 	ks := &c.ks
 	ks.sent = 0
-	if size == 0 {
+	if body.size == 0 {
 		return true, nil
 	}
 	if !ks.rcOK {
@@ -87,12 +72,11 @@ func (c *Conn) kernelSendLocked(src int, fromPipe bool, off, size int64) (bool, 
 		ks.rc, ks.rcOK = rc, true
 		ks.sfStep = c.sendfileStep
 	}
-	ks.src, ks.fromPipe = src, fromPipe
-	ks.off, ks.size = off, size
-	ks.opErr, ks.unsupported = nil, false
+	ks.body, ks.opErr, ks.unsupported = body, nil, false
 	if err := ks.rc.Write(ks.sfStep); err != nil && ks.opErr == nil {
 		ks.opErr = err
 	}
+	ks.body = nil
 	if ks.opErr != nil {
 		return true, ks.opErr
 	}
@@ -107,20 +91,21 @@ func (c *Conn) kernelSendLocked(src int, fromPipe bool, off, size int64) (bool, 
 // socket is full, never that the pipe is empty.
 func (c *Conn) sendfileStep(fd uintptr) bool {
 	ks := &c.ks
-	for ks.sent < ks.size {
-		chunk := int(min(ks.size-ks.sent, maxKernelChunk))
-		var n int
+	b := ks.body
+	for ks.sent < b.size {
+		chunk := int(min(b.size-ks.sent, maxKernelChunk))
+		var n int64
 		var err error
-		if ks.fromPipe {
-			var m int64
-			m, err = spliceN(ks.src, int(fd), chunk)
-			n = int(m)
+		if b.kind == kindPipe {
+			n, err = b.pipe.sendTo(int(fd), chunk)
 		} else {
-			pos := ks.off + ks.sent
-			n, err = syscall.Sendfile(int(fd), ks.src, &pos, chunk)
+			pos := b.off + ks.sent
+			var m int
+			m, err = syscall.Sendfile(int(fd), int(b.file.Fd()), &pos, chunk)
+			n = int64(m)
 		}
 		if n > 0 {
-			ks.sent += int64(n)
+			ks.sent += n
 		}
 		switch err {
 		case nil:

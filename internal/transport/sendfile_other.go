@@ -2,10 +2,7 @@
 
 package transport
 
-import (
-	"errors"
-	"os"
-)
+import "errors"
 
 // kernelState and recvState are empty off Linux: there is no kernel send or
 // splice path to hold state for.
@@ -14,17 +11,10 @@ type (
 	recvState   struct{}
 )
 
-// sendBodyLocked always reports no kernel path off Linux, so
-// WriteClusterBody streams file-backed bodies through the pooled-buffer
-// copy — byte-identical wire output, one copy more.
-func (c *Conn) sendBodyLocked(f *os.File, off, size int64) (bool, error) {
-	return false, nil
-}
-
-// spliceBodyLocked is never reached off Linux: no pipe is ever created.
-func (c *Conn) spliceBodyLocked(p *splicePipe, size int64) (bool, error) {
-	return false, nil
-}
+// kernelSendLocked always reports no kernel path off Linux, so
+// WriteClusterBody streams file-backed bodies through the pooled-buffer copy
+// — byte-identical wire output, one copy more. No pipe body is ever made.
+func (c *Conn) kernelSendLocked(*Frame) (bool, error) { return false, nil }
 
 // spliceable is false off Linux: no stream has a splice path.
 func (c *Conn) spliceable() bool { return false }

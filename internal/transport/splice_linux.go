@@ -37,6 +37,17 @@ func spliceN(in, out, n int) (int64, error) {
 	return int64(m), err
 }
 
+// sendTo splices up to n of the bytes p holds into the socket fd, taking
+// what moved off p.held, so a pipe a failed send left bytes in is closed,
+// not reused.
+func (p *splicePipe) sendTo(fd, n int) (int64, error) {
+	m, err := spliceN(p.r, fd, n)
+	if m > 0 {
+		p.held -= m
+	}
+	return m, err
+}
+
 // newPipe opens a non-blocking pipe and grows it to capacity bytes.
 func newPipe(capacity int) (r, w int, err error) {
 	var fds [2]int

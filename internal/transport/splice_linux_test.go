@@ -100,7 +100,7 @@ func TestSplicedReplyResentByteIdentical(t *testing.T) {
 	pipes := NewPipePool(nil, 4, int64(size))
 	defer pipes.Close()
 	p, fr := splicedReply(t, pool, pipes, data)
-	if fr.pipe == nil {
+	if fr.kind != kindPipe {
 		t.Fatal("reply body not in a pipe")
 	}
 	if fr.BodyLen() != int64(size) {
@@ -136,7 +136,7 @@ func TestPipeOverflowFinishesByCopy(t *testing.T) {
 	defer pipes.Close()
 	pipes.SetCapacity(4 << 10)
 	p, fr := splicedReply(t, pool, pipes, data)
-	if fr.pipe != nil {
+	if fr.kind == kindPipe {
 		t.Fatal("a body larger than its pipe stayed in the pipe")
 	}
 	if !bytes.Equal(fr.Payload, data) {
@@ -198,8 +198,8 @@ func TestPipeBodyBytesDrains(t *testing.T) {
 		t.Fatal("drained body differs")
 	}
 	free()
-	if fr.pipe != nil || fr.BodyLen() != int64(len(data)) {
-		t.Fatalf("frame after drain: pipe=%v len=%d", fr.pipe != nil, fr.BodyLen())
+	if fr.kind == kindPipe || fr.BodyLen() != int64(len(data)) {
+		t.Fatalf("frame after drain: pipe=%v len=%d", fr.kind == kindPipe, fr.BodyLen())
 	}
 	fr.Retain().Release()
 	fr.Release()
@@ -223,7 +223,7 @@ func TestSpliceSendZeroAlloc(t *testing.T) {
 	if p == nil {
 		t.Skip("no pipe available")
 	}
-	fr := &Frame{Version: FrameVersion, Type: FrameCluster, pipe: p, psize: int64(size)}
+	fr := &Frame{Version: FrameVersion, Type: FrameCluster, kind: kindPipe, pipe: p, size: int64(size)}
 	fr.refs.Store(1)
 	defer fr.Release()
 	cliNC, srvNC := tcpPair(t)

@@ -15,24 +15,24 @@
 // the top byte of every JSON length prefix at 0x00, while a binary frame
 // always opens with 0xD7.
 //
-// Frame flow of one delivered cluster on the zero-copy path:
+// Frame flow of one delivered cluster:
 //
 //	server                                          client
 //	──────                                          ──────
-//	pool.Get(c) ◄── BufferPool
-//	striping.ReadPartInto ──► buf
-//	WriteClusterFrame(meta, buf) ──► [hdr|meta][buf] ──► ReadFrameOrMessage
-//	pool.Put(buf)                                       │ pool.Get(len)
-//	                                                    ▼
-//	                                      DecodeClusterFrame ──► verify
-//	                                                    │
-//	                                            frame.Release ──► pool.Put
+//	disk.FileRef ──► NewFileFrame
+//	WriteClusterBody ──► [hdr|meta] by writev ──► ReadClusterOrMessage
+//	                     [body] by sendfile         │ meta ──► ClusterPayload
+//	frame.Release ──► FileRef.Close                  │ body ──► pool.Get(len)
+//	                                                ▼
+//	                                    verify ──► frame.Release ──► pool.Put
 //
-// The cluster body crosses each hop exactly once (disk→buffer, buffer→
-// socket, socket→buffer) with no marshaling and, in steady state, no
-// allocation: both ends lease buffers from a size-classed sync.Pool. On a
-// JSON client connection the same flow runs with a marshaled header frame
-// and a per-cluster allocated body.
+// The body never enters the server's userspace, and crosses the client's
+// socket into a body-sized pooled buffer exactly once, with no marshaling
+// and, in steady state, no buffer allocation. A frame's body is pooled
+// bytes, a file range or a kernel pipe (see Frame); a home relaying a peer's
+// cluster splices it socket → pipe → socket. On a JSON client connection the
+// same flow runs with a marshaled header frame and the body copied out of
+// the file.
 package transport
 
 import (
@@ -535,18 +535,12 @@ func (c *Conn) readBodyLocked(n int64, pool *BufferPool) (*Frame, error) {
 	if n < 0 || n > MaxFrameBytes*64 {
 		return nil, fmt.Errorf("%w: body length %d", ErrBadFrame, n)
 	}
-	f := &Frame{pool: pool}
+	f := &Frame{}
 	f.refs.Store(1)
-	if pool != nil {
-		f.buf = pool.Get(int(n))
-	} else {
-		f.buf = make([]byte, n)
-	}
-	if _, err := io.ReadFull(c.rw, f.buf); err != nil {
+	if _, err := io.ReadFull(c.rw, f.setBytes(pool, leaseBuf(pool, n))); err != nil {
 		f.Release()
 		return nil, fmt.Errorf("read body: %w", err)
 	}
-	f.Payload = f.buf
 	return f, nil
 }
 
