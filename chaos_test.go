@@ -10,16 +10,16 @@ import (
 )
 
 // TestChaosServerKillUnderLoad combines the resilience machinery end to end:
-// six live servers with heartbeat failover, three dual-replica titles,
-// concurrent clients watching in a loop while one replica holder is killed
-// mid-run. Every delivery that reports success must be byte-verified; after
+// six live servers, three dual-replica titles, concurrent clients watching
+// in a loop while one replica holder is killed mid-run. No failure detector
+// runs: each home finds the dead server by its failed fetches and its
+// breaker. Every delivery that reports success must be byte-verified; after
 // the kill, deliveries must keep succeeding via the surviving replicas.
 func TestChaosServerKillUnderLoad(t *testing.T) {
 	svc, err := New(GRNETTopology(),
 		WithClusterBytes(4096),
 		WithDisks(2, 4<<20),
 		WithNodeDisks("U2", 1, 1024), // the client site caches nothing
-		WithFailover(10*time.Millisecond, 50*time.Millisecond),
 	)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,8 @@
 package dvod
 
 import (
+	"errors"
+	"net"
 	"testing"
 	"time"
 
@@ -260,6 +262,43 @@ func TestChurnSuspectRecoversAfterPartition(t *testing.T) {
 	for _, viewer := range []NodeID{a, b} {
 		if st := svc.MemberStates(viewer); st[c] != MemberAlive {
 			t.Fatalf("%s did not see the healed node recover: %v", viewer, st)
+		}
+	}
+}
+
+// TestChurnJoinRacesClose runs a join beside Close. Whichever wins, no
+// listener stays open: a join that loses returns the closed error before it
+// builds anything, and one that wins is shut down by Close with the rest.
+func TestChurnJoinRacesClose(t *testing.T) {
+	for range 5 {
+		svc, err := New(GRNETTopology(), WithDisks(1, 1<<20), WithAdmission(100), WithMembership(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.Start(); err != nil {
+			t.Fatal(err)
+		}
+		joined := make(chan error, 1)
+		go func() {
+			joined <- svc.AddServer("U9", []LinkSpec{{A: "U9", B: "U1", CapacityMbps: 10}})
+		}()
+		if err := svc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		joinErr := <-joined
+		addr, addrErr := svc.ServerAddr("U9")
+		switch {
+		case joinErr == nil && addrErr == nil:
+			if c, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
+				c.Close()
+				t.Fatalf("joiner still listening on %s after Close", addr)
+			}
+		case errors.Is(joinErr, errClosed):
+			if addrErr == nil {
+				t.Fatalf("a refused join left a server at %q", addr)
+			}
+		default:
+			t.Fatalf("join beside Close = %v (server lookup %v)", joinErr, addrErr)
 		}
 	}
 }

@@ -97,7 +97,6 @@ func setup(w io.Writer, cfg config) (*deployment, error) {
 	opts := []dvod.Option{
 		dvod.WithClusterBytes(cfg.clusterBytes),
 		dvod.WithSNMPInterval(cfg.snmpInterval),
-		dvod.WithFailover(5*time.Second, 20*time.Second),
 	}
 	if cfg.mergeWindow != 0 {
 		opts = append(opts, dvod.WithMergeWindow(cfg.mergeWindow))

@@ -4,9 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
+	"maps"
 	"net/http"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -118,6 +119,9 @@ func buildGraph(spec TopologySpec) (*topology.Graph, error) {
 	return g, nil
 }
 
+// errClosed refuses Start and AddServer once Close has run.
+var errClosed = errors.New("dvod: service closed")
+
 // Service is a running distributed VoD deployment: one video server per
 // topology node (on localhost TCP), a shared database module, SNMP polling
 // of delivered traffic, DMA caching, and VRA routing.
@@ -127,23 +131,20 @@ type Service struct {
 	book    *transport.AddrBook
 	counter *transport.Counters
 	poller  *snmp.Poller
-	planner *core.Planner
-	health  *db.Health
 	// est differentiates the live plane's octet counters into Mbps for the
 	// SNMP agents (set at Start; joiners' agents reuse it).
 	est *snmp.RateEstimator
-	// available is the failover liveness filter (nil without WithFailover):
-	// the shared planner uses it as is, and each node's planner composes it
-	// with that node's membership view (nodeAvailable).
-	available func(NodeID) bool
 	// injector applies the armed fault plan (nil without WithFaultPlan).
 	injector *faults.Injector
 
-	// mu guards every per-node map below (and stopped): the fleet is
-	// elastic, so AddServer / DrainServer mutate them at runtime.
+	// mu guards every per-node map below (and stopped, started, closed): the
+	// fleet is elastic, so AddServer / DrainServer mutate them at runtime.
 	mu      sync.Mutex
 	servers map[NodeID]*server.Server
-	caches  map[NodeID]*cache.DMA
+	// planners hold each node's VRA planner, the one its server plans every
+	// cluster with; Plan and the web module answer through the home's.
+	planners map[NodeID]*core.Planner
+	caches   map[NodeID]*cache.DMA
 	// prefixes exist per node with WithPrefixBudget.
 	prefixes map[NodeID]*prefix.Manager
 	// directors exist for every node (the stateless front door; inert
@@ -162,8 +163,6 @@ type Service struct {
 	// StopServer announces a fresh epoch so peers reset their delta-sync
 	// acks instead of trusting state the restarted node no longer holds.
 	epochs  map[NodeID]uint64
-	hbStop  chan struct{}
-	hbDone  chan struct{}
 	started bool
 	closed  bool
 }
@@ -185,21 +184,6 @@ func New(spec TopologySpec, opts ...Option) (*Service, error) {
 	d := db.New(g)
 	book := transport.NewAddrBook()
 	counters := transport.NewCounters()
-	var (
-		health    *db.Health
-		available func(NodeID) bool
-	)
-	if o.failoverMaxAge > 0 {
-		health, err = db.NewHealth(o.failoverMaxAge)
-		if err != nil {
-			return nil, err
-		}
-		available = health.Filter(o.clock.Now)
-	}
-	planner, err := core.NewPlanner(d, o.selector, available)
-	if err != nil {
-		return nil, err
-	}
 	var injector *faults.Injector
 	if o.faultPlan != nil {
 		injector, err = faults.NewInjector(*o.faultPlan, o.faultSeed, o.clock, metrics.NewRegistry())
@@ -213,16 +197,12 @@ func New(spec TopologySpec, opts ...Option) (*Service, error) {
 		book:      book,
 		counter:   counters,
 		servers:   make(map[NodeID]*server.Server, g.NumNodes()),
+		planners:  make(map[NodeID]*core.Planner, g.NumNodes()),
 		caches:    make(map[NodeID]*cache.DMA, g.NumNodes()),
 		directors: make(map[NodeID]*membership.Director, g.NumNodes()),
-		planner:   planner,
-		health:    health,
-		available: available,
 		injector:  injector,
 		stopped:   make(map[NodeID]bool),
 		epochs:    make(map[NodeID]uint64),
-		hbStop:    make(chan struct{}),
-		hbDone:    make(chan struct{}),
 	}
 	if o.prefixBudgetBytes > 0 {
 		svc.prefixes = make(map[NodeID]*prefix.Manager, g.NumNodes())
@@ -357,7 +337,7 @@ func (s *Service) buildNodeStack(node NodeID) error {
 		}
 		s.trackers[node] = tr
 	}
-	nodePlanner, err := core.NewPlanner(d, o.selector, nodeAvailable(s.available, tr))
+	nodePlanner, err := core.NewPlanner(d, o.selector, nodeAvailable(tr))
 	if err != nil {
 		return err
 	}
@@ -407,6 +387,7 @@ func (s *Service) buildNodeStack(node NodeID) error {
 		return err
 	}
 	s.servers[node] = srv
+	s.planners[node] = nodePlanner
 	s.caches[node] = dma
 	if err := d.RegisterServer(node, "dvod video server", o.clock.Now()); err != nil {
 		return err
@@ -443,26 +424,14 @@ func (s *Service) buildNodeStack(node NodeID) error {
 	return nil
 }
 
-// memberEventHook wires one node's membership events into the rest of the
-// stack: a failed member's ledger leases are reclaimed from this node's
-// replica immediately and routing stops considering it (failover health) —
-// both event-driven, neither waiting for a timeout. A graceful leave reclaims
-// leases the same way. (The node's planner reads its tracker directly; see
-// nodeAvailable.)
+// memberEventHook wires one node's membership events into its ledger: a
+// failed or departed member's leases are reclaimed from this node's replica
+// at once, not at lease expiry. Routing needs no event: the node's planner
+// reads its tracker directly (nodeAvailable).
 func (s *Service) memberEventHook(led *ledger.Ledger) func(membership.Event) {
 	return func(ev membership.Event) {
-		switch ev.Kind {
-		case membership.EventFail:
-			if led != nil {
-				led.ExpireOrigin(ev.Node)
-			}
-			if s.health != nil {
-				s.health.MarkDown(ev.Node)
-			}
-		case membership.EventLeave:
-			if led != nil {
-				led.ExpireOrigin(ev.Node)
-			}
+		if led != nil && (ev.Kind == membership.EventFail || ev.Kind == membership.EventLeave) {
+			led.ExpireOrigin(ev.Node)
 		}
 	}
 }
@@ -509,18 +478,16 @@ func memberViewFn(tr *membership.Tracker) func() []membership.Member {
 	return tr.Members
 }
 
-// nodeAvailable composes one node's planner filter: the failover table's
-// liveness when it is wired, and the node's own membership view, in which a
-// holder the node has declared Failed or Left is no candidate. A holder the
-// view does not know yet (a joiner still gossiping in) stays one.
-func nodeAvailable(live func(NodeID) bool, tr *membership.Tracker) func(NodeID) bool {
+// nodeAvailable is one node's planner filter over its own membership view: a
+// holder the node has declared Failed or Left is no candidate, and a holder
+// the view does not know yet (a joiner still gossiping in) stays one. Without
+// a tracker every holder is a candidate; a dead one is found by its failed
+// fetch, which excludes it for the next replica, and by its breaker.
+func nodeAvailable(tr *membership.Tracker) func(NodeID) bool {
 	if tr == nil {
-		return live
+		return nil
 	}
 	return func(n NodeID) bool {
-		if live != nil && !live(n) {
-			return false
-		}
 		m, ok := tr.Member(n)
 		return !ok || (m.State != membership.Failed && m.State != membership.Left)
 	}
@@ -583,10 +550,13 @@ func (s *Service) memberProbe(self NodeID) func(NodeID, string) error {
 // Start brings every video server online and begins SNMP polling of the
 // service's own delivered traffic.
 func (s *Service) Start() error {
-	if s.closed {
-		return errors.New("dvod: service closed")
+	s.mu.Lock()
+	closed, started := s.closed, s.started
+	s.mu.Unlock()
+	if closed {
+		return errClosed
 	}
-	if s.started {
+	if started {
 		return errors.New("dvod: service already started")
 	}
 	for _, node := range s.db.Graph().Nodes() {
@@ -636,17 +606,9 @@ func (s *Service) Start() error {
 	for _, mg := range s.mgossipers {
 		mg.Start()
 	}
-	if s.health != nil {
-		// Seed immediate liveness, then heartbeat in the background.
-		now := s.opts.clock.Now()
-		for _, node := range s.db.Graph().Nodes() {
-			s.health.Heartbeat(node, now)
-		}
-		go s.heartbeatLoop()
-	} else {
-		close(s.hbDone)
-	}
+	s.mu.Lock()
 	s.started = true
+	s.mu.Unlock()
 	return nil
 }
 
@@ -685,36 +647,14 @@ func (s *Service) PrefixClusters(node NodeID, title string) int {
 	return pm.PrefixClusters(title)
 }
 
-// heartbeatLoop refreshes liveness for every non-stopped server. Each wait
-// is jittered ±25% so a fleet of services started together does not
-// heartbeat (and hence refresh routing state) in lockstep forever.
-func (s *Service) heartbeatLoop() {
-	defer close(s.hbDone)
-	rng := rand.New(rand.NewSource(s.opts.faultSeed ^ 0x68656172)) // "hear"
-	for {
-		select {
-		case <-s.opts.clock.After(faults.Jitter(s.opts.failoverInterval, 0.25, rng)):
-			now := s.opts.clock.Now()
-			nodes := s.db.Graph().Nodes()
-			s.mu.Lock()
-			for _, node := range nodes {
-				if !s.stopped[node] && s.servers[node] != nil {
-					s.health.Heartbeat(node, now)
-				}
-			}
-			s.mu.Unlock()
-		case <-s.hbStop:
-			return
-		}
-	}
-}
-
-// StopServer takes one video server offline: its listener closes, its
-// heartbeats stop, and (with failover enabled) the routing immediately
-// stops considering it — the dynamic-adjustment behaviour the paper claims
-// for "server configuration changes". Peers are not told: the idle
-// connections they pool to this server die with it, and each is discarded
-// (and its fetch redialed, then failed over) the next time it is used.
+// StopServer takes one video server offline: its listener closes and its
+// gossipers stop. Peers are not told. Each finds the dead server through
+// traffic, the dynamic adjustment the paper claims for "server configuration
+// changes": the idle connections they pool to it die with it and are
+// discarded on next use, the failed fetch is redialed and then excluded so
+// the next replica serves, and the peer's breaker opens. With WithMembership
+// each node's tracker also declares it Failed after its quiet rounds, and
+// that node's planner stops choosing it.
 func (s *Service) StopServer(node NodeID) error {
 	s.mu.Lock()
 	srv, ok := s.servers[node]
@@ -731,9 +671,6 @@ func (s *Service) StopServer(node NodeID) error {
 	}
 	if mg != nil {
 		mg.Stop()
-	}
-	if s.health != nil {
-		s.health.MarkDown(node)
 	}
 	return srv.Close()
 }
@@ -753,7 +690,7 @@ func (s *Service) AddServer(node NodeID, links []LinkSpec) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return errors.New("dvod: service closed")
+		return errClosed
 	}
 	if !s.started {
 		s.mu.Unlock()
@@ -764,7 +701,6 @@ func (s *Service) AddServer(node NodeID, links []LinkSpec) error {
 		return fmt.Errorf("dvod: server %s already in the fleet", node)
 	}
 	s.mu.Unlock()
-	now := s.opts.clock.Now()
 	g := s.db.Graph().Clone()
 	if err := g.AddNode(node); err != nil {
 		return fmt.Errorf("dvod: join %s: %w", node, err)
@@ -777,20 +713,29 @@ func (s *Service) AddServer(node NodeID, links []LinkSpec) error {
 	if _, err := s.db.SetGraph(g); err != nil {
 		return fmt.Errorf("dvod: join %s: %w", node, err)
 	}
+	// The joiner is built and started under s.mu, so a concurrent Close
+	// either finds it running and stops it, or has run first and the join is
+	// refused before any listener opens.
 	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return errClosed
+	}
 	err := s.buildNodeStack(node)
-	srv := s.servers[node]
-	gsp := s.gossipers[node]
-	mg := s.mgossipers[node]
+	if err == nil {
+		err = s.servers[node].Start()
+	}
+	if err == nil {
+		if gsp := s.gossipers[node]; gsp != nil {
+			gsp.Start()
+		}
+		if mg := s.mgossipers[node]; mg != nil {
+			mg.Start()
+		}
+	}
 	s.mu.Unlock()
 	if err != nil {
 		return fmt.Errorf("dvod: join %s: %w", node, err)
-	}
-	if err := srv.Start(); err != nil {
-		return fmt.Errorf("dvod: join %s: %w", node, err)
-	}
-	if s.health != nil {
-		s.health.Heartbeat(node, now)
 	}
 	if s.poller != nil && s.est != nil {
 		a, err := snmp.NewDynamicAgent(node, s.db.Graph, s.est)
@@ -800,12 +745,6 @@ func (s *Service) AddServer(node NodeID, links []LinkSpec) error {
 		if err := s.poller.AddAgent(a); err != nil {
 			return fmt.Errorf("dvod: join %s: %w", node, err)
 		}
-	}
-	if gsp != nil {
-		gsp.Start()
-	}
-	if mg != nil {
-		mg.Start()
 	}
 	s.rereplicateTo(node)
 	return nil
@@ -984,9 +923,6 @@ func (s *Service) FinishDrain(node NodeID) error {
 	if gsp != nil {
 		gsp.Stop()
 	}
-	if s.health != nil {
-		s.health.MarkDown(node)
-	}
 	if s.poller != nil {
 		s.poller.RemoveAgent(node)
 	}
@@ -1017,22 +953,24 @@ func (s *Service) DrainServer(node NodeID) error {
 
 // Close stops polling and shuts every server down. It is idempotent.
 func (s *Service) Close() error {
+	s.mu.Lock()
 	if s.closed {
+		s.mu.Unlock()
 		return nil
 	}
 	s.closed = true
-	for _, gsp := range s.gossipers {
+	gossipers := slices.Collect(maps.Values(s.gossipers))
+	mgossipers := slices.Collect(maps.Values(s.mgossipers))
+	servers := slices.Collect(maps.Values(s.servers))
+	s.mu.Unlock()
+	for _, gsp := range gossipers {
 		gsp.Stop()
 	}
-	for _, mg := range s.mgossipers {
+	for _, mg := range mgossipers {
 		mg.Stop()
 	}
 	if s.injector != nil {
 		s.injector.Stop()
-	}
-	if s.started && s.health != nil {
-		close(s.hbStop)
-		<-s.hbDone
 	}
 	if s.poller != nil {
 		s.poller.Stop()
@@ -1040,11 +978,11 @@ func (s *Service) Close() error {
 	// Idle peer connections first, fleet-wide: each one parks a handler on
 	// the server it points at, and no server should wait on a handler that a
 	// not-yet-closed neighbour's pool still holds open.
-	for _, srv := range s.servers {
+	for _, srv := range servers {
 		srv.ClosePeerConns()
 	}
 	var firstErr error
-	for _, srv := range s.servers {
+	for _, srv := range servers {
 		if err := srv.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -1085,12 +1023,13 @@ func (s *Service) Holders(title string) ([]NodeID, error) {
 // started. The player keeps its connection to the home open between
 // watches; Close releases it.
 func (s *Service) Player(home NodeID, opts ...client.Option) (*Player, error) {
-	if !s.started {
-		return nil, errors.New("dvod: service not started")
-	}
 	s.mu.Lock()
+	started := s.started
 	_, ok := s.servers[home]
 	s.mu.Unlock()
+	if !started {
+		return nil, errors.New("dvod: service not started")
+	}
 	if !ok {
 		return nil, fmt.Errorf("dvod: %w: %s", topology.ErrNodeUnknown, home)
 	}
@@ -1099,8 +1038,17 @@ func (s *Service) Player(home NodeID, opts ...client.Option) (*Player, error) {
 
 // Plan runs the routing policy for a hypothetical request without
 // transferring anything: which server would serve a client homed at home?
+// It asks the home's own planner, the one its server plans every cluster
+// with, so with WithMembership it skips a holder the home has declared
+// Failed or Left.
 func (s *Service) Plan(home NodeID, title string) (Decision, error) {
-	return s.planner.Plan(home, title)
+	s.mu.Lock()
+	p := s.planners[home]
+	s.mu.Unlock()
+	if p == nil {
+		return Decision{}, fmt.Errorf("dvod: %w: %s", topology.ErrNodeUnknown, home)
+	}
+	return p.Plan(home, title)
 }
 
 // SetLinkTraffic injects an externally measured link load (Mbps) into the
@@ -1285,13 +1233,14 @@ func (s *Service) WatchDialer(home NodeID) func(addr string) (*transport.Conn, e
 }
 
 // WebHandler returns the paper's web interface modules as an http.Handler:
-// the full-access module (browse, search, POST /request running the VRA) and
+// the full-access module (browse, search, POST /request running the VRA
+// through the home's own planner, as Plan does) and
 // the limited-access module under /admin (including /admin/metrics) guarded
 // by the bearer token (empty token disables the admin endpoints).
 func (s *Service) WebHandler(adminToken string) (http.Handler, error) {
 	return web.New(web.Config{
 		DB:         s.db,
-		Planner:    s.planner,
+		Planner:    s,
 		AdminToken: adminToken,
 		Clock:      s.opts.clock,
 		Metrics:    s.Metrics,
@@ -1319,8 +1268,6 @@ type options struct {
 	selector           core.Selector
 	clock              clock.Clock
 	listenAddrs        map[NodeID]string
-	failoverInterval   time.Duration
-	failoverMaxAge     time.Duration
 	mergeWindow        int
 	faultPlan          *faults.Plan
 	faultSeed          int64
@@ -1400,13 +1347,6 @@ func (o options) validate() error {
 			return fmt.Errorf("dvod: bad disk shape for %s: %d × %d", node, s.count, s.capacityBytes)
 		}
 	}
-	if (o.failoverInterval > 0) != (o.failoverMaxAge > 0) {
-		return errors.New("dvod: failover needs both interval and max age")
-	}
-	if o.failoverMaxAge > 0 && o.failoverInterval >= o.failoverMaxAge {
-		return fmt.Errorf("dvod: failover interval %v must be below max age %v",
-			o.failoverInterval, o.failoverMaxAge)
-	}
 	return nil
 }
 
@@ -1464,16 +1404,6 @@ func WithListenAddr(node NodeID, addr string) Option {
 // WithClock substitutes the time source (tests).
 func WithClock(c clock.Clock) Option {
 	return func(o *options) { o.clock = c }
-}
-
-// WithFailover enables heartbeat-based server failover: servers heartbeat
-// every interval and routing ignores any server whose last heartbeat is
-// older than maxAge. Disabled by default.
-func WithFailover(interval, maxAge time.Duration) Option {
-	return func(o *options) {
-		o.failoverInterval = interval
-		o.failoverMaxAge = maxAge
-	}
 }
 
 // WithMergeWindow enables shared-prefix stream merging on every server:
@@ -1535,9 +1465,11 @@ func WithoutLedger() Option {
 // trackers exchange (incarnation, heartbeat, state) views on the given
 // cadence (0 uses membership.DefaultGossipInterval, 250 ms — interval-aligned
 // with the ledger gossiper), round-counted failure detection marks quiet
-// members suspect and then failed, and fail/leave events drive immediate
-// ledger lease reclaim, failover health, and VRA node penalties. Required
-// for churn-aware redirects and graceful drains announced fleet-wide;
+// members suspect and then failed, and each node's VRA planner skips a holder
+// its own tracker has declared Failed or Left; fail/leave events also reclaim
+// the member's ledger leases at once. Without it a dead peer is found by its
+// failed fetch and its breaker alone. Required for churn-aware redirects and
+// graceful drains announced fleet-wide;
 // AddServer and DrainServer work without it, coordinating through the
 // shared topology view alone. Disabled by default.
 func WithMembership(interval time.Duration) Option {

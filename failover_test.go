@@ -2,13 +2,16 @@ package dvod
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"dvod/internal/clock"
 	"dvod/internal/membership"
+	"dvod/internal/topology"
 )
 
 // seedTenAM loads the paper's 10am link statistics into the service.
@@ -26,28 +29,18 @@ func seedTenAM(t *testing.T, svc *Service) {
 	}
 }
 
-func TestFailoverOptionValidation(t *testing.T) {
-	spec := GRNETTopology()
-	if _, err := New(spec, WithFailover(time.Second, 0)); err == nil {
-		t.Fatal("half-configured failover accepted")
-	}
-	if _, err := New(spec, WithFailover(0, time.Second)); err == nil {
-		t.Fatal("half-configured failover accepted")
-	}
-	if _, err := New(spec, WithFailover(time.Second, time.Second)); err == nil {
-		t.Fatal("interval >= max age accepted")
-	}
-}
-
 // TestFailoverReroutesAroundDeadServer exercises the full loop: with two
-// replicas, stopping the preferred server makes both planning and live
-// delivery fall over to the survivor.
+// replicas, stopping the preferred server makes both the home's planning and
+// its live delivery fall over to the survivor once the home's own membership
+// view declares the dead server Failed. Rounds are driven by hand on a
+// virtual clock, so no wall time decides the verdict.
 func TestFailoverReroutesAroundDeadServer(t *testing.T) {
 	svc, err := New(GRNETTopology(),
 		WithClusterBytes(4096),
 		WithDisks(2, 1<<20),
 		WithNodeDisks("U2", 1, 1024), // home cannot cache
-		WithFailover(20*time.Millisecond, 80*time.Millisecond),
+		WithClock(clock.NewVirtual(time.Unix(1_700_000_000, 0))),
+		WithMembership(250*time.Millisecond),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -76,9 +69,16 @@ func TestFailoverReroutesAroundDeadServer(t *testing.T) {
 		t.Fatalf("initial plan = %s, want U4 (10am Experiment B conditions)", dec.Server)
 	}
 
-	// Kill Thessaloniki; its heartbeats stop immediately (MarkDown).
+	// Kill Thessaloniki; its heartbeat freezes, and the home's round-counted
+	// detector declares it Failed.
 	if err := svc.StopServer("U4"); err != nil {
 		t.Fatal(err)
+	}
+	for rounds := 0; svc.MemberStates("U2")["U4"] != MemberFailed; rounds++ {
+		if rounds == 20 {
+			t.Fatalf("U2 never declared U4 failed: %v", svc.MemberStates("U2"))
+		}
+		svc.MembershipRound()
 	}
 	dec, err = svc.Plan("U2", title.Name)
 	if err != nil {
@@ -166,6 +166,20 @@ func TestServiceWebHandler(t *testing.T) {
 		t.Fatalf("decision = %v", dec)
 	}
 
+	// An unknown home is the caller's error, in Plan and over the web.
+	if _, err := svc.Plan("U99", title.Name); !errors.Is(err, topology.ErrNodeUnknown) {
+		t.Fatalf("Plan from an unknown home = %v, want ErrNodeUnknown", err)
+	}
+	resp, err = http.Post(web.URL+"/request", "application/json",
+		strings.NewReader(`{"home":"U99","title":"web-movie"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("request from an unknown home = %d, want 400", resp.StatusCode)
+	}
+
 	// Limited-access with the right token.
 	req, _ := http.NewRequest(http.MethodGet, web.URL+"/admin/links", nil)
 	req.Header.Set("Authorization", "Bearer tok")
@@ -180,17 +194,15 @@ func TestServiceWebHandler(t *testing.T) {
 }
 
 // TestNodeAvailableReadsOwnTracker: a node's planner filter drops a holder
-// that node's own membership view has declared Failed, keeps one it merely
-// suspects or has never heard of, and still applies the failover table.
-// Without a tracker the failover filter is used as is.
+// that node's own membership view has declared Failed, and keeps one it
+// merely suspects or has never heard of. Without a tracker there is no filter.
 func TestNodeAvailableReadsOwnTracker(t *testing.T) {
 	tr, err := membership.New(membership.Config{Self: "A", Seeds: []NodeID{"A", "B", "C", "D"},
 		DisableLocalHealth: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := func(n NodeID) bool { return n != "C" }
-	avail := nodeAvailable(live, tr)
+	avail := nodeAvailable(tr)
 	for i := 0; i < membership.DefaultSuspectRounds; i++ {
 		tr.Beat()
 		tr.ReportContactFailed("B")
@@ -212,13 +224,7 @@ func TestNodeAvailableReadsOwnTracker(t *testing.T) {
 	if !avail("A") || !avail("E") {
 		t.Fatal("an alive member or a holder the view does not know was dropped")
 	}
-	if avail("C") {
-		t.Fatal("the failover table's verdict on C was ignored")
-	}
-	if got := nodeAvailable(live, nil); got == nil || got("C") {
-		t.Fatal("without a tracker the failover filter must be used as is")
-	}
-	if nodeAvailable(nil, nil) != nil {
-		t.Fatal("with neither filter the planner must admit every holder")
+	if nodeAvailable(nil) != nil {
+		t.Fatal("without a tracker the planner must admit every holder")
 	}
 }

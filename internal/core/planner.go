@@ -68,8 +68,9 @@ func (p *Planner) Plan(home topology.NodeID, title string) (Decision, error) {
 }
 
 // PlanExcluding plans like Plan but additionally skips the listed servers —
-// the retry path when a chosen server fails mid-delivery and the next-best
-// replica must take over before the health tracker notices.
+// the retry path when a chosen server fails mid-delivery: its failed fetch
+// excludes it and the next-best replica takes over, without waiting for any
+// failure detector.
 func (p *Planner) PlanExcluding(home topology.NodeID, title string, exclude map[topology.NodeID]bool) (Decision, error) {
 	candidates, err := p.Candidates(title)
 	if err != nil {

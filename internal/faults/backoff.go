@@ -82,22 +82,3 @@ func (b *Backoff) Attempt() int {
 	defer b.mu.Unlock()
 	return b.attempt
 }
-
-// Jitter spreads a periodic interval by ±fraction (clamped to [0, 1]) using
-// the provided rng. Periodic loops (heartbeats, pollers) use it so a fleet of
-// nodes started together does not fire in lockstep forever.
-func Jitter(d time.Duration, fraction float64, rng *rand.Rand) time.Duration {
-	if d <= 0 || fraction <= 0 || rng == nil {
-		return d
-	}
-	if fraction > 1 {
-		fraction = 1
-	}
-	// Uniform in [1-fraction, 1+fraction].
-	scale := 1 + fraction*(2*rng.Float64()-1)
-	out := time.Duration(float64(d) * scale)
-	if out <= 0 {
-		out = d
-	}
-	return out
-}

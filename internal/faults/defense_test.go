@@ -1,7 +1,6 @@
 package faults
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
@@ -47,23 +46,6 @@ func TestBackoffSeedPinned(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("same seed diverged at %d: %v vs %v", i, a[i], b[i])
 		}
-	}
-}
-
-func TestJitterBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	d := 100 * time.Millisecond
-	for i := 0; i < 100; i++ {
-		j := Jitter(d, 0.25, rng)
-		if j < 75*time.Millisecond || j > 125*time.Millisecond {
-			t.Fatalf("jittered %v outside ±25%% of %v", j, d)
-		}
-	}
-	if j := Jitter(d, 0, rng); j != d {
-		t.Fatalf("zero fraction changed the interval: %v", j)
-	}
-	if j := Jitter(d, 0.5, nil); j != d {
-		t.Fatalf("nil rng changed the interval: %v", j)
 	}
 }
 

@@ -30,8 +30,11 @@ import (
 type Config struct {
 	// DB is the shared database module.
 	DB *db.DB
-	// Planner runs the routing policy for /request.
-	Planner *core.Planner
+	// Planner runs the routing policy for /request: a *core.Planner, or a
+	// service that answers through the home node's own planner.
+	Planner interface {
+		Plan(home topology.NodeID, title string) (core.Decision, error)
+	}
 	// AdminToken guards the limited-access module. Empty disables it
 	// entirely (requests return 403).
 	AdminToken string
