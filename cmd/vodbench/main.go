@@ -12,7 +12,7 @@
 //	Ext-10 -study placement initial replica placement quality (k-median)
 //	Ext-11 -study adaptation cache recovery speed after a popularity flip
 //	Ext-12 -study admission per-class admission vs best-effort (-class-mix)
-//	Ext-13 -study framing   JSON vs binary cluster framing over live TCP
+//	Ext-13 -study framing   binary vs kernel cluster delivery over live TCP
 //	Ext-14 -study merge     shared-prefix stream merging vs unicast delivery
 //	Ext-15 -study chaos     fault injection: defended vs bare delivery plane
 //	Ext-16 -study ledger    per-server vs ledger-backed link admission

@@ -27,9 +27,6 @@ type Player struct {
 	book *transport.AddrBook
 	// verify enables byte-level content verification of each cluster.
 	verify bool
-	// binary controls whether a freshly dialed connection runs the hello
-	// handshake for binary cluster framing.
-	binary bool
 	// pool leases cluster-body buffers for the receive loop.
 	pool *transport.BufferPool
 	// conns holds the idle connections, keyed by server address.
@@ -75,13 +72,6 @@ type Option func(*Player)
 // throughput benchmarks).
 func WithoutVerification() Option {
 	return func(p *Player) { p.verify = false }
-}
-
-// WithoutBinaryFraming skips the hello handshake, forcing the canonical JSON
-// framing for every cluster — the behaviour of clients predating the binary
-// protocol, kept selectable for interop tests and framing benchmarks.
-func WithoutBinaryFraming() Option {
-	return func(p *Player) { p.binary = false }
 }
 
 // WithBufferPool substitutes the buffer pool the receive loop leases cluster
@@ -195,7 +185,7 @@ func NewPlayer(home topology.NodeID, book *transport.AddrBook, opts ...Option) (
 	if book == nil {
 		return nil, errors.New("player: nil address book")
 	}
-	p := &Player{home: home, book: book, verify: true, binary: true,
+	p := &Player{home: home, book: book, verify: true,
 		pool: transport.DefaultPool(), conns: transport.NewConnPool(idleConnAge),
 		redirectLimit: DefaultRedirectLimit}
 	for _, o := range opts {
@@ -274,9 +264,8 @@ type PlaybackStats struct {
 	Class         admission.Class
 	Degraded      bool
 	DeliveredMbps float64
-	// BinaryFraming reports whether the session negotiated binary cluster
-	// frames (false on JSON fallback against a legacy server or when the
-	// player disabled the handshake).
+	// BinaryFraming is always true: a player requires binary cluster frames
+	// on every connection. It stays for callers that still check it.
 	BinaryFraming bool
 	// Merged reports whether the server coalesced this session onto a
 	// shared stream-merging cohort; delivery is unchanged, the merge.info
@@ -309,7 +298,7 @@ type PlaybackStats struct {
 	RedirectPath []topology.NodeID
 	// ReservationMigrations echoes how many times the home server moved this
 	// session's bandwidth reservation to a new route mid-stream (the
-	// watch.done payload from ledger-aware servers; 0 from older ones).
+	// watch.done payload; 0 when it never moved).
 	ReservationMigrations int
 	// StartupDelay is the time to the first cluster's arrival.
 	StartupDelay time.Duration
@@ -346,13 +335,11 @@ func (p *Player) conn(addr string, fresh bool) (c *transport.Conn, reused bool, 
 		_ = c.Close()
 		return nil, false, fmt.Errorf("size receive buffer of %s: %w", addr, err)
 	}
-	if p.binary {
-		// Offer binary cluster framing; a legacy server answers with an
-		// error frame and the connection stays on JSON.
-		if _, err := c.Negotiate(); err != nil {
-			_ = c.Close()
-			return nil, false, err
-		}
+	// Every stream arrives as binary cluster frames: a server that does not
+	// grant them cannot serve a watch.
+	if err := c.RequireClusterFrames(); err != nil {
+		_ = c.Close()
+		return nil, false, err
 	}
 	return c, false, nil
 }
@@ -581,7 +568,7 @@ func (p *Player) watchOnce(title string, startCluster int) (stats PlaybackStats,
 		Class:         admission.Class(info.Class),
 		Degraded:      info.Degraded,
 		DeliveredMbps: info.DeliveredMbps,
-		BinaryFraming: conn.BinaryFrames(),
+		BinaryFraming: true,
 		Redirects:     len(ans.bounces),
 		RedirectPath:  ans.bounces,
 	}
@@ -591,63 +578,42 @@ func (p *Player) watchOnce(title string, startCluster int) (stats PlaybackStats,
 		if err != nil {
 			return stats, info, err
 		}
-		switch {
-		case frame != nil && frame.Type == transport.FrameMergeInfo:
-			mi, derr := transport.DecodeMergeInfoFrame(frame)
-			frame.Release()
-			if derr != nil {
-				return stats, info, derr
-			}
-			recordMergeInfo(&stats, mi)
-			continue
-		case frame != nil && frame.Type == transport.FramePrefixAnnounce:
-			pi, derr := transport.DecodePrefixAnnounceFrame(frame)
-			frame.Release()
-			if derr != nil {
-				return stats, info, derr
-			}
-			recordPrefixInfo(&stats, pi)
-			continue
-		case frame != nil && frame.Type == transport.FrameCluster, m.Type == transport.TypeCluster:
-			// A cluster on either framing, handled below.
-		case frame != nil:
-			frame.Release()
-			return stats, info, fmt.Errorf("unexpected stream frame 0x%02x", frame.Type)
-		case m.Type == transport.TypeWatchDone:
-			// Older servers send a bare watch.done; ledger-aware ones attach
-			// the session's migration tally.
-			if len(m.Payload) > 0 {
-				if done, derr := transport.Decode[transport.WatchDonePayload](m); derr == nil {
-					stats.ReservationMigrations = done.Migrations
+		if frame == nil {
+			switch m.Type {
+			case transport.TypeWatchDone:
+				done, err := transport.Decode[transport.WatchDonePayload](m)
+				if err != nil {
+					return stats, info, err
 				}
+				stats.ReservationMigrations = done.Migrations
+				return stats, info, nil
+			case transport.TypeError:
+				return stats, info, transport.AsError(m)
+			default:
+				return stats, info, fmt.Errorf("unexpected stream message %q", m.Type)
 			}
-			return stats, info, nil
-		case m.Type == transport.TypeError:
-			return stats, info, transport.AsError(m)
-		case m.Type == transport.TypeMergeInfo:
-			mi, derr := transport.Decode[transport.MergeInfoPayload](m)
-			if derr != nil {
-				return stats, info, derr
+		}
+		switch frame.Type {
+		case transport.FrameCluster:
+			// The body aliases the pooled frame, so it is fully consumed
+			// before Release.
+			if err = nextCluster(info, startCluster+len(stats.Records), payload); err == nil {
+				err = p.recordCluster(&stats, info.Title, payload, frame.Payload, &lastSource)
 			}
-			recordMergeInfo(&stats, mi)
-			continue
-		case m.Type == transport.TypePrefixInfo:
-			pi, derr := transport.Decode[transport.PrefixAnnouncePayload](m)
-			if derr != nil {
-				return stats, info, derr
+		case transport.FrameMergeInfo:
+			var mi transport.MergeInfoPayload
+			if mi, err = transport.DecodeMergeInfoFrame(frame); err == nil {
+				recordMergeInfo(&stats, mi)
 			}
-			recordPrefixInfo(&stats, pi)
-			continue
+		case transport.FramePrefixAnnounce:
+			var pi transport.PrefixAnnouncePayload
+			if pi, err = transport.DecodePrefixAnnounceFrame(frame); err == nil {
+				recordPrefixInfo(&stats, pi)
+			}
 		default:
-			return stats, info, fmt.Errorf("unexpected stream message %q", m.Type)
+			err = fmt.Errorf("unexpected stream frame 0x%02x", frame.Type)
 		}
-		// The body aliases a pooled frame, so it must be fully consumed
-		// before Release.
-		payload, body, hold, err := p.readCluster(conn, m, payload, frame)
-		if err == nil {
-			err = p.recordCluster(&stats, info.Title, payload, body, &lastSource)
-			hold.Release()
-		}
+		frame.Release()
 		if err != nil {
 			return stats, info, err
 		}
@@ -731,23 +697,20 @@ func (p *Player) frontDoor(title string, startCluster int) (frontDoorAnswer, err
 	}
 }
 
-// readCluster completes a cluster reply whose first frame has been read: a
-// binary cluster frame (f, decoded as payload) carries its body, a JSON
-// header (m) is followed by the raw body. The body aliases the returned
-// frame, which the caller must Release once the bytes are consumed; on error
-// there is nothing to release.
-func (p *Player) readCluster(c *transport.Conn, m transport.Message, payload transport.ClusterPayload, f *transport.Frame) (transport.ClusterPayload, []byte, *transport.Frame, error) {
-	if f != nil {
-		return payload, f.Payload, f, nil
+// nextCluster checks that a delivered cluster is the one the stream owes
+// next: the watched title's cluster at index next, at that index's offset,
+// with that cluster's length. Content verification checks the bytes only
+// against the offset the cluster claims, so a duplicate or skipped cluster
+// would pass it.
+func nextCluster(info transport.WatchOKPayload, next int, p transport.ClusterPayload) error {
+	off := int64(next) * info.ClusterBytes
+	want := transport.ClusterPayload{Title: info.Title, Index: next, Offset: off,
+		Length: min(info.ClusterBytes, info.SizeBytes-off), Source: p.Source}
+	if p != want {
+		return fmt.Errorf("stream sent %q cluster %d (offset %d, %d bytes), want %q cluster %d (offset %d, %d bytes)",
+			p.Title, p.Index, p.Offset, p.Length, want.Title, want.Index, want.Offset, want.Length)
 	}
-	payload, err := transport.Decode[transport.ClusterPayload](m)
-	if err != nil {
-		return transport.ClusterPayload{}, nil, nil, err
-	}
-	if f, err = c.ReadBody(payload.Length, p.pool); err != nil {
-		return transport.ClusterPayload{}, nil, nil, err
-	}
-	return payload, f.Payload, f, nil
+	return nil
 }
 
 // recordMergeInfo notes the server's stream-merging announcement. It is

@@ -165,24 +165,22 @@ func TestClientErrors(t *testing.T) {
 	}
 }
 
-// TestWatchLeasesBodySizedBuffers: the player reads each binary cluster
-// body-only, so a 256 KiB cluster takes a buffer of the 256 KiB size class,
-// not the next class up that body plus meta would need. A tapped stream sees
-// the capacity of every buffer the player reads into.
-func TestWatchLeasesBodySizedBuffers(t *testing.T) {
-	const (
-		clusterBytes = 256 << 10
-		numClusters  = 6
-		title        = "sized"
-	)
+// scriptedWatch serves one connection the way a home serves a watch of a
+// numClusters-long title: hello, then watch.ok, then cluster(i) for each i
+// as a binary cluster frame, then watch.done. cluster returns the meta and
+// body sent in place of cluster i. The returned channel yields the serving
+// goroutine's error once it is done.
+func scriptedWatch(t *testing.T, title string, clusterBytes int64, numClusters int,
+	cluster func(i int) (transport.ClusterPayload, []byte)) (addr string, served <-chan error) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	served := make(chan error, 1)
+	t.Cleanup(func() { _ = ln.Close() })
+	done := make(chan error, 1)
 	go func() {
-		served <- func() error {
+		done <- func() error {
 			nc, err := ln.Accept()
 			if err != nil {
 				return err
@@ -201,7 +199,7 @@ func TestWatchLeasesBodySizedBuffers(t *testing.T) {
 					continue
 				}
 				ok, err := transport.Encode(transport.TypeWatchOK, transport.WatchOKPayload{
-					Title: title, SizeBytes: numClusters * clusterBytes, BitrateMbps: 1.5,
+					Title: title, SizeBytes: int64(numClusters) * clusterBytes, BitrateMbps: 1.5,
 					ClusterBytes: clusterBytes, NumClusters: numClusters,
 				})
 				if err != nil {
@@ -211,13 +209,11 @@ func TestWatchLeasesBodySizedBuffers(t *testing.T) {
 					return err
 				}
 				for i := range numClusters {
-					off := int64(i * clusterBytes)
-					p := transport.ClusterPayload{Title: title, Index: i, Offset: off, Length: clusterBytes, Source: "U1"}
-					if err := c.WriteClusterFrame(p, media.Content(title, off, clusterBytes)); err != nil {
+					if err := c.WriteClusterFrame(cluster(i)); err != nil {
 						return err
 					}
 				}
-				done, err := transport.Encode(transport.TypeWatchDone, nil)
+				done, err := transport.Encode(transport.TypeWatchDone, transport.WatchDonePayload{})
 				if err != nil {
 					return err
 				}
@@ -225,9 +221,31 @@ func TestWatchLeasesBodySizedBuffers(t *testing.T) {
 			}
 		}()
 	}()
+	return ln.Addr().String(), done
+}
 
+// inOrder is the script of a correct stream: cluster i of title, in place.
+func inOrder(title string, clusterBytes int64) func(int) (transport.ClusterPayload, []byte) {
+	return func(i int) (transport.ClusterPayload, []byte) {
+		off := int64(i) * clusterBytes
+		return transport.ClusterPayload{Title: title, Index: i, Offset: off, Length: clusterBytes, Source: "U1"},
+			media.Content(title, off, clusterBytes)
+	}
+}
+
+// TestWatchLeasesBodySizedBuffers: the player reads each binary cluster
+// body-only, so a 256 KiB cluster takes a buffer of the 256 KiB size class,
+// not the next class up that body plus meta would need. A tapped stream sees
+// the capacity of every buffer the player reads into.
+func TestWatchLeasesBodySizedBuffers(t *testing.T) {
+	const (
+		clusterBytes = 256 << 10
+		numClusters  = 6
+		title        = "sized"
+	)
+	addr, served := scriptedWatch(t, title, clusterBytes, numClusters, inOrder(title, clusterBytes))
 	book := transport.NewAddrBook()
-	book.Set("U1", ln.Addr().String())
+	book.Set("U1", addr)
 	pool := transport.NewBufferPool(nil)
 	var tp tap
 	p, err := client.NewPlayer("U1", book, client.WithBufferPool(pool), client.WithDialer(tp.dial))
@@ -250,5 +268,59 @@ func TestWatchLeasesBodySizedBuffers(t *testing.T) {
 	}
 	if n := pool.Outstanding(); n != 0 {
 		t.Fatalf("pool leases outstanding: %d", n)
+	}
+}
+
+// TestWatchRefusesOutOfOrderClusters: the player takes only the cluster the
+// stream owes next. Each script swaps cluster 2 for one whose bytes verify
+// against the offset it claims, so content verification alone passes it;
+// the watch must still fail.
+func TestWatchRefusesOutOfOrderClusters(t *testing.T) {
+	const (
+		clusterBytes = 64 << 10
+		numClusters  = 4
+		title        = "ordered"
+	)
+	good := inOrder(title, clusterBytes)
+	for _, tc := range []struct {
+		name     string
+		cluster2 func() (transport.ClusterPayload, []byte)
+	}{
+		{"duplicate in place of a skip", func() (transport.ClusterPayload, []byte) { return good(1) }},
+		{"wrong offset", func() (transport.ClusterPayload, []byte) {
+			p, _ := good(2)
+			p.Offset += clusterBytes
+			return p, media.Content(title, p.Offset, clusterBytes)
+		}},
+		{"wrong title", func() (transport.ClusterPayload, []byte) {
+			p, body := good(2)
+			p.Title = "other"
+			return p, body
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addr, served := scriptedWatch(t, title, clusterBytes, numClusters, func(i int) (transport.ClusterPayload, []byte) {
+				if i == 2 {
+					return tc.cluster2()
+				}
+				return good(i)
+			})
+			book := transport.NewAddrBook()
+			book.Set("U1", addr)
+			p, err := client.NewPlayer("U1", book)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			stats, err := p.Watch(title)
+			if err == nil {
+				t.Fatalf("watch accepted the stream: verified=%v, %d bytes, %d records",
+					stats.Verified, stats.BytesReceived, len(stats.Records))
+			}
+			if len(stats.Records) != 2 {
+				t.Fatalf("watch kept %d clusters before failing (%v), want the 2 good ones", len(stats.Records), err)
+			}
+			<-served
+		})
 	}
 }

@@ -20,19 +20,18 @@ import (
 	"dvod/internal/transport"
 )
 
-// --- Ext-13: JSON vs binary vs kernel cluster framing throughput -------------
+// --- Ext-13: binary vs kernel cluster delivery throughput ---------------------
 
 // FramingStudyConfig parameterizes Ext-13: a live single-node deployment on
-// localhost TCP delivers a resident title once per framing at each cluster
-// size, measuring end-to-end delivery throughput of the canonical JSON
-// framing against the negotiated binary cluster frames and against the
-// kernel delivery path (file-backed disks + sendfile; DESIGN.md § "Wire
-// format" and § "Kernel delivery path"). Each arm gets its own deployment so
-// the kernel arm can run a file-backed array while the others stay in
-// memory. Content verification is disabled on the player so the measurement
-// isolates the delivery pipeline — disk read, framing, socket, receive —
-// rather than the synthetic-content checker, which costs the same under
-// every framing.
+// localhost TCP delivers a resident title once per arm at each cluster size,
+// measuring end-to-end delivery throughput of binary cluster frames through
+// the pooled copy against the kernel delivery path (file-backed disks +
+// sendfile; DESIGN.md § "Wire format" and § "The send path"). Each arm gets
+// its own deployment so the kernel arm can run a file-backed array while the
+// binary arm stays in memory. Content verification is disabled on the player
+// so the measurement isolates the delivery pipeline — disk read, framing,
+// socket, receive — rather than the synthetic-content checker, which costs
+// the same on every arm.
 type FramingStudyConfig struct {
 	// ClusterSizes are the cluster sizes to sweep, in bytes.
 	ClusterSizes []int64
@@ -55,8 +54,6 @@ func DefaultFramingStudyConfig() FramingStudyConfig {
 
 // Framing arm names of FramingRow.Framing.
 const (
-	// FramingJSON is the canonical JSON control-frame delivery.
-	FramingJSON = "json"
 	// FramingBinary is binary cluster frames through the pooled-buffer copy.
 	FramingBinary = "binary"
 	// FramingKernel is binary cluster frames from a file-backed array, sent
@@ -66,7 +63,7 @@ const (
 
 // FramingRow is one (framing, cluster size) outcome.
 type FramingRow struct {
-	Framing        string // "json", "binary", or "kernel"
+	Framing        string // "binary" or "kernel"
 	ClusterBytes   int64
 	Clusters       int     // clusters delivered per watch
 	ElapsedMs      float64 // mean wall time of one watch
@@ -102,7 +99,7 @@ func FramingStudy(cfg FramingStudyConfig) ([]FramingRow, error) {
 		if size <= 0 {
 			return nil, fmt.Errorf("framing study: bad cluster size %d", size)
 		}
-		for _, framing := range []string{FramingJSON, FramingBinary, FramingKernel} {
+		for _, framing := range []string{FramingBinary, FramingKernel} {
 			row, err := framingArm(framing, size, cfg.TitleClusters, cfg.Runs)
 			if err != nil {
 				return nil, fmt.Errorf("framing study %s @%d: %w", framing, size, err)
@@ -116,8 +113,8 @@ func FramingStudy(cfg FramingStudyConfig) ([]FramingRow, error) {
 // framingArm brings up one live server holding a TitleClusters-long title at
 // the given cluster size and measures one framing's delivery against it. The
 // kernel arm stores its blocks in a temporary directory so resident clusters
-// are served off descriptors; the other arms use the in-memory store, the
-// binary arm with its kernel path switched off.
+// are served off descriptors; the binary arm uses the in-memory store with
+// its kernel path switched off.
 func framingArm(framing string, clusterBytes int64, titleClusters, runs int) (FramingRow, error) {
 	g, err := grnet.Backbone()
 	if err != nil {
@@ -142,12 +139,10 @@ func framingArm(framing string, clusterBytes int64, titleClusters, runs int) (Fr
 		if err != nil {
 			return FramingRow{}, err
 		}
-		if framing == FramingBinary {
-			// In-memory blocks are tmpfs files on Linux and would take the
-			// kernel path too; an armed interceptor makes FileRef refuse, so
-			// this arm measures the pooled copy it is named for.
-			arr.SetReadInterceptor(func(disk.BlockID) disk.ReadFault { return disk.ReadFault{} })
-		}
+		// In-memory blocks are tmpfs files on Linux and would take the
+		// kernel path too; an armed interceptor makes FileRef refuse, so
+		// this arm measures the pooled copy it is named for.
+		arr.SetReadInterceptor(func(disk.BlockID) disk.ReadFault { return disk.ReadFault{} })
 	}
 	dma, err := cache.NewDMA(cache.Config{Array: arr, ClusterBytes: clusterBytes})
 	if err != nil {
@@ -189,11 +184,7 @@ func framingArm(framing string, clusterBytes int64, titleClusters, runs int) (Fr
 		return FramingRow{}, err
 	}
 
-	opts := []client.Option{client.WithoutVerification()}
-	if framing == FramingJSON {
-		opts = append(opts, client.WithoutBinaryFraming())
-	}
-	p, err := client.NewPlayer(grnet.Athens, book, opts...)
+	p, err := client.NewPlayer(grnet.Athens, book, client.WithoutVerification())
 	if err != nil {
 		return FramingRow{}, err
 	}
@@ -208,10 +199,6 @@ func framingArm(framing string, clusterBytes int64, titleClusters, runs int) (Fr
 		stats, err := p.Watch(title.Name)
 		if err != nil {
 			return FramingRow{}, fmt.Errorf("%s watch: %w", framing, err)
-		}
-		wantBinary := framing != FramingJSON
-		if stats.BinaryFraming != wantBinary {
-			return FramingRow{}, fmt.Errorf("%s watch negotiated binary=%v", framing, stats.BinaryFraming)
 		}
 		if run == 0 {
 			continue // warmup
@@ -352,14 +339,14 @@ func FramingTiming(current, _ []FramingRow) (bad, notes []string) {
 	return bad, notes
 }
 
-// FormatFramingStudy renders Ext-13, appending each non-JSON row's speedup
-// over the JSON row at the same cluster size and the kernel/fallback send
+// FormatFramingStudy renders Ext-13, appending each kernel row's speedup
+// over the binary row at the same cluster size and the kernel/fallback send
 // split.
 func FormatFramingStudy(rows []FramingRow) string {
-	jsonPerSec := make(map[int64]float64)
+	binaryPerSec := make(map[int64]float64)
 	for _, r := range rows {
-		if r.Framing == FramingJSON {
-			jsonPerSec[r.ClusterBytes] = r.ClustersPerSec
+		if r.Framing == FramingBinary {
+			binaryPerSec[r.ClusterBytes] = r.ClustersPerSec
 		}
 	}
 	var b strings.Builder
@@ -367,8 +354,8 @@ func FormatFramingStudy(rows []FramingRow) string {
 	fmt.Fprintln(w, "ClusterKiB\tFraming\tClusters\tElapsedMs\tClusters/s\tMB/s\tSpeedup\tKernel\tFallback")
 	for _, r := range rows {
 		speedup := "-"
-		if j := jsonPerSec[r.ClusterBytes]; r.Framing != FramingJSON && j > 0 {
-			speedup = fmt.Sprintf("%.2fx", r.ClustersPerSec/j)
+		if base := binaryPerSec[r.ClusterBytes]; r.Framing == FramingKernel && base > 0 {
+			speedup = fmt.Sprintf("%.2fx", r.ClustersPerSec/base)
 		}
 		fmt.Fprintf(w, "%d\t%s\t%d\t%.2f\t%.0f\t%.1f\t%s\t%d\t%d\n",
 			r.ClusterBytes>>10, r.Framing, r.Clusters, r.ElapsedMs,

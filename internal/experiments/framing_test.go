@@ -16,11 +16,11 @@ func TestFramingStudyShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != len(cfg.ClusterSizes)*3 {
-		t.Fatalf("rows = %d, want %d", len(rows), len(cfg.ClusterSizes)*3)
+	if len(rows) != len(cfg.ClusterSizes)*2 {
+		t.Fatalf("rows = %d, want %d", len(rows), len(cfg.ClusterSizes)*2)
 	}
 	for _, r := range rows {
-		if r.Framing != FramingJSON && r.Framing != FramingBinary && r.Framing != FramingKernel {
+		if r.Framing != FramingBinary && r.Framing != FramingKernel {
 			t.Fatalf("framing = %q", r.Framing)
 		}
 		if r.Clusters != cfg.TitleClusters {
@@ -63,12 +63,11 @@ func TestFramingStudyValidation(t *testing.T) {
 	}
 }
 
-// framingFixture builds a consistent three-arm run at the given procs and
+// framingFixture builds a consistent two-arm run at the given procs and
 // kernel/binary throughput ratio.
 func framingFixture(procs int, ratio float64) []FramingRow {
 	size := int64(1 << 20)
 	rows := []FramingRow{
-		{Framing: FramingJSON, ClusterBytes: size, MBps: 800, Procs: procs},
 		{Framing: FramingBinary, ClusterBytes: size, MBps: 1000, Procs: procs},
 		{Framing: FramingKernel, ClusterBytes: size, MBps: 1000 * ratio, Procs: procs, KernelSends: 96},
 	}
@@ -110,7 +109,7 @@ func TestFramingRegressionGates(t *testing.T) {
 	// the wrong path.
 	if runtime.GOOS == "linux" {
 		broken := framingFixture(1, 0.9)
-		broken[2].KernelSends = 0
+		broken[1].KernelSends = 0
 		if bad, _ := regression(t, "framing", broken, base); len(bad) == 0 {
 			t.Fatal("zero kernel sends passed")
 		}
@@ -118,13 +117,13 @@ func TestFramingRegressionGates(t *testing.T) {
 
 	// A binary row with kernel sends measured sendfile instead of the copy.
 	sent := framingFixture(1, 0.9)
-	sent[1].KernelSends = 96
+	sent[0].KernelSends = 96
 	if bad := FramingStructural(sent, base); len(bad) == 0 {
 		t.Fatal("kernel sends on the binary arm passed")
 	}
 
 	// Baseline cells must stay measured.
-	missing := framingFixture(1, 0.9)[:2] // kernel row dropped
+	missing := framingFixture(1, 0.9)[:1] // kernel row dropped
 	if bad, _ := regression(t, "framing", missing, base); len(bad) == 0 {
 		t.Fatal("missing kernel rows passed")
 	}

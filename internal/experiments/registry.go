@@ -125,7 +125,7 @@ func Studies(o StudyOptions) []Study {
 				cfg.Seed, cfg.Mix = o.Seed, mix
 				return AdmissionStudy(cfg)
 			}, FormatAdmissionStudy),
-		gated(study("framing", "Ext-13. JSON vs binary cluster framing (live TCP, single node)",
+		gated(study("framing", "Ext-13. Binary vs kernel cluster delivery (live TCP, single node)",
 			func() ([]FramingRow, error) { return FramingStudy(DefaultFramingStudyConfig()) },
 			FormatFramingStudy), FramingStructural, FramingTiming),
 		gated(study("merge", "Ext-14. Shared-prefix stream merging vs unicast (concurrent watchers, remote origin)",

@@ -105,6 +105,9 @@ func holdWatch(t *testing.T, addr, title, class string) (*transport.Conn, transp
 	}
 	c := transport.NewConn(nc)
 	t.Cleanup(func() { _ = c.Close() })
+	if err := c.RequireClusterFrames(); err != nil {
+		t.Fatal(err)
+	}
 	req, err := transport.Encode(transport.TypeWatch, transport.WatchPayload{
 		Title: title, Class: class,
 	})

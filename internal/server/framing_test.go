@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"dvod/internal/admission"
+	"dvod/internal/cache"
 	"dvod/internal/client"
 	"dvod/internal/grnet"
 	"dvod/internal/media"
@@ -58,32 +61,88 @@ func TestWatchBinaryFraming(t *testing.T) {
 	}
 }
 
-// TestWatchJSONFallback: a client that never offers the hello handshake — the
-// behaviour of clients predating the binary protocol — gets the whole title
-// over canonical JSON framing from a binary-capable server, byte-identical.
-func TestWatchJSONFallback(t *testing.T) {
-	lc := newCluster(t, nil)
+// countingFront is a front door that never redirects and counts the watches
+// it was asked to route.
+type countingFront struct{ calls atomic.Int32 }
+
+func (f *countingFront) Route(string, int) (topology.NodeID, string, bool) {
+	f.calls.Add(1)
+	return "", "", false
+}
+
+// TestWatchWithoutHelloRefused: a watch on a connection that never sent a
+// hello gets an error naming cluster-frames-v1 and leaves no trace: the
+// front door is not asked to route it, admission grants nothing and the DMA
+// counts nothing. The same watch after a hello is served and shows on all
+// three.
+func TestWatchWithoutHelloRefused(t *testing.T) {
+	dmas := make(map[topology.NodeID]*cache.DMA)
+	front := &countingFront{}
+	broker, err := admission.New(admission.Config{Node: grnet.Patra, CapacityMbps: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc := newMergeNodesCfg(t, clusterBytes, 0, 0, nil, captureDMA(dmas, func(c *server.Config) {
+		c.Director, c.Broker = front, broker
+	}), grnet.Patra)
 	title := media.Title{Name: "zorba", SizeBytes: 3 * clusterBytes, BitrateMbps: 1.5}
 	lc.addTitle(t, title, grnet.Patra)
+	srv, dma := lc.servers[grnet.Patra], dmas[grnet.Patra]
+	admitted := func() (n int64) {
+		for _, c := range broker.Counts() {
+			n += c.Admitted
+		}
+		return n
+	}
+	points, requests, grants := dma.Points(title.Name), dma.Stats().Requests, admitted()
 
-	p, err := client.NewPlayer(grnet.Patra, lc.book, client.WithoutBinaryFraming())
+	conn, err := transport.Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := p.Watch("zorba")
+	defer conn.Close()
+	req, err := transport.Encode(transport.TypeWatch, transport.WatchPayload{Title: title.Name})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.BinaryFraming {
-		t.Fatal("JSON-only client reports binary framing")
+	if err := conn.WriteMessage(req); err != nil {
+		t.Fatal(err)
 	}
-	if !stats.Verified || stats.BytesReceived != title.SizeBytes {
-		t.Fatalf("verified=%v bytes=%d", stats.Verified, stats.BytesReceived)
+	m, err := conn.ReadMessage()
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Both framings share the delivery counters.
-	snap := lc.servers[grnet.Patra].Metrics().Snapshot()
-	if got := snap.Counters["server.frames_out"]; got != int64(stats.NumClusters) {
-		t.Fatalf("server.frames_out = %d, want %d", got, stats.NumClusters)
+	if rerr := transport.AsError(m); rerr == nil || !strings.Contains(rerr.Error(), transport.CapClusterFrames) {
+		t.Fatalf("hello-less watch: reply %q (%v), want an error naming %s", m.Type, rerr, transport.CapClusterFrames)
+	}
+	if got := dma.Points(title.Name); got != points {
+		t.Fatalf("DMA points %d → %d", points, got)
+	}
+	if got := dma.Stats().Requests; got != requests {
+		t.Fatalf("DMA requests %d → %d", requests, got)
+	}
+	if got := admitted(); got != grants || broker.Sessions() != 0 {
+		t.Fatalf("admission: %d admitted (was %d), %d sessions held", got, grants, broker.Sessions())
+	}
+	if n := front.calls.Load(); n != 0 {
+		t.Fatalf("front door routed the refused watch %d times", n)
+	}
+	if got := srv.Metrics().Snapshot().Counters["server.watch_redirects"]; got != 0 {
+		t.Fatalf("server.watch_redirects = %d, want 0", got)
+	}
+
+	// The control: the same watch after a hello is routed, admitted, counted.
+	p, err := client.NewPlayer(grnet.Patra, lc.book)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if _, err := p.Watch(title.Name); err != nil {
+		t.Fatal(err)
+	}
+	if front.calls.Load() != 1 || dma.Stats().Requests != requests+1 || admitted() != grants+1 {
+		t.Fatalf("negotiated watch: routed %d, DMA requests %d → %d, admitted %d → %d",
+			front.calls.Load(), requests, dma.Stats().Requests, grants, admitted())
 	}
 }
 

@@ -136,6 +136,9 @@ func startRawWatch(t *testing.T, addr, title string) *rawWatcher {
 	_ = tcp.SetReadBuffer(64 << 10)
 	conn := transport.NewConn(nc)
 	t.Cleanup(func() { _ = conn.Close() })
+	if err := conn.RequireClusterFrames(); err != nil {
+		t.Fatal(err)
+	}
 	req, err := transport.Encode(transport.TypeWatch, transport.WatchPayload{Title: title})
 	if err != nil {
 		t.Fatal(err)
@@ -157,14 +160,16 @@ func startRawWatch(t *testing.T, addr, title string) *rawWatcher {
 	if w.info, err = transport.Decode[transport.WatchOKPayload](head); err != nil {
 		t.Fatal(err)
 	}
-	mi, err := conn.ReadMessage()
+	m, _, mi, err := conn.ReadClusterOrMessage(transport.DefaultPool())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mi.Type != transport.TypeMergeInfo {
-		t.Fatalf("first stream message %q, want %q", mi.Type, transport.TypeMergeInfo)
+	if mi == nil || mi.Type != transport.FrameMergeInfo {
+		t.Fatalf("first stream item %q (frame %v), want a merge-info frame", m.Type, mi != nil)
 	}
-	if w.mi, err = transport.Decode[transport.MergeInfoPayload](mi); err != nil {
+	w.mi, err = transport.DecodeMergeInfoFrame(mi)
+	mi.Release()
+	if err != nil {
 		t.Fatal(err)
 	}
 	return w
@@ -179,27 +184,19 @@ func (w *rawWatcher) unthrottle() { _ = w.tcp.SetReadBuffer(4 << 20) }
 func (w *rawWatcher) readClusters(n int) {
 	w.t.Helper()
 	for i := 0; n < 0 || i < n; i++ {
-		m, err := w.conn.ReadMessage()
+		m, p, frame, err := w.conn.ReadClusterOrMessage(transport.DefaultPool())
 		if err != nil {
 			w.t.Fatalf("after %d clusters: %v", len(w.indices), err)
 		}
-		if m.Type == transport.TypeWatchDone {
+		if frame == nil && m.Type == transport.TypeWatchDone {
 			if n >= 0 {
 				w.t.Fatalf("stream ended after %d clusters", len(w.indices))
 			}
 			w.done = true
 			return
 		}
-		if m.Type != transport.TypeCluster {
-			w.t.Fatalf("stream message %q, want %q", m.Type, transport.TypeCluster)
-		}
-		p, err := transport.Decode[transport.ClusterPayload](m)
-		if err != nil {
-			w.t.Fatal(err)
-		}
-		frame, err := w.conn.ReadBody(p.Length, transport.DefaultPool())
-		if err != nil {
-			w.t.Fatal(err)
+		if frame == nil || frame.Type != transport.FrameCluster {
+			w.t.Fatalf("stream item %q (frame %v), want a cluster frame", m.Type, frame != nil)
 		}
 		if !media.Verify(w.info.Title, p.Offset, frame.Payload) {
 			w.t.Fatalf("cluster %d failed content verification", p.Index)
@@ -478,6 +475,11 @@ func TestWatchMergedChurn(t *testing.T) {
 			addr := lc.servers[grnet.Patra].Addr()
 			conn, err := transport.Dial(addr)
 			if err != nil {
+				errCh <- err
+				return
+			}
+			if err := conn.RequireClusterFrames(); err != nil {
+				_ = conn.Close()
 				errCh <- err
 				return
 			}

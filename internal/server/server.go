@@ -13,9 +13,9 @@
 // no splice path exists — a fault injector's wrapped stream, a test pipe, a
 // !linux build — the pulled cluster lands in a buffer leased from a
 // transport.BufferPool instead. Either is written to the wire as a binary
-// cluster frame when the client negotiated them (transport.TypeHello) — no
-// JSON marshal and no per-cluster allocation. Clients that never send a
-// hello get the canonical JSON framing instead. Per-server delivery volume
+// cluster frame — no JSON marshal and no per-cluster allocation. A session
+// (watch or relay.join) is served only on a connection whose hello was
+// granted binary frames (transport.TypeHello). Per-server delivery volume
 // surfaces as the server.bytes_out / server.frames_out counters next to the
 // pool's hit/miss counters on GET /metrics.
 //
@@ -540,9 +540,15 @@ func (s *Server) dispatch(c *transport.Conn, m transport.Message) error {
 		return s.handleHolders(c, m)
 	case transport.TypeClusterGet:
 		return s.handleClusterGet(c, m)
-	case transport.TypeWatch:
-		return s.handleWatch(c, m)
-	case transport.TypeRelayJoin:
+	case transport.TypeWatch, transport.TypeRelayJoin:
+		// A session streams binary frames only: refused before the front
+		// door, admission or the DMA hear of it.
+		if !c.BinaryFrames() {
+			return fmt.Errorf("%s needs %s", m.Type, transport.CapClusterFrames)
+		}
+		if m.Type == transport.TypeWatch {
+			return s.handleWatch(c, m)
+		}
 		return s.handleRelay(c, m)
 	case transport.TypeMemberPingReq:
 		return s.handleMemberPingReq(c, m)
@@ -604,8 +610,9 @@ func (s *Server) handleHolders(c *transport.Conn, m transport.Message) error {
 	return c.WriteMessage(resp)
 }
 
-// handleClusterGet answers a JSON cluster.get, which a client that never
-// sent a hello may send; peers send the binary FrameClusterGet.
+// handleClusterGet answers a JSON cluster.get, the one cluster exchange a
+// connection that never sent a hello is still served; peers send the binary
+// FrameClusterGet.
 func (s *Server) handleClusterGet(c *transport.Conn, m transport.Message) error {
 	req, err := transport.Decode[transport.ClusterGetPayload](m)
 	if err != nil {
@@ -629,10 +636,11 @@ func (s *Server) serveClusterGet(c *transport.Conn, req transport.ClusterGetPayl
 // sendCluster writes one cluster on the negotiated framing via
 // transport.WriteClusterBody: file-backed bodies go out on the kernel path
 // (sendfile) when the platform and stream support it, byte-backed or
-// refused bodies through the pooled copy, JSON framing as msgType + raw
-// body. Delivery volume is charged to the bytes-out/frames-out counters
-// either way, and each send lands in server.kernel_sends or
-// server.fallback_sends according to the path actually taken.
+// refused bodies through the pooled copy, and a hello-less cluster.get's
+// reply as msgType + raw body. Delivery volume is charged to the
+// bytes-out/frames-out counters either way, and each send lands in
+// server.kernel_sends or server.fallback_sends according to the path
+// actually taken.
 //
 // Counter semantics: server.frames_out and server.bytes_out count per-client
 // deliveries — every handler that puts a cluster on a wire charges them,
@@ -928,10 +936,10 @@ func (s *Server) serveSession(c *transport.Conn, title media.Title, numClusters,
 	if err != nil {
 		return err
 	}
-	// Queued, not written: watch.ok (and queued prefix.info / merge.info
-	// after it) ride the first cluster's writev as one syscall. Every later
-	// write — cluster, error, watch.done — flushes the queue first, so the
-	// wire order is unchanged on all paths.
+	// Queued, not written: watch.ok (and the prefix and merge announcements
+	// queued after it) ride the first cluster's writev as one syscall. Every
+	// later write — cluster, error, watch.done — flushes the queue first, so
+	// the wire order is unchanged on all paths.
 	if err := c.QueueMessage(head); err != nil {
 		return err
 	}
@@ -1301,7 +1309,7 @@ func (s *Server) prefixHead(title string, numClusters, start int) int {
 	return start
 }
 
-// queuePrefixInfo queues one watch's prefix.info on the negotiated framing:
+// queuePrefixInfo queues one watch's prefix announce frame:
 // how many leading clusters (from its start position) come off the local
 // prefix, how many remote round trips the first cluster costs, and whether
 // the tail rides a shared relay subscription. Like the queued watch.ok it
@@ -1316,14 +1324,7 @@ func (s *Server) queuePrefixInfo(c *transport.Conn, title string, numClusters, s
 		}
 		p.RelayTail = s.cfg.RelayCohorts && s.merges != nil && head < numClusters
 	}
-	if c.BinaryFrames() {
-		return c.QueuePrefixAnnounceFrame(p)
-	}
-	m, err := transport.Encode(transport.TypePrefixInfo, p)
-	if err != nil {
-		return err
-	}
-	return c.QueueMessage(m)
+	return c.QueuePrefixAnnounceFrame(p)
 }
 
 // relaySource adapts one upstream relay.join subscription into a cohort
@@ -1489,10 +1490,6 @@ func (r *relaySource) account(payload transport.ClusterPayload) {
 // announces no prefix, and is never redirected: the relay already planned
 // this holder.
 func (s *Server) handleRelay(c *transport.Conn, m transport.Message) error {
-	// Refused before the DMA hears of the join: a relay stream is binary.
-	if !c.BinaryFrames() {
-		return fmt.Errorf("relay.join needs %s", transport.CapClusterFrames)
-	}
 	req, err := transport.Decode[transport.RelayJoinPayload](m)
 	if err != nil {
 		return err
@@ -1547,7 +1544,9 @@ func (s *Server) stream(c *transport.Conn, title media.Title, numClusters, start
 		if sub.Created() {
 			role = transport.MergeRoleBase
 		}
-		if err := s.sendMergeInfo(c, transport.MergeInfoPayload{
+		// Queued like watch.ok, it rides the first cluster frame's writev
+		// (watch.done flushes it when the session has no clusters).
+		if err := c.QueueMergeInfoFrame(transport.MergeInfoPayload{
 			Cohort:        sub.CohortID(),
 			Role:          role,
 			JoinIndex:     sub.Start(),
@@ -1581,20 +1580,6 @@ func (s *Server) stream(c *transport.Conn, title media.Title, numClusters, start
 	// Private tail: nothing to do after normal cohort completion; after an
 	// eviction it resumes at exactly the next undelivered index.
 	return s.sendPrivate(c, title, next, numClusters, ws)
-}
-
-// sendMergeInfo queues a session's cohort-attachment announcement on the
-// negotiated framing. It joins the queued watch.ok in the first cluster
-// frame's writev (watch.done flushes it when the session has no clusters).
-func (s *Server) sendMergeInfo(c *transport.Conn, p transport.MergeInfoPayload) error {
-	if c.BinaryFrames() {
-		return c.QueueMergeInfoFrame(p)
-	}
-	m, err := transport.Encode(transport.TypeMergeInfo, p)
-	if err != nil {
-		return err
-	}
-	return c.QueueMessage(m)
 }
 
 // planCluster picks the serving replica for one cluster, bandwidth-aware

@@ -158,6 +158,9 @@ func TestSessionStartOutOfRangeLeavesNoTrace(t *testing.T) {
 				if conn, err = transport.Dial(addr); err != nil {
 					t.Fatal(err)
 				}
+				if err := conn.RequireClusterFrames(); err != nil {
+					t.Fatal(err)
+				}
 				req, err := transport.Encode(transport.TypeWatch, transport.WatchPayload{Title: title.Name, StartCluster: start})
 				if err != nil {
 					t.Fatal(err)

@@ -9,7 +9,8 @@ import (
 // peer for one stored cluster, answered by a FrameCluster (see
 // ReadClusterReply) or an error frame. It carries no request tag, so a
 // connection has one request in flight at a time. The JSON cluster.get
-// (TypeClusterGet) stays for clients that never sent a hello.
+// (TypeClusterGet) is still answered on a connection that never sent a
+// hello, the one cluster exchange that needs none.
 const FrameClusterGet byte = 0x06
 
 // clusterGetFixed is the fixed-width prefix of a FrameClusterGet payload:

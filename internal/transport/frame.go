@@ -36,10 +36,11 @@ const (
 	MaxFramePayload = MaxFrameBytes * 64
 )
 
-// Binary frame type codes. Every server-to-server exchange — cluster data,
-// ledger and member sync, merge and prefix announcements — is binary-framed;
-// the other type codes live beside their codecs. Client requests and the
-// hello exchange stay on the JSON framing.
+// Binary frame type codes. Every server-to-server exchange and every watch
+// stream — cluster data, ledger and member sync, merge and prefix
+// announcements — is binary-framed; the other type codes live beside their
+// codecs. Client requests, their control replies and the hello exchange stay
+// on the JSON framing.
 const (
 	// FrameCluster carries one cluster: a fixed meta header (see
 	// appendClusterMeta) followed by the cluster's raw bytes. It is used
@@ -56,8 +57,7 @@ const CapClusterFrames = "cluster-frames-v1"
 // wants binary framing sends TypeHello as its first request; a server that
 // understands it answers TypeHelloOK with the granted version and
 // capabilities. A server predating the handshake answers TypeError ("unknown
-// message type"): a client then carries on in JSON, while a server-to-server
-// connection refuses the peer (RequireClusterFrames).
+// message type"), and the connection refuses it (RequireClusterFrames).
 const (
 	TypeHello   = "hello"
 	TypeHelloOK = "hello.ok"
@@ -237,7 +237,7 @@ func (f *Frame) Materialize(pool *BufferPool) error {
 // buffer from pool, pread the body into it, and return it with a free() that
 // puts the lease back. Callers must run free() once they are done with the
 // bytes — it is non-nil even on error. This is the userspace fallback the
-// JSON framing and streams without a kernel path use for kernel bodies.
+// JSON cluster.ok and streams without a kernel path use for kernel bodies.
 func (f *Frame) BodyBytes(pool *BufferPool) (body []byte, free func(), err error) {
 	free = func() {}
 	if f == nil {
@@ -461,8 +461,9 @@ func (c *Conn) WriteClusterFrame(p ClusterPayload, body []byte) error {
 //   - binary framing + byte-backed body, or a kernel body the platform or
 //     stream cannot kernel-send (non-TCP test pipes, !linux builds): the
 //     pooled-buffer copy path of WriteClusterFrame. Returns kernel = false.
-//   - JSON framing: a control frame of msgType followed by the raw body,
-//     exactly as WriteMessageWithBody sends it. Returns kernel = false.
+//   - JSON framing, which only a hello-less cluster.get reaches: a control
+//     frame of msgType followed by the raw body, exactly as
+//     WriteMessageWithBody sends it. Returns kernel = false.
 //
 // The fallback paths produce byte-identical wire output to the kernel paths.
 // pool supplies the bounce buffer when a kernel body must be copied after
@@ -827,9 +828,10 @@ func (c *Conn) Negotiate() (bool, error) {
 	}
 }
 
-// RequireClusterFrames runs Negotiate on a server-to-server connection, which
-// speaks only binary frames: a peer that answers the hello without granting
-// CapClusterFrames fails with ErrClusterFramesRefused.
+// RequireClusterFrames runs Negotiate on a connection that speaks only binary
+// frames — every server-to-server connection and every player's: a peer that
+// answers the hello without granting CapClusterFrames fails with
+// ErrClusterFramesRefused.
 func (c *Conn) RequireClusterFrames() error {
 	granted, err := c.Negotiate()
 	if err != nil {

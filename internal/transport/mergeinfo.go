@@ -9,15 +9,11 @@ import (
 // server coalesces a watch session onto a shared cohort (DESIGN.md § "Stream
 // merging"), it announces the fact right after watch.ok — before any cluster
 // — so the client can report its role. Delivery itself is unchanged: clusters
-// arrive in order on the negotiated framing whether they came from a private
-// read or a cohort broadcast, and clients that ignore the frame keep working.
-const (
-	// TypeMergeInfo is the JSON control-frame type (the fallback framing).
-	TypeMergeInfo = "merge.info"
-	// FrameMergeInfo is the binary frame type code, used when the hello
-	// exchange granted binary framing.
-	FrameMergeInfo byte = 0x02
-)
+// arrive in order whether they came from a private read or a cohort
+// broadcast, and clients that ignore the frame keep working.
+
+// FrameMergeInfo is the merge announcement's binary frame type code.
+const FrameMergeInfo byte = 0x02
 
 // Merge roles carried by MergeInfoPayload.Role.
 const (

@@ -19,10 +19,7 @@ import (
 // no redirect, no admission grant, no per-watch popularity count beyond the
 // one demand signal per cohort.
 const (
-	// TypePrefixInfo is the JSON control-frame type (the fallback framing).
-	TypePrefixInfo = "prefix.info"
-	// FramePrefixAnnounce is the binary frame type code, used when the hello
-	// exchange granted binary framing.
+	// FramePrefixAnnounce is the prefix announce's binary frame type code.
 	FramePrefixAnnounce byte = 0x05
 	// TypeRelayJoin asks a holder to stream a title for a downstream cohort.
 	TypeRelayJoin = "relay.join"

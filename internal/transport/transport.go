@@ -30,9 +30,7 @@
 // socket into a body-sized pooled buffer exactly once, with no marshaling
 // and, in steady state, no buffer allocation. A frame's body is pooled
 // bytes, a file range or a kernel pipe (see Frame); a home relaying a peer's
-// cluster splices it socket → pipe → socket. On a JSON client connection the
-// same flow runs with a marshaled header frame and the body copied out of
-// the file.
+// cluster splices it socket → pipe → socket.
 package transport
 
 import (
@@ -62,10 +60,12 @@ const (
 	TypeTitles   = "titles"
 	TypeTitlesOK = "titles.ok"
 	// TypeWatch asks the home server to deliver a whole title
-	// (WatchPayload); TypeWatchOK answers with WatchOKPayload, then one
-	// TypeCluster + raw bytes per cluster, then TypeWatchDone. A server
-	// running admission control may instead answer TypeWatchReject with
-	// WatchRejectPayload.
+	// (WatchPayload) on a connection granted CapClusterFrames (TypeError
+	// otherwise); TypeWatchOK answers with WatchOKPayload, then one
+	// FrameCluster per cluster, then TypeWatchDone with WatchDonePayload. A
+	// server running admission control may instead answer TypeWatchReject
+	// with WatchRejectPayload. TypeCluster is the JSON cluster header, which
+	// no watch stream carries.
 	TypeWatch       = "watch"
 	TypeWatchOK     = "watch.ok"
 	TypeWatchReject = "watch.reject"
@@ -75,7 +75,8 @@ const (
 	// TypeClusterOK answers with ClusterPayload + raw bytes, or, on a
 	// connection that negotiated binary frames, a FrameCluster (see
 	// ReadClusterReply). Peers send the binary twin, FrameClusterGet; the
-	// JSON request serves clients that never sent a hello, and tests.
+	// JSON request is answered for a connection that never sent a hello,
+	// the only cluster exchange still served without one.
 	TypeClusterGet = "cluster.get"
 	TypeClusterOK  = "cluster.ok"
 	// TypeHolders asks which servers hold a title (HoldersPayload);
@@ -168,9 +169,7 @@ type WatchOKPayload struct {
 	Degraded      bool    `json:"degraded,omitempty"`
 }
 
-// WatchDonePayload closes a delivery stream. It is optional — servers
-// predating it send watch.done with no payload, and clients that ignore the
-// payload keep working.
+// WatchDonePayload closes a delivery stream. Every watch.done carries it.
 type WatchDonePayload struct {
 	// Migrations counts the mid-stream reservation migrations the session's
 	// admission grant went through: each time a cluster-boundary re-plan
@@ -302,9 +301,8 @@ var (
 
 // Conn wraps a byte stream with message framing. Writes and reads each take
 // an internal lock, so one reader and one writer may operate concurrently,
-// but multi-frame exchanges (message + raw body) hold the lock across both
-// parts via the *WithBody variants. Callers that split an exchange across
-// ReadFrameOrMessage and ReadBody must be the connection's only reader.
+// and multi-frame exchanges (message + raw body) hold the lock across both
+// parts via the *WithBody variants.
 type Conn struct {
 	rmu sync.Mutex
 	wmu sync.Mutex
@@ -517,16 +515,6 @@ func (c *Conn) ReadMessageWithBodyPool(pool *BufferPool, bodyLen func(Message) (
 	}
 	f, err := c.readBodyLocked(n, pool)
 	return m, f, err
-}
-
-// ReadBody reads n raw body bytes that follow an already-read control frame,
-// leased from pool (allocated when pool is nil). The caller must be the
-// connection's only reader, since the message/body pair is read under two
-// separate lock acquisitions.
-func (c *Conn) ReadBody(n int64, pool *BufferPool) (*Frame, error) {
-	c.rmu.Lock()
-	defer c.rmu.Unlock()
-	return c.readBodyLocked(n, pool)
 }
 
 // readBodyLocked reads n raw bytes into a (possibly pooled) frame buffer.
