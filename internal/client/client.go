@@ -93,10 +93,10 @@ func WithClass(c admission.Class) Option {
 }
 
 // WithDialer substitutes the function that opens the player's connections
-// (default transport.Dial). Fault injectors wrap the stream here so the
-// home link can be cut or stalled mid-watch; tests use it to interpose. The
-// wrapped connection is what the player pools, so it keeps gating (and
-// being cut) while it sits idle between watches.
+// (default transport.Dial). A fault injector's dial gates the connection
+// here so the home link can be cut or stalled mid-watch; tests use it to
+// interpose. The gated connection is what the player pools, so it keeps
+// gating (and being cut) while it sits idle between watches.
 func WithDialer(dial func(addr string) (*transport.Conn, error)) Option {
 	return func(p *Player) {
 		if dial != nil {

@@ -39,13 +39,15 @@ type tapStream struct {
 }
 
 func (t *tap) dial(addr string) (*transport.Conn, error) {
-	return transport.DialWith(addr, func(rw io.ReadWriteCloser) io.ReadWriteCloser {
-		s := &tapStream{rw: rw}
-		t.mu.Lock()
-		t.streams = append(t.streams, s)
-		t.mu.Unlock()
-		return s
-	})
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	s := &tapStream{rw: nc}
+	t.mu.Lock()
+	t.streams = append(t.streams, s)
+	t.mu.Unlock()
+	return transport.NewConn(s), nil
 }
 
 // dials reports how many connections the player has opened.
@@ -266,14 +268,9 @@ func TestPlayerIdleConnCutByPeerDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer inj.Stop()
-	// What the service's WatchDialer does: ask the injector, wrap the stream.
+	// What the service's WatchDialer does: dial through the injector.
 	dial := func(addr string) (*transport.Conn, error) {
-		if err := inj.DialError(grnet.Patra, nil); err != nil {
-			return nil, err
-		}
-		return transport.DialWith(addr, func(rw io.ReadWriteCloser) io.ReadWriteCloser {
-			return inj.WrapStream(grnet.Patra, nil, rw)
-		})
+		return inj.Dial(grnet.Patra, nil, addr)
 	}
 	book, _ := miniCluster(t)
 	plain, err := client.NewPlayer(grnet.Patra, book, client.WithDialer(dial))

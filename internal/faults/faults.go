@@ -5,12 +5,12 @@
 // Injection side: a declarative Plan schedules faults ("at T, fail X for D")
 // — link flaps and partitions, peer death and byte-stalls, slow / stalling /
 // short-reading disks — and an Injector armed with the plan applies them to
-// the running stack through small hooks: Dial (DialError, then WrapStream)
-// on the live transport path, and ReadInterceptor on disk arrays. The plan
-// is seed-pinned: the sequence of activation/deactivation events (Events)
-// is a pure function of the plan, so the same plan and seed reproduce the
-// identical event sequence run after run — a flaky production failure
-// becomes a regression test.
+// the running stack through small hooks: Dial (DialError, then a gate on
+// the dialed socket) on the live transport path, and ReadInterceptor on disk
+// arrays. The plan is seed-pinned: the sequence of activation/deactivation
+// events (Events) is a pure function of the plan, so the same plan and seed
+// reproduce the identical event sequence run after run — a flaky production
+// failure becomes a regression test.
 //
 // Defense side (the other files of this package): per-peer circuit breakers
 // (BreakerSet), the one judge of a failing peer on a server's fetch path; the
@@ -21,8 +21,9 @@ package faults
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
+	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -195,8 +196,8 @@ func (e *FaultError) Error() string {
 func (e *FaultError) Unwrap() error { return ErrInjected }
 
 // Injector arms a validated Plan against a clock and applies it through the
-// hook methods. One injector serves a whole deployment: every server wraps
-// its peer dials and disk array with the same injector, so a single plan
+// hook methods. One injector serves a whole deployment: every server routes
+// its peer dials and disk array through the same injector, so a single plan
 // describes the whole system's failure schedule. All methods are safe for
 // concurrent use.
 type Injector struct {
@@ -212,7 +213,7 @@ type Injector struct {
 	start   time.Time
 	stop    chan struct{}
 	rng     *rand.Rand
-	streams map[*faultyStream]struct{}
+	conns   map[*gatedConn]struct{}
 }
 
 // NewInjector validates the plan and builds an injector. The seed pins every
@@ -241,7 +242,7 @@ func NewInjector(plan Plan, seed int64, clk clock.Clock, reg *metrics.Registry) 
 		log:      materializeLog(events),
 		stop:     make(chan struct{}),
 		rng:      rand.New(rand.NewSource(seed)),
-		streams:  make(map[*faultyStream]struct{}),
+		conns:    make(map[*gatedConn]struct{}),
 	}
 	return i, nil
 }
@@ -406,26 +407,11 @@ func (i *Injector) DialError(peer topology.NodeID, path []topology.LinkID) error
 	return &FaultError{Kind: e.Kind, Target: e.Target()}
 }
 
-// WrapStream wraps a live connection's byte stream with the injector: while
-// a peer.down or link.down fault covering the route is active the stream is
-// severed (including reads already blocked in the kernel — the cutter closes
-// the underlying connection at the activation instant), and a peer.stall
-// fault freezes reads and writes until its window closes. The returned
-// stream must be used in place of rw, and its Close must be called so the
-// injector can forget it.
-func (i *Injector) WrapStream(peer topology.NodeID, path []topology.LinkID, rw io.ReadWriteCloser) io.ReadWriteCloser {
-	f := &faultyStream{inj: i, peer: peer, path: append([]topology.LinkID(nil), path...), rw: rw}
-	i.mu.Lock()
-	i.streams[f] = struct{}{}
-	i.mu.Unlock()
-	return f
-}
-
-// Dial connects to peer at addr over the route crossing path with the
-// injector interposed: a fault refusing the route fails the dial before it
-// connects (DialError), and the connection's byte stream is wrapped
-// (WrapStream) so a later fault can cut or stall it. A nil injector dials
-// plainly, so callers need no armed-plan check of their own.
+// Dial connects to peer at addr over the route crossing path: a fault
+// refusing the route fails the dial (DialError), and the connection's gate
+// lets a later fault cut or stall it on the sendfile and splice paths an
+// unarmed dial takes. A nil injector dials plainly, so callers need no
+// armed-plan check of their own.
 func (i *Injector) Dial(peer topology.NodeID, path []topology.LinkID, addr string) (*transport.Conn, error) {
 	if i == nil {
 		return transport.Dial(addr)
@@ -433,16 +419,16 @@ func (i *Injector) Dial(peer topology.NodeID, path []topology.LinkID, addr strin
 	if err := i.DialError(peer, path); err != nil {
 		return nil, err
 	}
-	return transport.DialWith(addr, func(rw io.ReadWriteCloser) io.ReadWriteCloser {
-		return i.WrapStream(peer, path, rw)
-	})
-}
-
-// forget drops a closed stream from the cut set.
-func (i *Injector) forget(f *faultyStream) {
+	g := &gatedConn{inj: i, peer: peer, path: slices.Clone(path), closed: make(chan struct{})}
+	c, err := transport.DialGated(addr, g)
+	if err != nil {
+		return nil, err
+	}
+	g.conn = c
 	i.mu.Lock()
-	delete(i.streams, f)
+	i.conns[g] = struct{}{}
 	i.mu.Unlock()
+	return c, nil
 }
 
 // cutLoop waits for each link.down / peer.down activation and severs the
@@ -476,20 +462,20 @@ func (i *Injector) cutLoop(start time.Time) {
 	}
 }
 
-// cutMatching severs every registered stream the event's fault covers.
+// cutMatching severs every live connection the event's fault covers.
 func (i *Injector) cutMatching(e Event) {
 	i.mu.Lock()
-	victims := make([]*faultyStream, 0, len(i.streams))
-	for f := range i.streams {
-		if pathDown(f.peer, f.path)(e) {
-			victims = append(victims, f)
+	victims := make([]*gatedConn, 0, len(i.conns))
+	for g := range i.conns {
+		if pathDown(g.peer, g.path)(e) {
+			victims = append(victims, g)
 		}
 	}
 	i.mu.Unlock()
-	for _, f := range victims {
-		if f.cut.CompareAndSwap(false, true) {
+	for _, g := range victims {
+		if g.cut.CompareAndSwap(false, true) {
 			i.injected.Inc()
-			_ = f.rw.Close()
+			_ = g.conn.Close()
 		}
 	}
 }
@@ -526,75 +512,56 @@ func (i *Injector) ReadInterceptor(node topology.NodeID) disk.ReadInterceptor {
 	}
 }
 
-// faultyStream is the injector's wrapper around one live connection.
-type faultyStream struct {
-	inj  *Injector
-	peer topology.NodeID
-	path []topology.LinkID
-	rw   io.ReadWriteCloser
-	cut  atomic.Bool
+// gatedConn is the injector's record of one dialed connection, its gate,
+// and its entry in the cut set from the dial until the Conn closes.
+type gatedConn struct {
+	inj    *Injector
+	peer   topology.NodeID
+	path   []topology.LinkID
+	conn   *transport.Conn
+	cut    atomic.Bool
+	closed chan struct{}
 }
 
-// gate blocks through stall windows and severs the stream when a covering
-// down fault is active (covers streams opened before activation whose next
-// I/O lands inside the window; blocked I/O is handled by the cut loop).
-func (f *faultyStream) gate() error {
-	if f.cut.Load() {
-		return &FaultError{Kind: KindPeerDown, Target: string(f.peer)}
+// Pass blocks through stall windows, or until the Conn closes, and cuts the
+// connection when a covering down fault is active (I/O already blocked is
+// the cut loop's).
+func (g *gatedConn) Pass() error {
+	if g.cut.Load() {
+		return &FaultError{Kind: KindPeerDown, Target: string(g.peer)}
 	}
-	if e, ok := f.inj.activeEvent(pathDown(f.peer, f.path)); ok {
-		if f.cut.CompareAndSwap(false, true) {
-			f.inj.injected.Inc()
-			_ = f.rw.Close()
+	if e, ok := g.inj.activeEvent(pathDown(g.peer, g.path)); ok {
+		if g.cut.CompareAndSwap(false, true) {
+			g.inj.injected.Inc()
+			// Pass may run inside a kernel step holding the socket, which
+			// a Close waits out, so the close runs on its own goroutine.
+			go g.conn.Close()
 		}
 		return &FaultError{Kind: e.Kind, Target: e.Target()}
 	}
-	// Stalls freeze the stream but do not break it.
+	// Stalls freeze the connection but do not break it.
 	for {
-		e, ok := f.inj.activeEvent(func(e Event) bool {
-			return e.Kind == KindPeerStall && e.Node == f.peer
+		e, ok := g.inj.activeEvent(func(e Event) bool {
+			return e.Kind == KindPeerStall && e.Node == g.peer
 		})
 		if !ok {
 			return nil
 		}
-		f.inj.injected.Inc()
-		f.inj.clk.Sleep(f.inj.remaining(e))
+		g.inj.injected.Inc()
+		select {
+		case <-g.inj.clk.After(g.inj.remaining(e)):
+		case <-g.closed:
+			return net.ErrClosed
+		}
 	}
 }
 
-func (f *faultyStream) Read(p []byte) (int, error) {
-	if err := f.gate(); err != nil {
-		return 0, err
+// Closed drops the connection from the cut set, once.
+func (g *gatedConn) Closed() {
+	g.inj.mu.Lock()
+	defer g.inj.mu.Unlock()
+	if _, ok := g.inj.conns[g]; ok {
+		delete(g.inj.conns, g)
+		close(g.closed)
 	}
-	return f.rw.Read(p)
-}
-
-func (f *faultyStream) Write(p []byte) (int, error) {
-	if err := f.gate(); err != nil {
-		return 0, err
-	}
-	return f.rw.Write(p)
-}
-
-func (f *faultyStream) Close() error {
-	f.inj.forget(f)
-	return f.rw.Close()
-}
-
-// SetReadDeadline forwards deadline support so transport.Conn idle timeouts
-// keep working through the wrapper.
-func (f *faultyStream) SetReadDeadline(t time.Time) error {
-	if d, ok := f.rw.(interface{ SetReadDeadline(time.Time) error }); ok {
-		return d.SetReadDeadline(t)
-	}
-	return nil
-}
-
-// SetReadBuffer forwards receive-buffer sizing, so a player's connection
-// is sized the same with and without the injector in the path.
-func (f *faultyStream) SetReadBuffer(bytes int) error {
-	if b, ok := f.rw.(interface{ SetReadBuffer(int) error }); ok {
-		return b.SetReadBuffer(bytes)
-	}
-	return nil
 }

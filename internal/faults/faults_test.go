@@ -3,6 +3,7 @@ package faults
 import (
 	"errors"
 	"net"
+	"os"
 	"reflect"
 	"testing"
 	"time"
@@ -142,8 +143,9 @@ func TestDialErrorWindows(t *testing.T) {
 }
 
 // TestInjectorDial: a nil injector dials plainly. An armed one refuses a
-// route under an active fault without connecting, and wraps what it does
-// dial, so a fault that activates later cuts the live stream.
+// route under an active fault without connecting, and gates what it does
+// dial, so a fault that activates later cuts the live connection, which
+// then leaves the cut set.
 func TestInjectorDial(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -270,5 +272,59 @@ func TestInjectorStartTwiceFails(t *testing.T) {
 	defer inj.Stop()
 	if err := inj.Start(); err == nil {
 		t.Fatal("second Start succeeded")
+	}
+}
+
+// TestArmedDialKeepsDeadlines: a deadline set on a connection an armed
+// injector dialed bounds its reads just as on a plain dial, so a peer that
+// accepted and went silent cannot hang a membership exchange or a probe.
+func TestArmedDialKeepsDeadlines(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer c.Close() // accept and stay silent
+		}
+	}()
+	var plan Plan
+	plan.FailPeer(time.Hour, time.Minute, "B") // armed, never active here
+	inj := mustInjector(t, plan, 1, clock.Wall{})
+	if err := inj.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer inj.Stop()
+	for _, arm := range []struct {
+		name string
+		inj  *Injector
+	}{{"unarmed", nil}, {"armed", inj}} {
+		c, err := arm.inj.Dial("B", nil, ln.Addr().String())
+		if err != nil {
+			t.Fatalf("%s dial: %v", arm.name, err)
+		}
+		if err := c.SetDeadline(time.Now().Add(50 * time.Millisecond)); err != nil {
+			t.Fatalf("%s: SetDeadline: %v", arm.name, err)
+		}
+		read := make(chan error, 1)
+		go func() {
+			_, err := c.ReadMessage()
+			read <- err
+		}()
+		select {
+		case err := <-read:
+			if !errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("%s: read past the deadline returned %v, want a deadline error", arm.name, err)
+			}
+		case <-time.After(10 * time.Second):
+			_ = c.Close()
+			t.Fatalf("%s: read still blocked 10 s past a 50 ms deadline", arm.name)
+		}
+		_ = c.Close()
 	}
 }

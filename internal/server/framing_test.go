@@ -149,11 +149,16 @@ func TestWatchWithoutHelloRefused(t *testing.T) {
 // TestWatchBinaryFramingRemoteFetch: binary framing on the client leg
 // composes with the peer-fetch leg — the home server pulls every cluster
 // from a remote holder as a binary cluster.ok and relays it to the client as
-// binary frames, sources intact.
+// binary frames, sources intact. Thessaloniki is the planned holder; a
+// cluster comes from Xanthi only when the home's hedge won it (a fresh peer
+// dial can outlast the hedge deadline on a loaded host), so the Xanthi
+// clusters must number exactly the hedges the home won.
 func TestWatchBinaryFramingRemoteFetch(t *testing.T) {
 	lc := newCluster(t, map[topology.NodeID]int64{grnet.Patra: clusterBytes})
 	title := media.Title{Name: "zorba", SizeBytes: 4*clusterBytes + 100, BitrateMbps: 1.5}
 	lc.addTitle(t, title, grnet.Thessaloniki, grnet.Xanthi)
+	home := lc.servers[grnet.Patra].Metrics()
+	hedgesWon := home.Snapshot().Counters["client.hedges_won"]
 
 	p, err := client.NewPlayer(grnet.Patra, lc.book)
 	if err != nil {
@@ -169,10 +174,22 @@ func TestWatchBinaryFramingRemoteFetch(t *testing.T) {
 	if !stats.Verified || stats.BytesReceived != title.SizeBytes {
 		t.Fatalf("verified=%v bytes=%d", stats.Verified, stats.BytesReceived)
 	}
+	var xanthi int64
 	for i, src := range stats.Sources {
-		if src != grnet.Thessaloniki {
-			t.Fatalf("cluster %d source = %s, want Thessaloniki", i, src)
+		switch src {
+		case grnet.Thessaloniki:
+		case grnet.Xanthi:
+			xanthi++
+		default:
+			t.Fatalf("cluster %d source = %s, want Thessaloniki or Xanthi", i, src)
 		}
+	}
+	m := home.Snapshot()
+	if won := m.Counters["client.hedges_won"] - hedgesWon; xanthi != won {
+		t.Fatalf("%d clusters came from Xanthi, but the home won %d hedges", xanthi, won)
+	}
+	if n := m.Counters["server.fetch_retries"]; n != 0 {
+		t.Fatalf("server.fetch_retries = %d, want 0", n)
 	}
 }
 

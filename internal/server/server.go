@@ -9,10 +9,11 @@
 // block file that goes to the socket with sendfile on Linux, and a cluster
 // pulled from a peer (whose origin sent it the same way, asked by a binary
 // cluster.get) is spliced from the peer's socket into a pooled kernel pipe
-// and from there into the client's socket, never entering Go memory. Where
-// no splice path exists — a fault injector's wrapped stream, a test pipe, a
-// !linux build — the pulled cluster lands in a buffer leased from a
-// transport.BufferPool instead. Either is written to the wire as a binary
+// and from there into the client's socket, never entering Go memory, with or
+// without an armed fault injector, which gates the peer socket rather than
+// wrapping it. Where no splice path exists — a test pipe, a !linux build —
+// the pulled cluster lands in a buffer leased from a transport.BufferPool
+// instead. Either is written to the wire as a binary
 // cluster frame — no JSON marshal and no per-cluster allocation. A session
 // (watch or relay.join) is served only on a connection whose hello was
 // granted binary frames (transport.TypeHello). Per-server delivery volume
@@ -109,8 +110,8 @@ type Config struct {
 	MergeQueueDepth int
 	// Faults optionally interposes the deterministic fault injector on this
 	// server's peer-fetch path: scheduled dial refusals before connecting and
-	// a wrapped byte stream that the injector can cut or stall mid-cluster.
-	// Nil fetches without interposition.
+	// a gate on each dialed socket that the injector can cut or stall
+	// mid-cluster. Nil fetches without interposition.
 	Faults *faults.Injector
 	// Ledger optionally serves this node's replica of the gossip-replicated
 	// reservation ledger: peers' ledger-sync frames are merged and answered
@@ -1611,9 +1612,8 @@ func (s *Server) planCluster(title string, planRate float64, exclude map[topolog
 //
 // The fault injector sees every fetch, not every dial: DialError is asked
 // before each attempt, so a scheduled partition refuses a route even while a
-// pooled connection for it exists, and what is pooled is the injector's
-// wrapped stream, which keeps gating (and being cut) on the route it was
-// dialed for.
+// pooled connection for it exists, and a pooled connection keeps the
+// injector's gate, which passes (and is cut) on the route it was dialed for.
 //
 // A reused connection that fails before the peer answered — the peer timed
 // it out, restarted, or the injector cut it while it sat idle — says nothing
@@ -1686,7 +1686,7 @@ func (s *Server) clusterGet(peer *transport.Conn, req transport.ClusterGetPayloa
 // peerConnKey is the idle-pool key of a connection to peer over the route
 // crossing links. The route is part of the key because a fault-injected
 // connection gates on the links it was dialed for: after a VRA re-route the
-// fetch must not ride a wrapper watching the old path.
+// fetch must not ride a connection gated on the old path.
 func peerConnKey(peer topology.NodeID, links []topology.LinkID) string {
 	var b strings.Builder
 	b.WriteString(string(peer))

@@ -513,7 +513,7 @@ func (c *Conn) WriteClusterBody(pool *BufferPool, msgType string, p ClusterPaylo
 		return false, err
 	}
 	defer free()
-	if _, err := c.rw.Write(data); err != nil {
+	if err := c.writeVectoredLocked(data); err != nil {
 		return false, fmt.Errorf("write cluster body: %w", err)
 	}
 	return false, nil
@@ -528,7 +528,7 @@ func (c *Conn) ReadFrameOrMessage(pool *BufferPool) (Message, *Frame, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
 	first := c.rbuf(1)
-	if _, err := io.ReadFull(c.rw, first); err != nil {
+	if err := c.readFull(first); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			return Message{}, nil, io.EOF
 		}
@@ -550,9 +550,9 @@ func (c *Conn) ReadFrameOrMessage(pool *BufferPool) (Message, *Frame, error) {
 // The body lands in a pipe from pipes when the stream is a raw socket and
 // the pool has one to give: spliced there, it never enters Go memory, and
 // WriteClusterBody splices it on to the client. Otherwise — pipes is nil or
-// exhausted, the stream is not a socket (a fault injector's wrapper, a test
-// pipe), a !linux build — or when the body overflows its pipe, the body is
-// read into a buffer leased from pool (allocated unpooled when pool is nil).
+// exhausted, the stream is not a socket (a test pipe), a !linux build — or
+// when the body overflows its pipe, the body is read into a buffer leased
+// from pool (allocated unpooled when pool is nil).
 // The frame comes from a recycled set and goes back on its final Release.
 //
 // A read that fails before the reply's first octet arrived wraps ErrNoReply:
@@ -563,7 +563,7 @@ func (c *Conn) ReadClusterReply(pool *BufferPool, pipes *PipePool) (ClusterPaylo
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
 	first := c.rbuf(1)
-	if _, err := io.ReadFull(c.rw, first); err != nil {
+	if err := c.readFull(first); err != nil {
 		return ClusterPayload{}, nil, fmt.Errorf("%w: %w", ErrNoReply, err)
 	}
 	if first[0] != FrameMagic0 {
@@ -595,7 +595,7 @@ func (c *Conn) ReadClusterOrMessage(pool *BufferPool) (Message, ClusterPayload, 
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
 	first := c.rbuf(1)
-	if _, err := io.ReadFull(c.rw, first); err != nil {
+	if err := c.readFull(first); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			return Message{}, ClusterPayload{}, nil, io.EOF
 		}
@@ -625,7 +625,7 @@ func (c *Conn) readClusterLocked(version, flags byte, n uint32, pool *BufferPool
 		return ClusterPayload{}, nil, fmt.Errorf("%w: cluster meta truncated (%d bytes)", ErrBadFrame, n)
 	}
 	fixed := c.rbuf(clusterMetaFixed)
-	if _, err := io.ReadFull(c.rw, fixed); err != nil {
+	if err := c.readFull(fixed); err != nil {
 		return ClusterPayload{}, nil, fmt.Errorf("%w: truncated cluster meta: %v", ErrBadFrame, err)
 	}
 	m := parseClusterMeta(fixed)
@@ -637,7 +637,7 @@ func (c *Conn) readClusterLocked(version, flags byte, n uint32, pool *BufferPool
 		return ClusterPayload{}, nil, err
 	}
 	names := c.rbuf(m.titleLen + m.srcLen)
-	if _, err := io.ReadFull(c.rw, names); err != nil {
+	if err := c.readFull(names); err != nil {
 		return ClusterPayload{}, nil, fmt.Errorf("%w: truncated cluster names: %v", ErrBadFrame, err)
 	}
 	p := m.payload(intern(&c.rtitle, names[:m.titleLen]), intern(&c.rsource, names[m.titleLen:]))
@@ -686,8 +686,7 @@ func (c *Conn) readReplyBodyLocked(f *Frame, pool *BufferPool, pipes *PipePool, 
 			return err
 		}
 	}
-	_, err := io.ReadFull(c.rw, buf[got:])
-	return err
+	return c.readFull(buf[got:])
 }
 
 // intern returns b as a string, reusing *last when it holds the same bytes:
@@ -736,7 +735,7 @@ func (c *Conn) ReadReplyFrame(want byte) (*Frame, error) {
 // Callers hold rmu.
 func (c *Conn) readFrameHeaderLocked() (version, typ, flags byte, n uint32, err error) {
 	hdr := c.rbuf(FrameHeaderLen - 1)
-	if _, err := io.ReadFull(c.rw, hdr); err != nil {
+	if err := c.readFull(hdr); err != nil {
 		return 0, 0, 0, 0, fmt.Errorf("%w: truncated header: %v", ErrBadFrame, err)
 	}
 	if hdr[0] != FrameMagic1 {

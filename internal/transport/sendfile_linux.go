@@ -88,11 +88,14 @@ func (c *Conn) kernelSendLocked(body *Frame) (bool, error) {
 // socket is writable; ks.unsupported reports a refusal before any byte moved
 // (EINVAL/ENOSYS class), so the userspace copy may still take the body. A
 // pipe source always holds the whole rest of the body, so EAGAIN means the
-// socket is full, never that the pipe is empty.
+// socket is full, never that the pipe is empty. The gate passes each chunk.
 func (c *Conn) sendfileStep(fd uintptr) bool {
 	ks := &c.ks
 	b := ks.body
 	for ks.sent < b.size {
+		if ks.opErr = c.pass(); ks.opErr != nil {
+			return true
+		}
 		chunk := int(min(b.size-ks.sent, maxKernelChunk))
 		var n int64
 		var err error

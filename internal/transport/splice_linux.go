@@ -130,13 +130,16 @@ func (c *Conn) spliceRecvLocked(p *splicePipe, size int64) (got int64, ok bool, 
 }
 
 // spliceRecvStep is the poller callback of spliceRecvLocked. Returning false
-// parks until the socket is readable.
+// parks until the socket is readable. The gate passes each chunk.
 func (c *Conn) spliceRecvStep(fd uintptr) bool {
 	rs := &c.rs
 	// retried is set when a peek found bytes the splice before it did not:
 	// they may have arrived in between, so one more splice decides.
 	retried := false
 	for rs.got < rs.size {
+		if rs.opErr = c.pass(); rs.opErr != nil {
+			return true
+		}
 		n, err := spliceN(int(fd), rs.pipeW, int(min(rs.size-rs.got, maxKernelChunk)))
 		if n > 0 {
 			rs.got += n

@@ -304,9 +304,10 @@ var (
 // and multi-frame exchanges (message + raw body) hold the lock across both
 // parts via the *WithBody variants.
 type Conn struct {
-	rmu sync.Mutex
-	wmu sync.Mutex
-	rw  io.ReadWriteCloser
+	rmu  sync.Mutex
+	wmu  sync.Mutex
+	rw   io.ReadWriteCloser
+	gate Gate // nil: no gate
 
 	// binary records the hello-negotiated framing for cluster data.
 	binary atomic.Bool
@@ -340,8 +341,42 @@ type Conn struct {
 // NewConn wraps a stream (net.Conn or net.Pipe end).
 func NewConn(rw io.ReadWriteCloser) *Conn { return &Conn{rw: rw} }
 
-// Close closes the underlying stream.
-func (c *Conn) Close() error { return c.rw.Close() }
+// Gate interposes on a connection without wrapping its socket (a fault
+// injector's record of a connection is one). Pass runs before each read of
+// a frame part, each write and each sendfile or splice chunk; its error
+// fails that I/O, and it may block to stall it. Pass can run inside a kernel step,
+// which a Close waits for, so it must not Close the Conn on its own
+// goroutine. Closed runs on every Close.
+type Gate interface {
+	Pass() error
+	Closed()
+}
+
+// Close closes the underlying stream, telling the gate first.
+func (c *Conn) Close() error {
+	if c.gate != nil {
+		c.gate.Closed()
+	}
+	return c.rw.Close()
+}
+
+// pass runs the gate, if any, before a read or write of the stream.
+func (c *Conn) pass() error {
+	if c.gate == nil {
+		return nil
+	}
+	return c.gate.Pass()
+}
+
+// readFull fills buf from the stream as io.ReadFull does, once the gate
+// passes. Every read of a frame part goes through it.
+func (c *Conn) readFull(buf []byte) error {
+	if err := c.pass(); err != nil {
+		return err
+	}
+	_, err := io.ReadFull(c.rw, buf)
+	return err
+}
 
 // SetReadDeadline forwards to the underlying stream when it supports
 // deadlines (net.Conn does; in-memory test pipes may not, in which case this
@@ -481,7 +516,10 @@ func (c *Conn) writeVectoredLocked(bufs ...[]byte) error {
 		return nil
 	}
 	c.wvecIO = net.Buffers(vec)
-	_, err := c.wvecIO.WriteTo(c.rw)
+	err := c.pass()
+	if err == nil {
+		_, err = c.wvecIO.WriteTo(c.rw)
+	}
 	c.qbuf = c.qbuf[:0]
 	if err != nil {
 		return fmt.Errorf("write frames: %w", err)
@@ -525,7 +563,7 @@ func (c *Conn) readBodyLocked(n int64, pool *BufferPool) (*Frame, error) {
 	}
 	f := &Frame{}
 	f.refs.Store(1)
-	if _, err := io.ReadFull(c.rw, f.setBytes(pool, leaseBuf(pool, n))); err != nil {
+	if err := c.readFull(f.setBytes(pool, leaseBuf(pool, n))); err != nil {
 		f.Release()
 		return nil, fmt.Errorf("read body: %w", err)
 	}
@@ -534,7 +572,7 @@ func (c *Conn) readBodyLocked(n int64, pool *BufferPool) (*Frame, error) {
 
 func (c *Conn) readLocked() (Message, error) {
 	var first [1]byte
-	if _, err := io.ReadFull(c.rw, first[:]); err != nil {
+	if err := c.readFull(first[:]); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			return Message{}, io.EOF
 		}
@@ -550,7 +588,7 @@ func (c *Conn) readLocked() (Message, error) {
 // already been consumed. Callers hold rmu.
 func (c *Conn) readJSONLocked(first byte) (Message, error) {
 	var rest [3]byte
-	if _, err := io.ReadFull(c.rw, rest[:]); err != nil {
+	if err := c.readFull(rest[:]); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			return Message{}, io.EOF
 		}
@@ -564,7 +602,7 @@ func (c *Conn) readJSONLocked(first byte) (Message, error) {
 		return Message{}, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
 	data := make([]byte, n)
-	if _, err := io.ReadFull(c.rw, data); err != nil {
+	if err := c.readFull(data); err != nil {
 		return Message{}, fmt.Errorf("read frame: %w", err)
 	}
 	var m Message
@@ -609,21 +647,13 @@ func AsError(m Message) error {
 }
 
 // Dial connects to a service endpoint.
-func Dial(addr string) (*Conn, error) {
-	return DialWith(addr, nil)
-}
+func Dial(addr string) (*Conn, error) { return DialGated(addr, nil) }
 
-// DialWith connects like Dial but passes the raw TCP stream through wrap
-// before framing — the hook fault injectors use to interpose on a
-// connection's bytes (cuts, stalls). A nil wrap is the identity.
-func DialWith(addr string, wrap func(io.ReadWriteCloser) io.ReadWriteCloser) (*Conn, error) {
+// DialGated connects like Dial, behind gate when it is not nil.
+func DialGated(addr string, gate Gate) (*Conn, error) {
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("dial %s: %w", addr, err)
 	}
-	var rw io.ReadWriteCloser = nc
-	if wrap != nil {
-		rw = wrap(rw)
-	}
-	return NewConn(rw), nil
+	return &Conn{rw: nc, gate: gate}, nil
 }
